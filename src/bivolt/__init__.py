@@ -12,8 +12,7 @@ from .kernels import (RegionClass, classify_regular, classify_triangular,
                       eval_regular, eval_symmetric, eval_triangular,
                       triangular_coords_from_regular)
 from .transfer import (TransferValue, eval_tf_regular, eval_tf_symmetric,
-                       eval_tf_triangular, impulse_transform, lag_transform,
-                       output_transform, roc_margin)
+                       eval_tf_triangular, output_transform, roc_margin)
 from .response import (GridResolutionError, OutputSeries, ResponseSeries,
                        SampledSignal, TimeGrid, delta_eps_signal,
                        impulse_response, impulse_response_subsystem,
@@ -33,8 +32,7 @@ __all__ = [
     "eval_regular", "eval_symmetric", "eval_triangular",
     "triangular_coords_from_regular",
     "TransferValue", "eval_tf_regular", "eval_tf_symmetric",
-    "eval_tf_triangular", "impulse_transform", "lag_transform",
-    "output_transform", "roc_margin",
+    "eval_tf_triangular", "output_transform", "roc_margin",
     "GridResolutionError", "OutputSeries", "ResponseSeries", "SampledSignal",
     "TimeGrid", "delta_eps_signal", "impulse_response",
     "impulse_response_subsystem", "nascent_response", "ode_direct",

@@ -1,7 +1,8 @@
 """Command-line front end: JSON system/signal ingestion, CSV emission.
 
 Exit codes: 0 success, 2 parse/validation problems (with the violation list on
-stderr), 1 numerical failures such as pole hits or too-coarse grids.
+stderr), 1 numerical failures such as pole hits, too-coarse grids or
+non-finite results.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -21,7 +23,7 @@ from .response import (GridResolutionError, TimeGrid, delta_eps_signal,
                        signal_from_samples, sine_signal, step_signal,
                        volterra_cascade, zero_signal)
 from .system import BilinearSystem, fold_implicit, validate
-from .transfer import eval_tf_regular, eval_tf_symmetric, eval_tf_triangular, roc_margin
+from .transfer import _evaluator, roc_margin
 from .verify import (aux_output_2d, eps_sweep, laplace_quadrature,
                      phi1_bounds_probe, richardson_limit, symmetry_probe)
 
@@ -133,8 +135,10 @@ def _load_system(path: str) -> BilinearSystem:
     return fold_implicit(sys_)
 
 
-def _fmt(value) -> str:
+def _fmt(column: str, value) -> str:
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise FloatingPointError(f"non-finite value {value} in column {column}")
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -142,11 +146,13 @@ def _fmt(value) -> str:
 
 
 def _emit_csv(out, header, rows) -> None:
+    """Write a CSV of results; raises FloatingPointError before writing a NaN or inf."""
+    cells = [[_fmt(name, v) for name, v in zip(header, row, strict=True)] for row in rows]
+
     def write(handle):
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(cells)
 
     if out:
         with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -260,17 +266,14 @@ def _cmd_kernel(args) -> int:
     kind = _kind(args.kind)
     channels = _ints(args.channels) if args.channels else [1] * len(_floats(args.t))
     times = _floats(args.t)
-    if kind == "triangular":
-        value = eval_triangular(sys_, channels, times, tol=args.tol)
-        region = classify_triangular(times, tol=args.tol)
+    evaluate, classify = {"triangular": (eval_triangular, classify_triangular),
+                          "regular": (eval_regular, classify_regular),
+                          "symmetric": (eval_symmetric, None)}[kind]
+    value = evaluate(sys_, channels, times, tol=args.tol)
+    note = ("symmetric", "", "")
+    if classify is not None:
+        region = classify(times, tol=args.tol)
         note = (region.kind, region.n, region.factor)
-    elif kind == "regular":
-        value = eval_regular(sys_, channels, times, tol=args.tol)
-        region = classify_regular(times, tol=args.tol)
-        note = (region.kind, region.n, region.factor)
-    else:
-        value = eval_symmetric(sys_, channels, times, tol=args.tol)
-        note = ("symmetric", "", "")
     header = ([f"t{i + 1}" for i in range(len(times))]
               + [f"y{i + 1}" for i in range(sys_.p)]
               + ["region", "n", "factor"])
@@ -283,12 +286,7 @@ def _cmd_tf(args) -> int:
     kind = _kind(args.kind)
     s = _complexes(args.s)
     channels = _ints(args.channels) if args.channels else [1] * len(s)
-    if kind == "triangular":
-        tv = eval_tf_triangular(sys_, channels, s)
-    elif kind == "regular":
-        tv = eval_tf_regular(sys_, channels, s)
-    else:
-        tv = eval_tf_symmetric(sys_, channels, s)
+    tv = _evaluator(kind)(sys_, channels, s)
     margin = roc_margin(sys_, s, kind)
     header, row = [], []
     for i, z in enumerate(s):
@@ -306,13 +304,10 @@ def _cmd_tf(args) -> int:
 def _cmd_verify_laplace(args) -> int:
     sys_ = _load_system(args.system)
     kind = _kind(args.kind)
-    if kind == "symmetric":
-        raise ValueError("laplace quadrature supports tri|reg kinds")
     s = _complexes(args.s)
     channels = _ints(args.channels) if args.channels else [1] * len(s)
     est = laplace_quadrature(sys_, channels, kind, s, args.T, args.panels)
-    closed = (eval_tf_triangular if kind == "triangular" else eval_tf_regular)(
-        sys_, channels, s).value
+    closed = _evaluator(kind)(sys_, channels, s).value
     diff = float(np.max(np.abs(est.value - closed)))
     bound = est.tail_bound + est.discretization_estimate
     header, row = [], []
@@ -432,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True)
     p.add_argument("--T", type=float, default=30.0)
     p.add_argument("--panels", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_laplace)
 
@@ -441,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--eps", required=True, help="strictly decreasing list")
     p.add_argument("--times", required=True, help="probe times")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_eps_sweep)
 
@@ -468,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="pulse widths, e.g. 1e-2,5e-3")
     p.add_argument("--nodes", type=int, default=201)
     p.add_argument("--pulse-div", dest="pulse_div", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_aux2d)
 
@@ -484,7 +476,7 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PoleHitError, GridResolutionError) as exc:
+    except (PoleHitError, GridResolutionError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 1
     except ValueError as exc:

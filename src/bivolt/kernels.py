@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import expm
-from .system import BilinearSystem, require_explicit
+from .system import BilinearSystem, _channels_tuple, require_explicit
 
 __all__ = [
     "DEFAULT_TIE_TOL",
@@ -91,17 +91,6 @@ def classify_regular(times, tol: float = DEFAULT_TIE_TOL) -> RegionClass:
     factor = 1.0 / math.factorial(k + 1 - n)
     kind = "interior" if n == k else "surface"
     return RegionClass(kind, n, factor)
-
-
-def _channels_tuple(sys: BilinearSystem, channels, k: int) -> tuple[int, ...]:
-    chs = tuple(int(j) for j in np.atleast_1d(channels))
-    if len(chs) != k:
-        raise ValueError(
-            f"channel tuple has length {len(chs)}; expected k = {k}")
-    for j in chs:
-        if not 1 <= j <= sys.m:
-            raise ValueError(f"channel index {j} outside 1..{sys.m}")
-    return chs
 
 
 def _chain(sys: BilinearSystem, channels: tuple[int, ...],

@@ -2,9 +2,9 @@
 
 Everything operates on plain numpy arrays (row-major, float64/complex128).
 The matrix exponential is scaling-and-squaring with a degree-13 Pade
-approximant; linear solves go through an explicit LU factorization with
-partial pivoting so near-singular systems are detected by pivot magnitude
-instead of surfacing as garbage downstream.
+approximant. Linear solves factorise once with LAPACK and refuse a matrix
+whose condition number reaches 1/PIVOT_RTOL, so a frequency on the spectrum
+or a singular E is reported instead of surfacing as garbage downstream.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "expm",
     "phi1_apply",
     "resolvent_apply",
-    "lu_factor",
-    "lu_solve",
     "solve",
 ]
 
@@ -34,15 +32,12 @@ _PADE13_B = (
 )
 _THETA13 = 5.371920351148152
 
+# solve refuses a matrix whose condition number reaches 1/PIVOT_RTOL.
 PIVOT_RTOL = 1e-12
 
 
 class SingularMatrixError(ValueError):
-    """LU factorization met a pivot below the singularity threshold."""
-
-    def __init__(self, message: str, pivot: float = 0.0):
-        super().__init__(message)
-        self.pivot = pivot
+    """A solve met a matrix that is singular to working precision."""
 
 
 class PoleHitError(ValueError):
@@ -117,58 +112,26 @@ def phi1_apply(M, v) -> np.ndarray:
     return expm(W)[:n, n]
 
 
-def lu_factor(K, pivot_rtol: float = PIVOT_RTOL):
-    """LU-factorize a square matrix with partial pivoting.
+def solve(K, B) -> np.ndarray:
+    """Solve K X = B for one or many right-hand sides.
 
-    Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper factors
-    and ``perm`` is the row permutation. Raises SingularMatrixError when a
-    pivot falls below ``pivot_rtol * max-row-sum-norm``.
+    K is factorised once by LAPACK (``inv``). It counts as singular when LAPACK
+    meets an exact zero pivot or when ||K||_inf ||K^{-1}||_inf reaches
+    1/PIVOT_RTOL. This catches every K whose LU factorisation with partial
+    pivoting has a pivot |u_jj| <= PIVOT_RTOL ||K||_inf: the x with x_j = 1,
+    x_i = 0 for i > j and U x = u_jj e_j has ||K x||_inf <= |u_jj|, since the
+    multipliers are at most 1 in size, so ||K^{-1}||_inf >= 1/|u_jj|.
     """
-    A = _square_array(K, "lu argument")
-    A = np.array(A, copy=True)
-    n = A.shape[0]
-    scale = np.linalg.norm(A, np.inf) if n else 0.0
-    tol = pivot_rtol * max(scale, np.finfo(float).tiny)
-    perm = np.arange(n)
-    for j in range(n):
-        p = j + int(np.argmax(np.abs(A[j:, j])))
-        pivot = abs(A[p, j])
-        if pivot <= tol:
-            raise SingularMatrixError(
-                f"singular matrix: pivot {pivot:.3e} at column {j} "
-                f"below threshold {tol:.3e}", pivot=pivot)
-        if p != j:
-            A[[j, p]] = A[[p, j]]
-            perm[[j, p]] = perm[[p, j]]
-        A[j + 1:, j] /= A[j, j]
-        if j + 1 < n:
-            A[j + 1:, j + 1:] -= np.outer(A[j + 1:, j], A[j, j + 1:])
-    return A, perm
-
-
-def lu_solve(lu: np.ndarray, perm: np.ndarray, B) -> np.ndarray:
-    """Solve the system factorized by :func:`lu_factor` for one or many RHS."""
-    rhs = np.asarray(B)
-    single = rhs.ndim == 1
-    X = rhs.reshape(-1, 1) if single else rhs
-    if X.shape[0] != lu.shape[0]:
-        raise ValueError(
-            f"rhs has {X.shape[0]} rows; expected {lu.shape[0]}")
-    X = np.array(X[perm], dtype=np.result_type(lu, X, float), copy=True)
-    n = lu.shape[0]
-    for j in range(n - 1):
-        X[j + 1:] -= lu[j + 1:, j, None] * X[j]
-    for j in range(n - 1, -1, -1):
-        X[j] /= lu[j, j]
-        if j:
-            X[:j] -= lu[:j, j, None] * X[j]
-    return X[:, 0] if single else X
-
-
-def solve(K, B, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
-    """Solve K X = B by LU with partial pivoting."""
-    lu, perm = lu_factor(K, pivot_rtol=pivot_rtol)
-    return lu_solve(lu, perm, B)
+    M = _square_array(K, "solve argument")
+    try:
+        inverse = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("singular: exact zero pivot") from exc
+    cond = np.linalg.norm(M, np.inf) * np.linalg.norm(inverse, np.inf)
+    if not cond < 1.0 / PIVOT_RTOL:
+        raise SingularMatrixError(
+            f"singular: condition number {cond:.3e} reaches {1.0 / PIVOT_RTOL:.0e}")
+    return inverse @ np.asarray(B)
 
 
 def resolvent_apply(A, s, V) -> np.ndarray:

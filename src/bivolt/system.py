@@ -12,10 +12,11 @@ explicit system; fold E eagerly with :func:`fold_implicit`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_factor, lu_solve
+from .linalg import SingularMatrixError, solve
 
 __all__ = [
     "BilinearSystem",
@@ -37,8 +38,9 @@ class BilinearSystem:
     """Dense bilinear system (A, N_1..N_m, B, C, x0, optional E).
 
     ``N`` is stored as an (m, n, n) stack; a single 2-D array is promoted to
-    m = 1. ``x0`` defaults to zeros. Construction only coerces array shapes;
-    call :func:`validate` to get a full list of invariant violations.
+    m = 1. ``x0`` defaults to zeros. Construction copies the arrays and makes
+    the copies read-only, which keeps the cached spectral abscissa valid; it
+    only coerces shapes, so call :func:`validate` for the invariant violations.
     """
 
     A: np.ndarray
@@ -49,17 +51,17 @@ class BilinearSystem:
     E: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        N = np.asarray(self.N, dtype=float)
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        N = np.array(self.N, dtype=float)
         if N.ndim == 2:
             N = N[None, :, :]
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        B = np.atleast_2d(np.array(self.B, dtype=float))
+        C = np.atleast_2d(np.array(self.C, dtype=float))
         x0 = self.x0
-        x0 = np.zeros(A.shape[0]) if x0 is None else np.asarray(x0, dtype=float).ravel()
+        x0 = np.zeros(A.shape[0]) if x0 is None else np.array(x0, dtype=float).ravel()
         E = self.E
         if E is not None:
-            E = np.atleast_2d(np.asarray(E, dtype=float))
+            E = np.atleast_2d(np.array(E, dtype=float))
         for name, value in (("A", A), ("N", N), ("B", B), ("C", C),
                             ("x0", x0), ("E", E)):
             if value is not None:
@@ -77,6 +79,11 @@ class BilinearSystem:
     def p(self) -> int:
         return self.C.shape[0]
 
+    @cached_property
+    def spectral_abscissa(self) -> float:
+        """Largest real part of the eigenvalues of A (computed once; A is read-only)."""
+        return float(np.max(np.linalg.eigvals(self.A).real))
+
 
 @dataclass(frozen=True)
 class EffectiveExcitation:
@@ -84,6 +91,17 @@ class EffectiveExcitation:
 
     Nhat: np.ndarray
     bhat: np.ndarray
+
+
+def _channels_tuple(sys: BilinearSystem, channels, k: int) -> tuple[int, ...]:
+    """Check an order-k tuple of 1-based input channels against sys.m."""
+    chs = tuple(int(j) for j in np.atleast_1d(channels))
+    if len(chs) != k:
+        raise ValueError(f"channel tuple has length {len(chs)}; expected k = {k}")
+    for j in chs:
+        if not 1 <= j <= sys.m:
+            raise ValueError(f"channel index {j} outside 1..{sys.m}")
+    return chs
 
 
 def validate(sys: BilinearSystem) -> list[str]:
@@ -122,9 +140,9 @@ def validate(sys: BilinearSystem) -> list[str]:
             violations.append("E has non-finite entries")
         else:
             try:
-                lu_factor(sys.E)
-            except SingularMatrixError:
-                violations.append("E is singular (LU pivot below threshold)")
+                solve(sys.E, np.eye(n))
+            except SingularMatrixError as exc:
+                violations.append(f"E is {exc}")
     return violations
 
 
@@ -139,13 +157,12 @@ def fold_implicit(sys: BilinearSystem) -> BilinearSystem:
     """Fold a nonsingular E into the system: A, N_j, B -> E^{-1}A, E^{-1}N_j, E^{-1}B."""
     if sys.E is None:
         return sys
+    n = sys.n
+    stacked = np.hstack([sys.A] + [sys.N[j] for j in range(sys.N.shape[0])] + [sys.B])
     try:
-        lu, perm = lu_factor(sys.E)
+        folded = solve(sys.E, stacked)
     except SingularMatrixError as exc:
         raise ValueError("cannot fold implicit system: E is singular") from exc
-    n, m = sys.n, sys.m
-    stacked = np.hstack([sys.A] + [sys.N[j] for j in range(sys.N.shape[0])] + [sys.B])
-    folded = lu_solve(lu, perm, stacked)
     A = folded[:, :n]
     N = np.stack([folded[:, n * (j + 1): n * (j + 2)]
                   for j in range(sys.N.shape[0])])

@@ -19,8 +19,8 @@ import numpy as np
 from .kernels import eval_symmetric
 from .linalg import expm, phi1_apply
 from .response import SampledSignal, impulse_response, nascent_response
-from .system import BilinearSystem, require_explicit
-from .transfer import roc_margin
+from .system import BilinearSystem, _channels_tuple, require_explicit
+from .transfer import _constraints, _freq_tuple, roc_margin
 
 __all__ = [
     "QuadratureEstimate",
@@ -66,31 +66,6 @@ class SweepReport:
     order: float | None
 
 
-def _freqs(s) -> tuple[complex, ...]:
-    ss = tuple(complex(z) for z in np.atleast_1d(np.asarray(s, dtype=complex)))
-    if not ss:
-        raise ValueError("frequency tuple must have order k >= 1")
-    return ss
-
-
-def _channels(sys: BilinearSystem, channels, k: int) -> tuple[int, ...]:
-    chs = tuple(int(j) for j in np.atleast_1d(channels))
-    if len(chs) != k:
-        raise ValueError(f"channel tuple has length {len(chs)}; expected k = {k}")
-    for j in chs:
-        if not 1 <= j <= sys.m:
-            raise ValueError(f"channel index {j} outside 1..{sys.m}")
-    return chs
-
-
-def _mapped_exponents(ss: tuple[complex, ...], kind: str) -> tuple[complex, ...]:
-    if kind == "regular":
-        return ss
-    if kind == "triangular":
-        return tuple(itertools.accumulate(ss))
-    raise ValueError(f"unknown quadrature kind {kind!r}")
-
-
 def _gl_points(T: float, panels: int):
     width = T / panels
     mids = width * (np.arange(panels) + 0.5)
@@ -114,6 +89,17 @@ def _tail_bound(sys: BilinearSystem, chs, margins, growth: float) -> float:
     return 2.0 * scale * growth ** k * tails
 
 
+def _exponents(sys: BilinearSystem, ss: tuple[complex, ...], kind: str):
+    """Laplace exponents of a regular or triangular kernel and their ROC margin."""
+    if kind not in ("regular", "triangular"):
+        raise ValueError(f"unknown quadrature kind {kind!r}")
+    margin = roc_margin(sys, ss, kind)
+    if margin <= 0:
+        raise ValueError(
+            f"frequency tuple outside the region of convergence (margin {margin:.3e})")
+    return _constraints(ss, kind), margin
+
+
 def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
                        T: float, panels: int) -> QuadratureEstimate:
     """Numerically Laplace-transform an order-k kernel over a truncated domain.
@@ -126,23 +112,18 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
     Gauss-Legendre sum over matrix exponentials.
     """
     require_explicit(sys)
-    ss = _freqs(s)
+    ss = _freq_tuple(s)
     k = len(ss)
     if k > 3:
         raise ValueError("laplace_quadrature capped at k <= 3 (cost grows as panels^k)")
-    chs = _channels(sys, channels, k)
+    chs = _channels_tuple(sys, channels, k)
     panels = int(panels)
     if panels < 1:
         raise ValueError("panels must be >= 1")
     if T <= 0:
         raise ValueError("truncation horizon T must be > 0")
-    sig = _mapped_exponents(ss, kind)
-    margin = roc_margin(sys, ss, kind)
-    if margin <= 0:
-        raise ValueError(
-            f"frequency tuple outside the region of convergence (margin {margin:.3e})")
-
-    abscissa = float(np.max(np.linalg.eigvals(sys.A).real))
+    sig, _ = _exponents(sys, ss, kind)
+    abscissa = sys.spectral_abscissa
 
     def run(P: int):
         ts, wts = _gl_points(T, P)
@@ -185,14 +166,10 @@ def suggest_truncation(sys: BilinearSystem, channels, kind: str, s,
     require_explicit(sys)
     if tol <= 0:
         raise ValueError("tolerance must be > 0")
-    ss = _freqs(s)
-    chs = _channels(sys, channels, len(ss))
-    sig = _mapped_exponents(ss, kind)
-    margin = roc_margin(sys, ss, kind)
-    if margin <= 0:
-        raise ValueError(
-            f"frequency tuple outside the region of convergence (margin {margin:.3e})")
-    abscissa = float(np.max(np.linalg.eigvals(sys.A).real))
+    ss = _freq_tuple(s)
+    chs = _channels_tuple(sys, channels, len(ss))
+    sig, margin = _exponents(sys, ss, kind)
+    abscissa = sys.spectral_abscissa
     horizon = 8.0 / margin
     growth = 2.0 * max(
         np.linalg.norm(expm(sys.A, t), 2) * math.exp(-abscissa * t)

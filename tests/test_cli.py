@@ -126,6 +126,19 @@ class TestImpulseCommand:
         expected = impulse_response(sys_, [1.0], 0.73)[0]
         assert float(rows[0][header.index("g1")]) == expected
 
+    def test_non_finite_result_exits_1(self, tmp_path, capsys):
+        doc = {"n": 1, "m": 1, "p": 1, "A": [1e6], "N": [[1e6]],
+               "B": [1.0], "C": [1.0]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code = run_command(["impulse", "--system", str(path), "--mu", "1",
+                            "--times", "1", "--orders", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+        assert "g1" in captured.err
+
 
 class TestKernelCommand:
     def test_boundary_note(self, scalar_doc_path, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bivolt.linalg import (PoleHitError, SingularMatrixError, expm, lu_factor,
-                           lu_solve, phi1_apply, resolvent_apply, solve)
+from bivolt.linalg import (PoleHitError, SingularMatrixError, expm, phi1_apply,
+                           resolvent_apply, solve)
 
 
 def series_phi1(x, terms=40):
@@ -140,6 +140,13 @@ class TestResolvent:
             resolvent_apply([[-1.0]], -1.0, [1.0])
         assert exc.value.s == -1.0 + 0.0j
 
+    @pytest.mark.parametrize("d", [0.0, 1e-15, 1e-13])
+    def test_pole_hit_next_to_eigenvalue_of_non_normal_matrix(self, d):
+        # a plain LAPACK solve returns a finite answer at d = 1e-15 and 1e-13
+        A = [[-1.0, 5.0, 0.0], [0.0, -2.0, 3.0], [0.0, 0.0, -0.5]]
+        with pytest.raises(PoleHitError):
+            resolvent_apply(A, -2.0 + d, [1.0, 1.0, 1.0])
+
 
 class TestLU:
     def test_solve_matches_numpy(self):
@@ -150,12 +157,20 @@ class TestLU:
 
     def test_singular_detection(self):
         with pytest.raises(SingularMatrixError):
-            lu_factor(np.zeros((3, 3)))
+            solve(np.zeros((3, 3)), np.ones(3))
         with pytest.raises(SingularMatrixError):
-            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
+    def test_small_pivot_detected_when_inverse_row_is_spread(self):
+        # The partial pivot of the first column is eps <= 1e-12 * ||K||_inf.
+        # K^{-1} has the row (1, 1, 1) / (3 eps), so ||K||_1 ||K^{-1}||_1
+        # stays near 8.9e11 while ||K||_inf ||K^{-1}||_inf is 1.3e12.
+        eps = 1.5e-12
+        K = np.array([[eps, 1.0, 1.0], [eps, -1.0, 1.0], [eps, 0.0, -2.0]])
+        with pytest.raises(SingularMatrixError):
+            solve(K, np.ones(3))
 
     def test_complex_solve(self):
         A = np.array([[2.0, 1.0], [0.0, 1.0j]], dtype=complex)
         b = np.array([1.0, 2.0], dtype=complex)
-        lu, perm = lu_factor(A)
-        assert_allclose(A @ lu_solve(lu, perm, b), b, atol=1e-13)
+        assert_allclose(A @ solve(A, b), b, atol=1e-13)

@@ -20,14 +20,28 @@ class TestValidate:
         assert "B" in violations[0]
 
     def test_singular_e_reported(self):
-        sys = BilinearSystem(A=np.eye(2), N=np.zeros((1, 2, 2)),
-                             B=np.ones((2, 1)), C=np.ones((1, 2)),
-                             E=np.zeros((2, 2)))
-        assert any("E" in v and "singular" in v for v in validate(sys))
+        for E in (np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0 + 1e-14]]):
+            sys = BilinearSystem(A=np.eye(2), N=np.zeros((1, 2, 2)),
+                                 B=np.ones((2, 1)), C=np.ones((1, 2)), E=E)
+            assert any("E" in v and "singular" in v for v in validate(sys))
 
     def test_nonfinite_entries_reported(self):
         sys = BilinearSystem(A=[[np.inf]], N=[[[0.0]]], B=[[1.0]], C=[[1.0]])
         assert any("A" in v for v in validate(sys))
+
+
+class TestConstruction:
+    def test_arrays_are_private_read_only_copies(self):
+        A = np.array([[-1.0, 0.0], [0.0, -2.0]])
+        N = np.zeros((2, 2))
+        sys = BilinearSystem(A=A, N=N, B=np.ones((2, 1)), C=np.ones((1, 2)))
+        assert A.flags.writeable and N.flags.writeable
+        assert sys.spectral_abscissa == -1.0
+        A[0, 0] = N[0, 0] = 5.0
+        assert sys.A[0, 0] == -1.0 and sys.N[0, 0, 0] == 0.0
+        assert sys.spectral_abscissa == -1.0
+        with pytest.raises(ValueError):
+            sys.A[0, 0] = 1.0
 
 
 class TestFoldImplicit:
@@ -62,11 +76,11 @@ class TestFoldImplicit:
         assert fold_implicit(scalar_system) is scalar_system
 
     def test_singular_e_raises(self):
-        sys = BilinearSystem(A=np.eye(2), N=np.zeros((1, 2, 2)),
-                             B=np.ones((2, 1)), C=np.ones((1, 2)),
-                             E=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            fold_implicit(sys)
+        for E in (np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0 + 1e-14]]):
+            sys = BilinearSystem(A=np.eye(2), N=np.zeros((1, 2, 2)),
+                                 B=np.ones((2, 1)), C=np.ones((1, 2)), E=E)
+            with pytest.raises(ValueError, match="singular"):
+                fold_implicit(sys)
 
     def test_fold_then_simulate_matches_implicit_integration(self):
         # oracle: RK4 that solves E xdot = Ax + (sum N u) x + Bu per stage

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bivolt import (BilinearSystem, PoleHitError, eval_tf_regular,
-                    eval_tf_symmetric, eval_tf_triangular, impulse_transform,
-                    lag_transform, output_transform, resolvent_apply, roc_margin)
+                    eval_tf_symmetric, eval_tf_triangular, output_transform,
+                    resolvent_apply, roc_margin)
 
 from conftest import make_stable_system
 
@@ -136,7 +136,7 @@ class TestOutputTransform:
     def test_unit_impulse_returns_transfer_value(self, gain2_system):
         s = [1.0, 2.0]
         got = output_transform(gain2_system, [1, 1], s, "regular",
-                               impulse_transform())
+                               lambda s: 1.0)
         assert_allclose(got, eval_tf_regular(gain2_system, [1, 1], s).value,
                         rtol=1e-14)
 
@@ -148,11 +148,11 @@ class TestOutputTransform:
 
     def test_regular_shifted_inputs(self, gain2_system):
         got = output_transform(gain2_system, [1, 1], [1.0, 2.0], "regular",
-                               lag_transform(3.0))
+                               lambda s: 1.0 / (s + 3.0))
         assert got[0] == pytest.approx(1.0 / 48.0, rel=1e-12)
 
     def test_triangular_unshifted_inputs(self, gain2_system):
-        U = lag_transform(1.0)
+        U = lambda s: 1.0 / (s + 1.0)
         got = output_transform(gain2_system, [1, 1], [1.0, 2.0], "triangular", U)
         expected = 0.25 * U(1.0) * U(2.0)
         assert got[0] == pytest.approx(expected, rel=1e-12)
@@ -160,14 +160,14 @@ class TestOutputTransform:
     def test_per_channel_evaluators(self):
         rng = np.random.default_rng(6)
         sys = make_stable_system(rng, n=3, m=2)
-        evaluators = [lag_transform(1.0), lag_transform(2.0)]
+        evaluators = [lambda s: 1.0 / (s + 1.0), lambda s: 1.0 / (s + 2.0)]
         got = output_transform(sys, [2, 1], [1.0, 2.5], "regular", evaluators)
         tv = eval_tf_regular(sys, [2, 1], [1.0, 2.5]).value
         expected = tv * evaluators[1](1.0) * evaluators[0](2.5 - 1.0)
         assert_allclose(got, expected, rtol=1e-13)
 
     def test_symmetric_kind_uses_plain_input_factors(self, gain2_system):
-        U = lag_transform(2.0)
+        U = lambda s: 1.0 / (s + 2.0)
         got = output_transform(gain2_system, [1, 1], [1.0, 2.0], "symmetric", U)
         tv = eval_tf_symmetric(gain2_system, [1, 1], [1.0, 2.0]).value
         assert_allclose(got, tv * U(1.0) * U(2.0), rtol=1e-13)

@@ -82,6 +82,15 @@ class TestLaplaceQuadrature:
             laplace_quadrature(gain2_system, [1] * 4, "regular", [1.0] * 4,
                                10.0, 10)
 
+    def test_symmetric_kind_refused(self, gain2_system):
+        # the ROC check knows the symmetric kind; the quadrature does not
+        with pytest.raises(ValueError, match="kind"):
+            laplace_quadrature(gain2_system, [1, 1], "symmetric", [1.0, 2.0],
+                               10.0, 10)
+        with pytest.raises(ValueError, match="kind"):
+            suggest_truncation(gain2_system, [1, 1], "symmetric", [1.0, 2.0],
+                               1e-6)
+
 
 class TestAuxOutput2d:
     def test_zero_input(self, scalar_system):
