@@ -169,6 +169,11 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _channels(args, k: int) -> list[int]:
+    """--channels as 1-based channel numbers, else channel 1 for all k arguments."""
+    return _ints(args.channels) if args.channels else [1] * k
+
+
 def _complexes(text: str) -> list[complex]:
     out = []
     for tok in text.split(","):
@@ -264,8 +269,8 @@ def _cmd_impulse(args) -> int:
 def _cmd_kernel(args) -> int:
     sys_ = _load_system(args.system)
     kind = _kind(args.kind)
-    channels = _ints(args.channels) if args.channels else [1] * len(_floats(args.t))
     times = _floats(args.t)
+    channels = _channels(args, len(times))
     evaluate, classify = {"triangular": (eval_triangular, classify_triangular),
                           "regular": (eval_regular, classify_regular),
                           "symmetric": (eval_symmetric, None)}[kind]
@@ -285,7 +290,7 @@ def _cmd_tf(args) -> int:
     sys_ = _load_system(args.system)
     kind = _kind(args.kind)
     s = _complexes(args.s)
-    channels = _ints(args.channels) if args.channels else [1] * len(s)
+    channels = _channels(args, len(s))
     tv = _evaluator(kind)(sys_, channels, s)
     margin = roc_margin(sys_, s, kind)
     header, row = [], []
@@ -305,7 +310,7 @@ def _cmd_verify_laplace(args) -> int:
     sys_ = _load_system(args.system)
     kind = _kind(args.kind)
     s = _complexes(args.s)
-    channels = _ints(args.channels) if args.channels else [1] * len(s)
+    channels = _channels(args, len(s))
     est = laplace_quadrature(sys_, channels, kind, s, args.T, args.panels)
     closed = _evaluator(kind)(sys_, channels, s).value
     diff = float(np.max(np.abs(est.value - closed)))

@@ -5,6 +5,8 @@ The matrix exponential is scaling-and-squaring with a degree-13 Pade
 approximant. Linear solves factorise once with LAPACK and refuse a matrix
 whose condition number reaches 1/PIVOT_RTOL, so a frequency on the spectrum
 or a singular E is reported instead of surfacing as garbage downstream.
+An exponential that overflows raises FloatingPointError instead of
+returning inf or NaN.
 """
 
 from __future__ import annotations
@@ -77,7 +79,10 @@ def _pade13(A: np.ndarray):
 
 
 def expm(M, t: float = 1.0) -> np.ndarray:
-    """Evaluate e^{M t} by scaling-and-squaring with the degree-13 Pade approximant."""
+    """Evaluate e^{M t} by scaling-and-squaring with the degree-13 Pade approximant.
+
+    Raises FloatingPointError when the result overflows.
+    """
     A = _square_array(M, "expm argument")
     if not np.isfinite(t):
         raise ValueError("expm time must be finite")
@@ -89,8 +94,14 @@ def expm(M, t: float = 1.0) -> np.ndarray:
         A = A / (2.0 ** squarings)
     U, V = _pade13(A)
     R = np.linalg.solve(V - U, V + U)
-    for _ in range(squarings):
-        R = R @ R
+    if squarings:  # without squaring, ||M t||_1 <= _THETA13 keeps R finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(squarings):
+                R = R @ R
+        if not np.all(np.isfinite(R)):
+            raise FloatingPointError(
+                f"expm overflow: e^(M t) with ||M t||_1 = {nrm:.3e} is not "
+                f"finite after {squarings} squarings")
     return R
 
 

@@ -2,9 +2,14 @@
 two-phase solution, Volterra cascade simulation, and direct integration.
 
 Simulation uses classical fixed-step RK4 on a uniform grid with inputs
-interpolated linearly at half-steps. Steps whose three input samples all
-vanish apply the precomputed degree-4 Taylor map of the free dynamics, which
-is exactly the RK4 update for the autonomous linear system.
+interpolated linearly at half-steps. Both engines share one integrator: each
+stage is one product of the state rows with the stacked G = [A; N_1..N_m]
+followed by a small input-dependent combination, the full system being one
+row and the cascade one row per order. Steps whose three input samples all
+vanish apply the free map, the same RK4 step applied once to the identity
+with zero input. States go through a fixed block buffer that is checked for
+overflow and projected through C once per block, so memory does not grow
+with the grid beyond the outputs themselves.
 """
 
 from __future__ import annotations
@@ -263,61 +268,107 @@ def nascent_response(sys: BilinearSystem, mu, eps: float, t: float) -> np.ndarra
     return sys.C @ x
 
 
-def _taylor4_map(A: np.ndarray, h: float) -> np.ndarray:
-    # RK4 applied to x' = Ax collapses to this degree-4 Taylor polynomial.
-    n = A.shape[0]
-    P = np.eye(n)
-    term = np.eye(n)
-    for j in range(1, 5):
-        term = term @ (A * (h / j))
-        P = P + term
-    return P
+# State rows buffered, checked and projected through C at a time: BLOCK_ROWS
+# steps of the full system, BLOCK_ROWS // K steps of a K-order cascade.
+BLOCK_ROWS = 1024
 
 
-def _stage_samples(u: SampledSignal, grid: TimeGrid):
+def _weights(u: np.ndarray, rows: int, shift: int) -> np.ndarray:
+    """W(u) for each input sample u (..., m): an RK4 stage is dY = W(u) @ R.
+
+    R stacks [0, b_1..b_m] over Y G^T, in n-wide blocks: with y_1..y_rows the
+    rows of Y and y_0 a virtual state whose N_j-images are the columns b_j of
+    B, block (i, j) is N_j y_i (N_0 = A). Row k of dY is
+    A y_k + sum_j u_j N_j y_{k-shift}, and row 1 also takes
+    B u = sum_j u_j N_j y_0, which for the cascade (shift = 1) is that sum.
+    """
+    m = u.shape[-1]
+    W = np.zeros(u.shape[:-1] + (rows, rows + 1, m + 1))
+    k = np.arange(rows)
+    W[..., k, k + 1, 0] = 1.0
+    W[..., k, k + 1 - shift, 1:] = u[..., None, :]
+    W[..., 0, 0, 1:] = u
+    return W.reshape(u.shape[:-1] + (rows, -1))
+
+
+def _rk4_step(Y, h, GT, R, W0, Wh, W1):
+    # R (rows + 1, (m + 1) n) comes from _stage_rows: row 0 holds the virtual
+    # [0, b_1..b_m], Y G^T goes into the rest. W0, Wh, W1: start, mid, end.
+    RY, R2 = R[1:], R.reshape(W0.shape[1], -1)
+    np.matmul(Y, GT, out=RY)
+    k1 = W0 @ R2
+    np.matmul(Y + (0.5 * h) * k1, GT, out=RY)
+    k2 = Wh @ R2
+    np.matmul(Y + (0.5 * h) * k2, GT, out=RY)
+    k3 = Wh @ R2
+    np.matmul(Y + h * k3, GT, out=RY)
+    k4 = W1 @ R2
+    return Y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _stage_rows(sys: BilinearSystem, rows: int) -> np.ndarray:
+    R = np.zeros((rows + 1, (sys.m + 1) * sys.n))
+    R[0, sys.n:] = sys.B.T.ravel()
+    return R
+
+
+def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
+         Y0: np.ndarray, shift: int) -> np.ndarray:
+    """RK4 for the rows of the state Y (rows, n); outputs (nodes, rows, p).
+
+    shift = 0 is the full system (one row); shift = 1 is the cascade, where
+    row k - 1 drives row k through the N_j (see _weights). Steps whose three
+    input samples all vanish apply the free map, which is this same step
+    applied to the identity with u = 0.
+    """
+    if u.m != sys.m:
+        raise ValueError(f"signal has {u.m} channels; system expects {sys.m}")
     if grid.nodes < 2:
         raise ValueError("grid has no integration steps (needs at least 2 nodes)")
     times = grid.times()
     U = u.at_many(times)
     Um = u.at_many(times[:-1] + 0.5 * grid.dt)
     node_zero = ~np.any(U != 0.0, axis=1)
-    mid_zero = ~np.any(Um != 0.0, axis=1)
-    zero_step = node_zero[:-1] & mid_zero & node_zero[1:]
-    return U, Um, zero_step
-
-
-def _check_signal(sys: BilinearSystem, u: SampledSignal) -> None:
-    if u.m != sys.m:
-        raise ValueError(f"signal has {u.m} channels; system expects {sys.m}")
+    free = node_zero[:-1] & ~np.any(Um != 0.0, axis=1) & node_zero[1:]
+    n, m, h, rows = sys.n, sys.m, grid.dt, Y0.shape[0]
+    GT = np.concatenate([sys.A[None], sys.N]).reshape(-1, n).T
+    CT = sys.C.T
+    out = np.empty((grid.nodes, rows, sys.p))
+    out[0] = Y0 @ CT
+    buf = np.empty((min(max(BLOCK_ROWS // rows, 1), grid.nodes - 1), rows, n))
+    R = _stage_rows(sys, rows)
+    Y = Y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if free.any():
+            W_free = _weights(np.zeros(m), n, 0)
+            free_map = _rk4_step(np.eye(n), h, GT, _stage_rows(sys, n),
+                                 W_free, W_free, W_free)
+        for start in range(0, grid.nodes - 1, buf.shape[0]):
+            stop = min(start + buf.shape[0], grid.nodes - 1)
+            Wn = _weights(U[start:stop + 1], rows, shift)
+            Wm = _weights(Um[start:stop], rows, shift)
+            for j, is_free in enumerate(free[start:stop].tolist()):
+                if is_free:
+                    Y = Y @ free_map
+                else:
+                    Y = _rk4_step(Y, h, GT, R, Wn[j], Wm[j], Wn[j + 1])
+                buf[j] = Y
+            block = buf[:stop - start]
+            finite = np.isfinite(block).reshape(block.shape[0], -1).all(axis=1)
+            if not finite.all():
+                node = start + 1 + int(np.argmin(finite))
+                raise FloatingPointError(
+                    f"RK4 state became non-finite at step {node} "
+                    f"(t = {times[node]:.6g}, dt = {h:.6g})")
+            out[start + 1:stop + 1] = block @ CT
+    return out
 
 
 def ode_direct(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid) -> OutputSeries:
     """RK4 integration of x' = (A + sum_j N_j u_j(t)) x + B u(t); y = C x."""
     require_explicit(sys)
-    _check_signal(sys, u)
-    U, Um, zero_step = _stage_samples(u, grid)
-    A, N, B = sys.A, sys.N, sys.B
-    h = grid.dt
-    free_map = _taylor4_map(A, h)
-    X = np.empty((grid.nodes, sys.n))
-    x = sys.x0.copy()
-    X[0] = x
-
-    def rhs(uv, xv):
-        return A @ xv + np.tensordot(uv, N, axes=1) @ xv + B @ uv
-
-    for i in range(grid.nodes - 1):
-        if zero_step[i]:
-            x = free_map @ x
-        else:
-            ua, um, ub = U[i], Um[i], U[i + 1]
-            k1 = rhs(ua, x)
-            k2 = rhs(um, x + 0.5 * h * k1)
-            k3 = rhs(um, x + 0.5 * h * k2)
-            k4 = rhs(ub, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        X[i + 1] = x
-    return OutputSeries(grid, X @ sys.C.T)
+    out = _rk4(sys, u, grid, sys.x0[None], shift=0)
+    return OutputSeries(grid, out[:, 0])
 
 
 def volterra_cascade(sys: BilinearSystem, u: SampledSignal, K: int,
@@ -330,33 +381,7 @@ def volterra_cascade(sys: BilinearSystem, u: SampledSignal, K: int,
     require_explicit(sys)
     if int(K) < 1:
         raise ValueError("truncation order K must be >= 1")
-    K = int(K)
-    _check_signal(sys, u)
-    U, Um, zero_step = _stage_samples(u, grid)
-    A, N, B = sys.A, sys.N, sys.B
-    h = grid.dt
-    free_map_T = _taylor4_map(A, h).T
-    X = np.zeros((K, sys.n))
-    X[0] = sys.x0
-    Y = np.empty((grid.nodes, K, sys.p))
-    Y[0] = X @ sys.C.T
-
-    def rhs(uv, Xv):
-        Nu = np.tensordot(uv, N, axes=1)
-        dX = Xv @ A.T
-        dX[0] += B @ uv
-        dX[1:] += Xv[:-1] @ Nu.T
-        return dX
-
-    for i in range(grid.nodes - 1):
-        if zero_step[i]:
-            X = X @ free_map_T
-        else:
-            ua, um, ub = U[i], Um[i], U[i + 1]
-            k1 = rhs(ua, X)
-            k2 = rhs(um, X + 0.5 * h * k1)
-            k3 = rhs(um, X + 0.5 * h * k2)
-            k4 = rhs(ub, X + h * k3)
-            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Y[i + 1] = X @ sys.C.T
-    return ResponseSeries(grid, np.ascontiguousarray(Y.transpose(1, 0, 2)))
+    Y0 = np.zeros((int(K), sys.n))
+    Y0[0] = sys.x0
+    out = _rk4(sys, u, grid, Y0, shift=1)
+    return ResponseSeries(grid, np.ascontiguousarray(out.transpose(1, 0, 2)))

@@ -137,7 +137,7 @@ class TestImpulseCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "numerical failure" in captured.err
-        assert "g1" in captured.err
+        assert "expm overflow" in captured.err
 
 
 class TestKernelCommand:
@@ -233,6 +233,21 @@ class TestSimulateCommand:
                             "--signal", str(signal), "--grid", "0:1:0.01"])
         assert code == 1
         assert "coarse" in capsys.readouterr().err
+
+    def test_rk4_overflow_exits_1(self, tmp_path, capsys):
+        # RK4 amplifies the free mode of a = -1e4 about 4e6-fold per step of 1e-2
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(dict(SCALAR_DOC, A=[-1e4])))
+        signal = tmp_path / "step.json"
+        signal.write_text(json.dumps({"kind": "step"}))
+        code = run_command(["simulate", "--system", str(path),
+                            "--signal", str(signal), "--grid", "0:1:0.01",
+                            "--method", "both", "--orders", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+        assert "non-finite at step" in captured.err
 
     def test_out_file(self, scalar_doc_path, tmp_path):
         signal = tmp_path / "zero.json"

@@ -65,6 +65,15 @@ class TestExpm:
         got = expm(np.array([[0.0, 200.0], [0.0, 0.0]]), 1.0)
         assert_allclose(got, [[1.0, 200.0], [0.0, 1.0]], rtol=1e-12)
 
+    def test_overflow_raises(self):
+        # e^710 is beyond the largest double; the squarings overflow
+        with pytest.raises(FloatingPointError, match="expm overflow"):
+            expm(np.array([[710.0]]))
+        with pytest.raises(FloatingPointError, match="expm overflow"):
+            phi1_apply(np.array([[1e6]]), np.array([1.0]))
+        assert expm(np.array([[700.0]]))[0, 0] == pytest.approx(
+            math.exp(700.0), rel=1e-12)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             expm(np.ones((2, 3)))

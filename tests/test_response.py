@@ -109,6 +109,12 @@ class TestImpulseResponse:
         with pytest.raises(ValueError):
             impulse_response(scalar_system, [1.0], 0.0)
 
+    def test_overflow_raises(self):
+        # e^{Nhat} = e^{1e6} overflows; the library raises instead of returning NaN
+        sys = BilinearSystem(A=[[1e6]], N=[[[1e6]]], B=[[1.0]], C=[[1.0]])
+        with pytest.raises(FloatingPointError, match="expm overflow"):
+            impulse_response(sys, [1.0], 1.0)
+
 
 class TestSubsystemImpulseResponse:
     def test_order_one(self):
@@ -204,6 +210,21 @@ class TestOdeDirect:
             errs.append(abs(out.values[-1, 0] - exact))
         ratio = errs[0] / errs[1]
         assert 16.0 * 0.7 <= ratio <= 16.0 * 1.3
+
+    @pytest.mark.parametrize("kind", ["free", "forced"])
+    def test_non_finite_state_raises(self, kind):
+        # RK4 multiplies the mode a = -1e4 by about 4.0e6 per step of 1e-2,
+        # past the largest double at step 47
+        x0 = [1.0] if kind == "free" else None
+        sys = BilinearSystem(A=[[-1e4]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]],
+                             x0=x0)
+        grid = TimeGrid(0.0, 1.0, 1e-2)
+        u = zero_signal(grid) if kind == "free" else step_signal(grid)
+        pattern = r"non-finite at step 47 \(t = 0\.47, dt = 0\.01\)"
+        with pytest.raises(FloatingPointError, match=pattern):
+            ode_direct(sys, u, grid)
+        with pytest.raises(FloatingPointError, match=pattern):
+            volterra_cascade(sys, u, 3, grid)
 
     def test_channel_count_mismatch(self, scalar_system):
         grid = TimeGrid(0.0, 1.0, 0.01)
