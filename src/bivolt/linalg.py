@@ -81,13 +81,16 @@ def _pade13(A: np.ndarray):
 def expm(M, t: float = 1.0) -> np.ndarray:
     """Evaluate e^{M t} by scaling-and-squaring with the degree-13 Pade approximant.
 
-    Raises FloatingPointError when the result overflows.
+    Raises FloatingPointError when M t or the result overflows.
     """
     A = _square_array(M, "expm argument")
     if not np.isfinite(t):
         raise ValueError("expm time must be finite")
-    A = A * t
-    nrm = np.linalg.norm(A, 1) if A.size else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = A * t
+        nrm = np.linalg.norm(A, 1) if A.size else 0.0
+    if not math.isfinite(nrm):
+        raise FloatingPointError(f"expm overflow: ||M t||_1 is not finite (t = {t!r})")
     squarings = 0
     if nrm > _THETA13:
         squarings = int(math.ceil(math.log2(nrm / _THETA13)))

@@ -3,6 +3,9 @@
 Regular transfer functions chain single-frequency resolvents,
 triangular ones chain resolvents at the partial sums s_1 + ... + s_i, and the
 symmetric one averages the triangular value over all argument permutations.
+That average is not formed permutation by permutation: the triangular chains
+share their partial results, which depend only on the set of arguments used
+so far, so one resolvent solve per nonempty subset (2^k - 1 in all) gives it.
 Frequency tuples are sequences of complex numbers; channels are 1-based.
 """
 
@@ -27,7 +30,8 @@ __all__ = [
     "output_transform",
 ]
 
-# Permutation enumeration refuses beyond this order (k! blowup).
+# The symmetric kind refuses orders above this; its subset recursion holds
+# 2^k partial results.
 MAX_PERMUTATION_ORDER = 8
 
 
@@ -64,6 +68,20 @@ def _partial_sums(ss: tuple[complex, ...]) -> tuple[complex, ...]:
     return tuple(itertools.accumulate(ss))
 
 
+def _subset_sums(ss: tuple[complex, ...]) -> list[complex]:
+    """Sums of ss over every subset; bit i of the index says whether ss[i] is in it.
+
+    Index 0 is the empty sum. Refuses more than MAX_PERMUTATION_ORDER terms.
+    """
+    if len(ss) > MAX_PERMUTATION_ORDER:
+        raise ValueError(
+            f"symmetric kind capped at k <= {MAX_PERMUTATION_ORDER}, got k = {len(ss)}")
+    sums = [0j]
+    for z in ss:
+        sums += [t + z for t in sums]
+    return sums
+
+
 def eval_tf_regular(sys: BilinearSystem, channels, s) -> TransferValue:
     """C (s_k I - A)^{-1} N_{j_k} ... N_{j_2} (s_1 I - A)^{-1} b_{j_1}."""
     require_explicit(sys)
@@ -84,38 +102,41 @@ def eval_tf_triangular(sys: BilinearSystem, channels, s) -> TransferValue:
 def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
     """1/k! sum of the triangular transfer function over all argument permutations.
 
-    Channels permute together with the frequencies. Refuses k > 8.
+    Channels permute together with the frequencies. The sum over the
+    triangular chains that use the arguments of a set S first, in any order,
+    is F(S) = R(sigma_S) sum_{i in S} N_{j_i} F(S \\ {i}), with
+    F({i}) = R(s_i) b_{j_i}, R(z) = (z I - A)^{-1} and sigma_S the sum of the
+    s_i in S; the value is C F(all) / k!. That is 2^k - 1 resolvent solves
+    in place of k k! (the Held-Karp subset recursion). Refuses k > 8.
     """
     require_explicit(sys)
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
     k = len(ss)
-    if k > MAX_PERMUTATION_ORDER:
-        raise ValueError(
-            f"symmetric transfer function capped at k <= {MAX_PERMUTATION_ORDER}, got k = {k}")
-    acc = np.zeros(sys.p, dtype=complex)
-    for perm in itertools.permutations(range(k)):
-        pss = tuple(ss[i] for i in perm)
-        pchs = tuple(chs[i] for i in perm)
-        acc += _resolvent_chain(sys, pchs, _partial_sums(pss))
-    return TransferValue(acc / math.factorial(k), "symmetric", chs)
+    sums = _subset_sums(ss)
+    F = [None] * len(sums)
+    for S in range(1, len(sums)):
+        members = [i for i in range(k) if S >> i & 1]
+        if len(members) == 1:
+            v = sys.B[:, chs[members[0]] - 1].astype(complex)
+        else:
+            v = sum(sys.N[chs[i] - 1] @ F[S ^ (1 << i)] for i in members)
+        F[S] = resolvent_apply(sys.A, sums[S], v)
+    return TransferValue(sys.C @ F[-1] / math.factorial(k), "symmetric", chs)
 
 
 def _constraints(ss: tuple[complex, ...], kind: str) -> tuple[complex, ...]:
-    """Laplace exponents whose real parts must all exceed the spectral abscissa."""
+    """Laplace exponents whose real parts must all exceed the spectral abscissa.
+
+    The partial sums of all argument permutations, which the symmetric kind
+    needs, are exactly the nonempty subset sums.
+    """
     if kind == "regular":
         return ss
     if kind == "triangular":
         return _partial_sums(ss)
     if kind == "symmetric":
-        k = len(ss)
-        if k > MAX_PERMUTATION_ORDER:
-            raise ValueError(
-                f"symmetric region check capped at k <= {MAX_PERMUTATION_ORDER}")
-        out = []
-        for perm in itertools.permutations(range(k)):
-            out.extend(_partial_sums(tuple(ss[i] for i in perm)))
-        return tuple(out)
+        return tuple(_subset_sums(ss)[1:])
     raise ValueError(f"unknown transfer kind {kind!r}")
 
 
@@ -123,7 +144,8 @@ def roc_margin(sys: BilinearSystem, s, kind: str) -> float:
     """Distance of s from the region-of-convergence boundary (positive = inside).
 
     Regular transforms need Re(s_i) above the spectral abscissa of A;
-    triangular ones need every partial sum Re(s_1 + ... + s_i) above it.
+    triangular ones need every partial sum Re(s_1 + ... + s_i) above it, and
+    symmetric ones every subset sum (k <= 8).
     """
     require_explicit(sys)
     ss = _freq_tuple(s)

@@ -26,3 +26,17 @@ def make_stable_system(rng, n=4, m=1, p=1, coupling=0.4, with_x0=False):
     C = rng.standard_normal((p, n))
     x0 = rng.standard_normal(n) if with_x0 else None
     return BilinearSystem(A=A, N=N, B=B, C=C, x0=x0)
+
+
+def overflowing_chain(n=30, a=3.2e10):
+    """A, B, C of a nilpotent Jordan chain whose e^{At} passes the largest double.
+
+    The corner entry of e^{At} is (a t)^(n-1) / (n-1)!, past 1.8e308 from
+    t = 15.54 on; every node exponential up to t = 15.5 is finite.
+    """
+    A = np.diag(np.full(n - 1, a), 1)
+    B = np.zeros((n, 1))
+    B[-1, 0] = 1.0
+    C = np.zeros((1, n))
+    C[0, 0] = 1.0
+    return A, B, C

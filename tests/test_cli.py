@@ -10,6 +10,8 @@ from bivolt import TimeGrid, impulse_response
 from bivolt.cli import (run_command, signal_from_spec, system_from_document,
                         system_to_document)
 
+from conftest import overflowing_chain
+
 SCALAR_DOC = {
     "n": 1, "m": 1, "p": 1,
     "A": [-1.0], "N": [[0.5]], "B": [1.0], "C": [1.0], "x0": [0.0],
@@ -138,6 +140,16 @@ class TestImpulseCommand:
         assert captured.out == ""
         assert "numerical failure" in captured.err
         assert "expm overflow" in captured.err
+
+    def test_overflowing_argument_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(SCALAR_DOC, A=[1e308])))
+        code = run_command(["impulse", "--system", str(path), "--mu", "1",
+                            "--times", "10"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
 
 
 class TestKernelCommand:
@@ -275,6 +287,22 @@ class TestVerifyCommands:
         row = dict(zip(header, rows[0]))
         assert float(row["quad1_re"]) == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert row["within_bound"] == "1"
+
+    def test_laplace_overflow_exits_1(self, tmp_path, capsys):
+        A, B, C = overflowing_chain()
+        doc = {"n": 30, "m": 1, "p": 1, "A": A.ravel().tolist(),
+               "N": [np.eye(30).ravel().tolist()], "B": B.ravel().tolist(),
+               "C": C.ravel().tolist()}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        code = run_command(["verify", "laplace", "--system", str(path),
+                            "--kind", "reg", "--s", "1+0i",
+                            "--T", "32", "--panels", "32"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+        assert "not finite on panel 15" in captured.err
 
     def test_eps_sweep(self, scalar_doc_path, capsys):
         code = run_command(["verify", "eps-sweep", "--system", scalar_doc_path,

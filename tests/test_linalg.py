@@ -74,6 +74,13 @@ class TestExpm:
         assert expm(np.array([[700.0]]))[0, 0] == pytest.approx(
             math.exp(700.0), rel=1e-12)
 
+    def test_overflowing_argument_raises(self):
+        # M t, or its 1-norm, overflows before any squaring
+        with pytest.raises(FloatingPointError, match="expm overflow"):
+            expm(np.array([[1e308]]), 10.0)
+        with pytest.raises(FloatingPointError, match="expm overflow"):
+            expm(np.array([[1e308, 0.0], [1e308, 0.0]]))
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             expm(np.ones((2, 3)))

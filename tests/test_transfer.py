@@ -127,6 +127,17 @@ class TestRocMargin:
         sys = BilinearSystem(A=[[-1.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]])
         assert roc_margin(sys, [1.0, -1.5], "triangular") == pytest.approx(0.5)
 
+    def test_symmetric_is_smallest_subset_sum(self):
+        sys = BilinearSystem(A=[[-1.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]])
+        # s_2 + s_3 has the smallest real part, -2.5; no single argument and
+        # no partial sum in the given order reaches it
+        margin = roc_margin(sys, [3.0, -1.0, -1.5 + 2.0j], "symmetric")
+        assert margin == pytest.approx(-1.5)
+
+    def test_symmetric_order_cap(self, gain2_system):
+        with pytest.raises(ValueError):
+            roc_margin(gain2_system, [1.0] * 9, "symmetric")
+
     def test_boundary_margin_zero(self):
         sys = BilinearSystem(A=[[-1.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]])
         assert roc_margin(sys, [-1.0], "regular") == pytest.approx(0.0, abs=1e-14)

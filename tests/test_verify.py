@@ -9,7 +9,7 @@ from bivolt import (BilinearSystem, TimeGrid, aux_output_2d, delta_eps_signal,
                     richardson_limit, suggest_truncation, symmetry_probe,
                     zero_signal)
 
-from conftest import make_stable_system
+from conftest import make_stable_system, overflowing_chain
 
 
 class TestLaplaceQuadrature:
@@ -70,6 +70,15 @@ class TestLaplaceQuadrature:
         diff = float(np.max(np.abs(est.value - closed)))
         assert diff <= est.tail_bound + est.discretization_estimate
 
+    def test_suggested_truncation_on_long_horizon(self):
+        # margin 0.1 against an abscissa of -50: the growth is sampled up to
+        # t = 80, where e^{50 t} alone is far past the largest double
+        sys = BilinearSystem(A=[[-50.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]])
+        T = suggest_truncation(sys, [1], "regular", [-49.9], 1e-6)
+        est = laplace_quadrature(sys, [1], "regular", [-49.9], T, 64)
+        assert est.tail_bound <= 1e-6
+        assert abs(est.value[0] - 10.0) <= est.tail_bound + est.discretization_estimate
+
     def test_suggested_truncation_shrinks_with_looser_tolerance(self, gain2_system):
         tight = suggest_truncation(gain2_system, [1, 1], "regular",
                                    [1.0, 2.0], 1e-10)
@@ -91,6 +100,30 @@ class TestLaplaceQuadrature:
             suggest_truncation(gain2_system, [1, 1], "symmetric", [1.0, 2.0],
                                1e-6)
 
+    def test_unstable_system_inside_region_integrates(self):
+        # e^{50 t} alone passes the largest double at t = 14.2; e^{(50 - 60) t}
+        # does not, and the quadrature finds 1 / (60 - 50)
+        sys = BilinearSystem(A=[[50.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]])
+        est = laplace_quadrature(sys, [1], "regular", [60.0], 16.0, 64)
+        gap = abs(est.value[0] - 0.1)
+        assert gap <= est.tail_bound + est.discretization_estimate
+        assert gap <= 1e-8
+
+    def test_strongly_stable_system_keeps_finite_bound(self):
+        # e^{50 t} overflows at t = 14.2, where e^{-50 t} itself has underflowed
+        sys = BilinearSystem(A=[[-50.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]])
+        est = laplace_quadrature(sys, [1], "regular", [1.0], 16.0, 32)
+        gap = abs(est.value[0] - 1.0 / 51.0)
+        assert math.isfinite(est.tail_bound)
+        assert gap <= est.tail_bound + est.discretization_estimate
+
+    def test_overflow_on_panel_step_raises(self):
+        # every node exponential of panels 0..14 and the step e^{A w}, w = 1,
+        # are finite; the products for panel 15 (t = 15.05 .. 15.95) are not
+        A, B, C = overflowing_chain()
+        sys = BilinearSystem(A=A, N=[np.eye(30)], B=B, C=C)
+        with pytest.raises(FloatingPointError, match="not finite on panel 15"):
+            laplace_quadrature(sys, [1], "regular", [1.0], 32.0, 32)
 
 class TestAuxOutput2d:
     def test_zero_input(self, scalar_system):
