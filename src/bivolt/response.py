@@ -5,11 +5,14 @@ Simulation uses classical fixed-step RK4 on a uniform grid with inputs
 interpolated linearly at half-steps. Both engines share one integrator: each
 stage is one product of the state rows with the stacked G = [A; N_1..N_m]
 followed by a small input-dependent combination, the full system being one
-row and the cascade one row per order. Steps whose three input samples all
-vanish apply the free map, the same RK4 step applied once to the identity
-with zero input. States go through a fixed block buffer that is checked for
-overflow and projected through C once per block, so memory does not grow
-with the grid beyond the outputs themselves.
+row and the cascade one row per order. A step whose three input samples all
+vanish is free: it applies the free map F, the same RK4 step applied once to
+the identity with zero input. A run of free steps is filled by doubling with
+the powers F, F^2, F^4, ... (squared when first needed, kept while finite):
+L free steps within one buffer block cost about log2 L products over all
+their state rows, not L Python steps. States go through a fixed block
+buffer that is checked for overflow and projected through C once per block,
+so memory does not grow with the grid beyond the outputs themselves.
 """
 
 from __future__ import annotations
@@ -312,6 +315,49 @@ def _stage_rows(sys: BilinearSystem, rows: int) -> np.ndarray:
     return R
 
 
+class _FreeMap:
+    """Powers F^(2^i) of the free map F, each squared from the last when first
+    needed and kept for one integrator call.
+
+    A power is kept only while it is finite; past that the largest finite one
+    is reused. Otherwise a zero state under an F whose powers overflow would
+    turn into NaN (0 @ inf), where stepping with F keeps it exactly zero.
+    """
+
+    def __init__(self, F: np.ndarray):
+        self.powers = [F]
+        self.capped = False
+
+    def fill(self, Y: np.ndarray, run: np.ndarray) -> np.ndarray:
+        """Write Y F, Y F^2, ..., Y F^steps into run (steps, rows, n).
+
+        Steps [0, P) times F^P give steps [P, 2P), one product over all their
+        rows, for P = 1, 2, 4, ...; returns a copy of the last state.
+        """
+        rows = run.shape[1]
+        flat = run.reshape(-1, run.shape[2])
+        np.matmul(Y, self.powers[0], out=run[0])
+        done = 1
+        while done < len(run):
+            P, FP = self._largest(done)
+            count = min(P, len(run) - done)
+            np.matmul(flat[(done - P) * rows:(done - P + count) * rows], FP,
+                      out=flat[done * rows:(done + count) * rows])
+            done += count
+        return run[-1].copy()
+
+    def _largest(self, limit: int) -> tuple[int, np.ndarray]:
+        """(P, F^P) for the largest kept power P = 2^i <= limit."""
+        while not self.capped and 2 ** len(self.powers) <= limit:
+            square = self.powers[-1] @ self.powers[-1]
+            if np.isfinite(square).all():
+                self.powers.append(square)
+            else:
+                self.capped = True
+        i = min(limit.bit_length(), len(self.powers)) - 1
+        return 1 << i, self.powers[i]
+
+
 def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
          Y0: np.ndarray, shift: int) -> np.ndarray:
     """RK4 for the rows of the state Y (rows, n); outputs (nodes, rows, p).
@@ -319,7 +365,8 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     shift = 0 is the full system (one row); shift = 1 is the cascade, where
     row k - 1 drives row k through the N_j (see _weights). Steps whose three
     input samples all vanish apply the free map, which is this same step
-    applied to the identity with u = 0.
+    applied to the identity with u = 0; each run of them within a block is
+    filled by _FreeMap.fill.
     """
     if u.m != sys.m:
         raise ValueError(f"signal has {u.m} channels; system expects {sys.m}")
@@ -330,6 +377,8 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     Um = u.at_many(times[:-1] + 0.5 * grid.dt)
     node_zero = ~np.any(U != 0.0, axis=1)
     free = node_zero[:-1] & ~np.any(Um != 0.0, axis=1) & node_zero[1:]
+    # steps where a free run or a forced run begins, past step 0
+    edges = np.flatnonzero(free[1:] != free[:-1]) + 1
     n, m, h, rows = sys.n, sys.m, grid.dt, Y0.shape[0]
     GT = np.concatenate([sys.A[None], sys.N]).reshape(-1, n).T
     CT = sys.C.T
@@ -341,18 +390,23 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     with np.errstate(over="ignore", invalid="ignore"):
         if free.any():
             W_free = _weights(np.zeros(m), n, 0)
-            free_map = _rk4_step(np.eye(n), h, GT, _stage_rows(sys, n),
-                                 W_free, W_free, W_free)
+            free_map = _FreeMap(_rk4_step(np.eye(n), h, GT, _stage_rows(sys, n),
+                                          W_free, W_free, W_free))
         for start in range(0, grid.nodes - 1, buf.shape[0]):
             stop = min(start + buf.shape[0], grid.nodes - 1)
-            Wn = _weights(U[start:stop + 1], rows, shift)
-            Wm = _weights(Um[start:stop], rows, shift)
-            for j, is_free in enumerate(free[start:stop].tolist()):
-                if is_free:
-                    Y = Y @ free_map
+            if not free[start:stop].all():
+                Wn = _weights(U[start:stop + 1], rows, shift)
+                Wm = _weights(Um[start:stop], rows, shift)
+            cuts = edges[np.searchsorted(edges, start, "right"):
+                         np.searchsorted(edges, stop)]
+            bounds = [start, *cuts.tolist(), stop]
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                if free[a]:
+                    Y = free_map.fill(Y, buf[a - start:b - start])
                 else:
-                    Y = _rk4_step(Y, h, GT, R, Wn[j], Wm[j], Wn[j + 1])
-                buf[j] = Y
+                    for j in range(a - start, b - start):
+                        Y = _rk4_step(Y, h, GT, R, Wn[j], Wm[j], Wn[j + 1])
+                        buf[j] = Y
             block = buf[:stop - start]
             finite = np.isfinite(block).reshape(block.shape[0], -1).all(axis=1)
             if not finite.all():

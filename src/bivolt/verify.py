@@ -129,7 +129,7 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
     ss = _freq_tuple(s)
     k = len(ss)
     if k > 3:
-        raise ValueError("laplace_quadrature capped at k <= 3 (cost grows as panels^k)")
+        raise ValueError(f"laplace_quadrature supports kernel orders k <= 3, got k = {k}")
     chs = _channels_tuple(sys, channels, k)
     panels = int(panels)
     if panels < 1:

@@ -288,6 +288,18 @@ class TestVerifyCommands:
         assert float(row["quad1_re"]) == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert row["within_bound"] == "1"
 
+    def test_laplace_order_cap_exits_2(self, tmp_path, capsys):
+        doc = dict(SCALAR_DOC, N=[[2.0]])
+        path = tmp_path / "gain2.json"
+        path.write_text(json.dumps(doc))
+        code = run_command(["verify", "laplace", "--system", str(path),
+                            "--kind", "reg", "--s", "1+0i,1+0i,1+0i,1+0i",
+                            "--T", "10", "--panels", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "supports kernel orders k <= 3, got k = 4" in captured.err
+
     def test_laplace_overflow_exits_1(self, tmp_path, capsys):
         A, B, C = overflowing_chain()
         doc = {"n": 30, "m": 1, "p": 1, "A": A.ravel().tolist(),

@@ -226,6 +226,16 @@ class TestOdeDirect:
         with pytest.raises(FloatingPointError, match=pattern):
             volterra_cascade(sys, u, 3, grid)
 
+    def test_zero_state_under_overflowing_free_map_stays_zero(self):
+        # the same free map as above: its powers overflow from F^64 on, and
+        # 0 @ inf is NaN, but stepping a zero state with F keeps it zero
+        sys = BilinearSystem(A=[[-1e4]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]])
+        grid = TimeGrid(0.0, 3.0, 1e-2)
+        assert grid.nodes >= 300
+        u = zero_signal(grid)
+        assert np.all(ode_direct(sys, u, grid).values == 0.0)
+        assert np.all(volterra_cascade(sys, u, 3, grid).per_order == 0.0)
+
     def test_channel_count_mismatch(self, scalar_system):
         grid = TimeGrid(0.0, 1.0, 0.01)
         with pytest.raises(ValueError):

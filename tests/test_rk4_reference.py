@@ -5,7 +5,9 @@ shortcut; the engines use a stacked [A; N_1..N_m] product per stage, a free
 map on input-free steps, and a buffer of BLOCK_ROWS state rows, which is
 BLOCK_ROWS steps of the full system and BLOCK_ROWS // K steps of a K-order
 cascade. Grids of 2, block, block + 1 and 2 block + 3 nodes put the last step
-inside, at the end of and past the first block.
+inside, at the end of and past the first block. Free runs in the mixed inputs
+are short; a burst followed by a free tail runs one free stretch through a
+whole block and across two block edges.
 """
 
 import numpy as np
@@ -66,12 +68,18 @@ def assert_close_per_order(got, want):
         assert np.abs(g - w).max() <= RTOL * scale
 
 
-def case(seed, n, m, nodes):
+def burst_input(rng, grid, m):
+    """Random samples on the first 1..10 nodes, zero after them."""
+    mask = np.arange(grid.nodes) < rng.integers(1, 11)
+    return SampledSignal(grid, rng.standard_normal((grid.nodes, m)) * mask[:, None])
+
+
+def case(seed, n, m, nodes, make_input=mixed_input):
     rng = np.random.default_rng(seed)
     sys = make_stable_system(rng, n=n, m=m, p=2, with_x0=True)
     grid = TimeGrid(0.0, (nodes - 1) * DT, DT)
     assert grid.nodes == nodes
-    return sys, grid, mixed_input(rng, grid, m)
+    return sys, grid, make_input(rng, grid, m)
 
 
 def nodes_for(where, block):
@@ -99,6 +107,25 @@ def test_ode_direct_matches_reference_loop(where, n, m, seed):
 @given(K=st.integers(1, 5), **SIZES)
 def test_cascade_matches_reference_loop(where, K, n, m, seed):
     sys, grid, u = case(seed, n, m, nodes_for(where, BLOCK_ROWS // K))
+    got = volterra_cascade(sys, u, K, grid).per_order
+    want = reference_rk4(sys, u, grid, K).transpose(1, 0, 2)
+    assert_close_per_order(got, want)
+
+
+# A burst, then one free run through block 1 and across both block edges.
+@SETTINGS
+@given(**SIZES)
+def test_ode_direct_free_tail_across_blocks(n, m, seed):
+    sys, grid, u = case(seed, n, m, 2 * BLOCK_ROWS + 3, burst_input)
+    got = ode_direct(sys, u, grid).values
+    assert_close_per_order([got], [reference_rk4(sys, u, grid)])
+
+
+@pytest.mark.parametrize("K", range(1, 6))
+@SETTINGS
+@given(**SIZES)
+def test_cascade_free_tail_across_blocks(K, n, m, seed):
+    sys, grid, u = case(seed, n, m, 2 * (BLOCK_ROWS // K) + 3, burst_input)
     got = volterra_cascade(sys, u, K, grid).per_order
     want = reference_rk4(sys, u, grid, K).transpose(1, 0, 2)
     assert_close_per_order(got, want)

@@ -87,9 +87,12 @@ class TestLaplaceQuadrature:
         assert loose < tight
 
     def test_order_cap(self, gain2_system):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             laplace_quadrature(gain2_system, [1] * 4, "regular", [1.0] * 4,
                                10.0, 10)
+        # the axes factorize, so the cost is linear in k: no cost claim
+        assert str(info.value) == (
+            "laplace_quadrature supports kernel orders k <= 3, got k = 4")
 
     def test_symmetric_kind_refused(self, gain2_system):
         # the ROC check knows the symmetric kind; the quadrature does not
