@@ -2,17 +2,23 @@
 two-phase solution, Volterra cascade simulation, and direct integration.
 
 Simulation uses classical fixed-step RK4 on a uniform grid with inputs
-interpolated linearly at half-steps. Both engines share one integrator: each
-stage is one product of the state rows with the stacked G = [A; N_1..N_m]
-followed by a small input-dependent combination, the full system being one
-row and the cascade one row per order. A step whose three input samples all
-vanish is free: it applies the free map F, the same RK4 step applied once to
-the identity with zero input. A run of free steps is filled by doubling with
-the powers F, F^2, F^4, ... (squared when first needed, kept while finite):
-L free steps within one buffer block cost about log2 L products over all
-their state rows, not L Python steps. States go through a fixed block
-buffer that is checked for overflow and projected through C once per block,
-so memory does not grow with the grid beyond the outputs themselves.
+interpolated linearly at half-steps (on the signal's own grid, the node
+samples and the averages of neighbours). Both engines share one integrator:
+each stage is one product of the state rows with the stacked
+G = [A; N_1..N_m] followed by a small input-dependent combination, the full
+system being one row and the cascade one row per order. A run is a stretch
+of steps whose node, midpoint and next-node samples are one vector u; zero
+input is one such u. On a run the step is a fixed affine map, linear on
+[1, state] with B u entering through a virtual order-0 row: one n x n block
+for the full system, and for the cascade a band of blocks, lower-triangular
+Toeplitz over the orders. A run is filled by doubling with the powers F,
+F^2, F^4, ... (squared when first needed, kept while finite, dropped when
+the next run brings another u): L steps within one buffer block cost about
+log2 L band products over their state rows, not L Python steps. A run takes
+the map only when that counts fewer multiply-adds than stepping it; other
+steps are forced, one RK4 step each. States go through a fixed block buffer
+that is checked for overflow and projected through C once per block, so
+memory does not grow with the grid beyond the outputs themselves.
 """
 
 from __future__ import annotations
@@ -315,42 +321,85 @@ def _stage_rows(sys: BilinearSystem, rows: int) -> np.ndarray:
     return R
 
 
-class _FreeMap:
-    """Powers F^(2^i) of the free map F, each squared from the last when first
-    needed and kept for one integrator call.
+def _band_apply(X: np.ndarray, T: np.ndarray, r=None, out=None) -> np.ndarray:
+    """out[k] = sum_d X[k - d] @ T[d] (+ r[k]) over the orders k on axis 0.
 
-    A power is kept only while it is finite; past that the largest finite one
-    is reused. Otherwise a zero state under an F whose powers overflow would
-    turn into NaN (0 @ inf), where stepping with F keeps it exactly zero.
+    A run map moves the state rows y_1..y_rows by one band of n x n blocks,
+    y_k -> sum_d y_{k-d} T_d + r_k: a single block for the full system or an
+    undriven cascade, one per order for a driven cascade. Over the orders this
+    is a product of block lower-triangular Toeplitz matrices, so the same call
+    also composes two maps (X = T), in b (b + 1) / 2 block products for b bands.
+    """
+    out = np.matmul(X, T[0], out=out)
+    for d in range(1, len(T)):
+        out[d:] += X[:-d] @ T[d]
+    if r is not None:
+        out += r
+    return out
+
+
+class _RunMap:
+    """The RK4 step under a constant input u, and its powers F^(2^i).
+
+    The step is linear on [1, Y]: F(Y) = _band_apply(Y, T, r), r (rows, 1, n)
+    being what B u feeds in through the virtual order-0 row of _weights (None
+    when B u = 0). A power is squared from the last when first needed, kept
+    while the run's map is in use, and only while finite; past that the
+    largest finite one is reused. Otherwise a zero state under a map whose
+    powers overflow would turn into NaN (0 @ inf), where stepping keeps it
+    exactly zero.
     """
 
-    def __init__(self, F: np.ndarray):
-        self.powers = [F]
+    def __init__(self, sys: BilinearSystem, u: np.ndarray, h: float,
+                 rows: int, shift: int):
+        # Row form of the generator: y_k' = y_k L_0 + y_{k-1} L_1.
+        n, Nu = sys.n, np.tensordot(u, sys.N, axes=1).T
+        L = [sys.A.T + Nu] if shift == 0 else [sys.A.T]
+        if shift == 1 and rows > 1 and Nu.any():
+            L.append(Nu)
+        eye = np.zeros((rows if len(L) > 1 else 1, n, n))
+        eye[0] = np.eye(n)
+        # RK4 on a linear step is I + hL Q, Q = I + hL/2 (I + hL/3 (I + hL/4))
+        Q = eye.copy()
+        Q[:len(L)] += (h / 4.0) * np.array(L)
+        Q = eye + (h / 3.0) * _band_apply(Q, L)
+        Q = eye + (h / 2.0) * _band_apply(Q, L)
+        T = eye + h * _band_apply(Q, L)
+        r = None
+        Bu = sys.B @ u
+        if Bu.any():
+            feed = np.zeros((rows, 1, n))
+            feed[0] = h * Bu
+            r = _band_apply(feed, Q)
+        self.u = u
+        self.powers = [(T, r)]
         self.capped = False
 
     def fill(self, Y: np.ndarray, run: np.ndarray) -> np.ndarray:
-        """Write Y F, Y F^2, ..., Y F^steps into run (steps, rows, n).
+        """Write F(Y), F^2(Y), ..., F^steps(Y) into run (rows, steps, n).
 
-        Steps [0, P) times F^P give steps [P, 2P), one product over all their
-        rows, for P = 1, 2, 4, ...; returns a copy of the last state.
+        Steps [0, P) mapped by F^P give steps [P, 2P), one band product over
+        all their states, for P = 1, 2, 4, ...; returns a copy of the last
+        state.
         """
-        rows = run.shape[1]
-        flat = run.reshape(-1, run.shape[2])
-        np.matmul(Y, self.powers[0], out=run[0])
+        steps = run.shape[1]
+        _band_apply(Y[:, None], *self.powers[0], out=run[:, :1])
         done = 1
-        while done < len(run):
-            P, FP = self._largest(done)
-            count = min(P, len(run) - done)
-            np.matmul(flat[(done - P) * rows:(done - P + count) * rows], FP,
-                      out=flat[done * rows:(done + count) * rows])
+        while done < steps:
+            P, power = self._largest(done)
+            count = min(P, steps - done)
+            _band_apply(run[:, done - P:done - P + count], *power,
+                        out=run[:, done:done + count])
             done += count
-        return run[-1].copy()
+        return run[:, -1].copy()
 
-    def _largest(self, limit: int) -> tuple[int, np.ndarray]:
+    def _largest(self, limit: int) -> tuple[int, tuple]:
         """(P, F^P) for the largest kept power P = 2^i <= limit."""
         while not self.capped and 2 ** len(self.powers) <= limit:
-            square = self.powers[-1] @ self.powers[-1]
-            if np.isfinite(square).all():
+            T, r = self.powers[-1]
+            square = (_band_apply(T, T),
+                      None if r is None else _band_apply(r, T, r))
+            if all(p is None or np.isfinite(p).all() for p in square):
                 self.powers.append(square)
             else:
                 self.capped = True
@@ -358,71 +407,111 @@ class _FreeMap:
         return 1 << i, self.powers[i]
 
 
+def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
+            rows: int, shift: int, block: int) -> np.ndarray:
+    """Steps taken by a run map: the runs of steady steps for which the map
+    costs fewer multiply-adds than forced steps.
+
+    Counted in units of n^2 for a run of L steps whose map has b bands (rows
+    when its input drives the cascade's orders, else 1): forced steps take
+    4 (m + 1) rows per step; the map takes 3 (2b - 1) n to form,
+    b (b + 1) n / 2 per squaring, one per doubling level within a block, and
+    rows b - b (b - 1) / 2 per step to apply.
+    """
+    flips = np.flatnonzero(np.diff(steady, prepend=False, append=False))
+    first, last = flips[::2], flips[1::2]
+    L = last - first
+    drives = sys.N.reshape(sys.m, -1).any(axis=1)
+    coupled = (U[first][:, drives] != 0).any(axis=1) & (shift == 1)
+    b = np.where(coupled, rows, 1)
+    levels = np.floor(np.log2(np.maximum(np.minimum(L, block) - 1, 1)))
+    by_map = (sys.n * (3 * (2 * b - 1) + levels * b * (b + 1) / 2)
+              + L * (rows * b - b * (b - 1) / 2))
+    dearer = by_map >= 4 * (sys.m + 1) * rows * L
+    mapped = steady.copy()
+    for a, z in zip(first[dearer], last[dearer]):
+        mapped[a:z] = False
+    return mapped
+
+
 def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
          Y0: np.ndarray, shift: int) -> np.ndarray:
-    """RK4 for the rows of the state Y (rows, n); outputs (nodes, rows, p).
+    """RK4 for the rows of the state Y (rows, n); outputs (rows, nodes, p).
 
     shift = 0 is the full system (one row); shift = 1 is the cascade, where
-    row k - 1 drives row k through the N_j (see _weights). Steps whose three
-    input samples all vanish apply the free map, which is this same step
-    applied to the identity with u = 0; each run of them within a block is
-    filled by _FreeMap.fill.
+    row k - 1 drives row k through the N_j (see _weights). A step whose node,
+    midpoint and next-node samples are one vector u belongs to a run; each
+    run within a block is filled by _RunMap.fill. Other steps are forced.
     """
     if u.m != sys.m:
         raise ValueError(f"signal has {u.m} channels; system expects {sys.m}")
     if grid.nodes < 2:
         raise ValueError("grid has no integration steps (needs at least 2 nodes)")
-    times = grid.times()
-    U = u.at_many(times)
-    Um = u.at_many(times[:-1] + 0.5 * grid.dt)
-    node_zero = ~np.any(U != 0.0, axis=1)
-    free = node_zero[:-1] & ~np.any(Um != 0.0, axis=1) & node_zero[1:]
-    # steps where a free run or a forced run begins, past step 0
-    edges = np.flatnonzero(free[1:] != free[:-1]) + 1
-    n, m, h, rows = sys.n, sys.m, grid.dt, Y0.shape[0]
+    if grid == u.grid:
+        U = u.values
+        Um = U[:-1] + U[1:]
+        Um *= 0.5
+    else:
+        times = grid.times()
+        U = u.at_many(times)
+        Um = u.at_many(times[:-1] + 0.5 * grid.dt)
+    n, h, rows = sys.n, grid.dt, Y0.shape[0]
+    block = min(max(BLOCK_ROWS // rows, 1), grid.nodes - 1)
+    # Two runs never touch: the step across a change of level is forced.
+    steady = np.all((U[:-1] == Um) & (Um == U[1:]), axis=1)
+    mapped = _mapped(sys, U, steady, rows, shift, block)
+    # steps where a mapped run or a forced stretch begins, past step 0
+    edges = np.flatnonzero(mapped[1:] != mapped[:-1]) + 1
     GT = np.concatenate([sys.A[None], sys.N]).reshape(-1, n).T
     CT = sys.C.T
-    out = np.empty((grid.nodes, rows, sys.p))
-    out[0] = Y0 @ CT
-    buf = np.empty((min(max(BLOCK_ROWS // rows, 1), grid.nodes - 1), rows, n))
+    out = np.empty((rows, grid.nodes, sys.p))
+    out[:, 0] = Y0 @ CT
+    buf = np.empty((rows, block, n))
     R = _stage_rows(sys, rows)
-    Y = Y0
+    Y, run_map = Y0, None
     with np.errstate(over="ignore", invalid="ignore"):
-        if free.any():
-            W_free = _weights(np.zeros(m), n, 0)
-            free_map = _FreeMap(_rk4_step(np.eye(n), h, GT, _stage_rows(sys, n),
-                                          W_free, W_free, W_free))
-        for start in range(0, grid.nodes - 1, buf.shape[0]):
-            stop = min(start + buf.shape[0], grid.nodes - 1)
-            if not free[start:stop].all():
+        for start in range(0, grid.nodes - 1, block):
+            stop = min(start + block, grid.nodes - 1)
+            if not mapped[start:stop].all():
                 Wn = _weights(U[start:stop + 1], rows, shift)
                 Wm = _weights(Um[start:stop], rows, shift)
             cuts = edges[np.searchsorted(edges, start, "right"):
                          np.searchsorted(edges, stop)]
             bounds = [start, *cuts.tolist(), stop]
+            prev = Y
             for a, b in zip(bounds[:-1], bounds[1:]):
-                if free[a]:
-                    Y = free_map.fill(Y, buf[a - start:b - start])
+                if mapped[a]:
+                    if run_map is None or (run_map.u != U[a]).any():
+                        run_map = None  # free the last run's powers first
+                        run_map = _RunMap(sys, U[a], h, rows, shift)
+                    Y = run_map.fill(Y, buf[:, a - start:b - start])
                 else:
                     for j in range(a - start, b - start):
                         Y = _rk4_step(Y, h, GT, R, Wn[j], Wm[j], Wn[j + 1])
-                        buf[j] = Y
-            block = buf[:stop - start]
-            finite = np.isfinite(block).reshape(block.shape[0], -1).all(axis=1)
-            if not finite.all():
-                node = start + 1 + int(np.argmin(finite))
-                raise FloatingPointError(
-                    f"RK4 state became non-finite at step {node} "
-                    f"(t = {times[node]:.6g}, dt = {h:.6g})")
-            out[start + 1:stop + 1] = block @ CT
+                        buf[:, j] = Y
+            states = buf[:, :stop - start]
+            # A step stands while its state and its stage sum
+            # k1 + 2 k2 + 2 k3 + k4 = 6 (y_k - y_{k-1}) / h are finite: a
+            # forced step forms that sum, and mapped steps are held to the
+            # same test. It is bounded by 12 / h times the largest entry, so
+            # the per-step test runs only where that bound overflows.
+            size = np.maximum(states.max(), -states.min())
+            if not np.isfinite(size * (12.0 / h)):
+                path = np.concatenate([prev[:, None], states], axis=1)
+                finite = np.isfinite(np.diff(path, axis=1) * (6.0 / h)).all(axis=(0, 2))
+                if not finite.all():
+                    node = start + 1 + int(np.argmin(finite))
+                    raise FloatingPointError(
+                        f"RK4 state became non-finite at step {node} "
+                        f"(t = {grid.t0 + h * node:.6g}, dt = {h:.6g})")
+            out[:, start + 1:stop + 1] = states @ CT
     return out
 
 
 def ode_direct(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid) -> OutputSeries:
     """RK4 integration of x' = (A + sum_j N_j u_j(t)) x + B u(t); y = C x."""
     require_explicit(sys)
-    out = _rk4(sys, u, grid, sys.x0[None], shift=0)
-    return OutputSeries(grid, out[:, 0])
+    return OutputSeries(grid, _rk4(sys, u, grid, sys.x0[None], shift=0)[0])
 
 
 def volterra_cascade(sys: BilinearSystem, u: SampledSignal, K: int,
@@ -437,5 +526,4 @@ def volterra_cascade(sys: BilinearSystem, u: SampledSignal, K: int,
         raise ValueError("truncation order K must be >= 1")
     Y0 = np.zeros((int(K), sys.n))
     Y0[0] = sys.x0
-    out = _rk4(sys, u, grid, Y0, shift=1)
-    return ResponseSeries(grid, np.ascontiguousarray(out.transpose(1, 0, 2)))
+    return ResponseSeries(grid, _rk4(sys, u, grid, Y0, shift=1))

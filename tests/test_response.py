@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bivolt import (BilinearSystem, GridResolutionError, SampledSignal,
@@ -135,6 +137,28 @@ class TestSubsystemImpulseResponse:
         # remainder of sum Nhat^{k-1}/k! beyond K=11 is far below 1e-12
         assert total == pytest.approx(full, abs=1e-12)
 
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 2), K=st.integers(1, 14),
+           t=st.floats(0.05, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_orders_sum_to_impulse_response(self, n, m, K, t, seed):
+        # sum over k of C e^{At} Nhat^{k-1} (bhat/k! + x0/(k-1)!); with
+        # nu = ||Nhat||_2 <= 1/2 the terms past K are at most
+        # g nu^K / K! times the geometric series sum (nu / (K+1))^i,
+        # g = ||C e^{At}||_2 (||bhat|| + ||x0||)
+        rng = np.random.default_rng(seed)
+        sys = make_stable_system(rng, n=n, m=m, p=2, coupling=0.3, with_x0=True)
+        mu = rng.uniform(-1.0, 1.0, m)
+        Nhat = np.tensordot(mu, sys.N, axes=1)
+        nu = np.linalg.norm(Nhat, 2)
+        assume(nu <= 0.5)
+        g = np.linalg.norm(sys.C @ expm(sys.A, t), 2) * (
+            np.linalg.norm(sys.B @ mu) + np.linalg.norm(sys.x0))
+        tail = g * nu**K / math.factorial(K) / (1.0 - nu / (K + 1))
+        total = sum(impulse_response_subsystem(sys, mu, k, t)
+                    for k in range(1, K + 1))
+        full = impulse_response(sys, mu, t)
+        assert np.linalg.norm(total - full) <= tail + 1e-14 * g
+
     def test_rejects_bad_order(self, scalar_system):
         with pytest.raises(ValueError):
             impulse_response_subsystem(scalar_system, [1.0], 0, 1.0)
@@ -233,6 +257,17 @@ class TestOdeDirect:
         grid = TimeGrid(0.0, 3.0, 1e-2)
         assert grid.nodes >= 300
         u = zero_signal(grid)
+        assert np.all(ode_direct(sys, u, grid).values == 0.0)
+        assert np.all(volterra_cascade(sys, u, 3, grid).per_order == 0.0)
+
+    def test_zero_state_under_overflowing_run_map_stays_zero(self):
+        # the step input of the forced case above without B: the run map's
+        # powers overflow as the free map's do, and B u = 0 adds nothing, so
+        # the zero state must stay exactly zero
+        sys = BilinearSystem(A=[[-1e4]], N=[[[0.5]]], B=[[0.0]], C=[[1.0]])
+        grid = TimeGrid(0.0, 3.0, 1e-2)
+        assert grid.nodes == 301
+        u = step_signal(grid)
         assert np.all(ode_direct(sys, u, grid).values == 0.0)
         assert np.all(volterra_cascade(sys, u, 3, grid).per_order == 0.0)
 

@@ -1,13 +1,15 @@
 """Both RK4 engines against the textbook loop they replace.
 
-The reference below builds sum_j u_j N_j for every stage and has no free-step
-shortcut; the engines use a stacked [A; N_1..N_m] product per stage, a free
-map on input-free steps, and a buffer of BLOCK_ROWS state rows, which is
-BLOCK_ROWS steps of the full system and BLOCK_ROWS // K steps of a K-order
-cascade. Grids of 2, block, block + 1 and 2 block + 3 nodes put the last step
-inside, at the end of and past the first block. Free runs in the mixed inputs
-are short; a burst followed by a free tail runs one free stretch through a
-whole block and across two block edges.
+The reference below builds sum_j u_j N_j for every stage and has no run
+shortcut; the engines use a stacked [A; N_1..N_m] product per stage, a run
+map on steps whose input samples are one constant vector, and a buffer of
+BLOCK_ROWS state rows, which is BLOCK_ROWS steps of the full system and
+BLOCK_ROWS // K steps of a K-order cascade. Grids of 2, block, block + 1 and
+2 block + 3 nodes put the last step inside, at the end of and past the first
+block. Zero runs in the mixed inputs are short; a burst followed by a zero
+tail runs one input-free stretch through a whole block and across two block
+edges; held levels put nonzero constant runs of up to 300 nodes across block
+edges, between zero runs.
 """
 
 import numpy as np
@@ -74,6 +76,15 @@ def burst_input(rng, grid, m):
     return SampledSignal(grid, rng.standard_normal((grid.nodes, m)) * mask[:, None])
 
 
+def held_input(rng, grid, m):
+    """Sample and hold: random nonzero levels, each held for 1..300 nodes,
+    alternating with zero runs of 1..300 nodes."""
+    lengths = rng.integers(1, 301, size=grid.nodes)
+    levels = rng.standard_normal((lengths.size, m))
+    levels[(np.arange(lengths.size) + rng.integers(2)) % 2 == 0] = 0.0
+    return SampledSignal(grid, np.repeat(levels, lengths, axis=0)[:grid.nodes])
+
+
 def case(seed, n, m, nodes, make_input=mixed_input):
     rng = np.random.default_rng(seed)
     sys = make_stable_system(rng, n=n, m=m, p=2, with_x0=True)
@@ -126,6 +137,26 @@ def test_ode_direct_free_tail_across_blocks(n, m, seed):
 @given(**SIZES)
 def test_cascade_free_tail_across_blocks(K, n, m, seed):
     sys, grid, u = case(seed, n, m, 2 * (BLOCK_ROWS // K) + 3, burst_input)
+    got = volterra_cascade(sys, u, K, grid).per_order
+    want = reference_rk4(sys, u, grid, K).transpose(1, 0, 2)
+    assert_close_per_order(got, want)
+
+
+@pytest.mark.parametrize("where", WHERE)
+@SETTINGS
+@given(**SIZES)
+def test_ode_direct_held_levels(where, n, m, seed):
+    sys, grid, u = case(seed, n, m, nodes_for(where, BLOCK_ROWS), held_input)
+    got = ode_direct(sys, u, grid).values
+    assert_close_per_order([got], [reference_rk4(sys, u, grid)])
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("K", range(1, 6))
+@SETTINGS
+@given(**SIZES)
+def test_cascade_held_levels(K, where, n, m, seed):
+    sys, grid, u = case(seed, n, m, nodes_for(where, BLOCK_ROWS // K), held_input)
     got = volterra_cascade(sys, u, K, grid).per_order
     want = reference_rk4(sys, u, grid, K).transpose(1, 0, 2)
     assert_close_per_order(got, want)
