@@ -39,8 +39,9 @@ class BilinearSystem:
 
     ``N`` is stored as an (m, n, n) stack; a single 2-D array is promoted to
     m = 1. ``x0`` defaults to zeros. Construction copies the arrays and makes
-    the copies read-only, which keeps the cached spectral abscissa valid; it
-    only coerces shapes, so call :func:`validate` for the invariant violations.
+    the copies read-only, which keeps both cached quantities valid: the
+    spectral abscissa and the quadrature growth per (T, panels). It only
+    coerces shapes, so call :func:`validate` for the invariant violations.
     """
 
     A: np.ndarray
@@ -83,6 +84,11 @@ class BilinearSystem:
     def spectral_abscissa(self) -> float:
         """Largest real part of the eigenvalues of A (computed once; A is read-only)."""
         return float(np.max(np.linalg.eigvals(self.A).real))
+
+    @cached_property
+    def _quadrature_growth(self) -> dict[tuple[float, int], float]:
+        """laplace_quadrature's transient growth per (T, panels); A is read-only."""
+        return {}
 
 
 @dataclass(frozen=True)

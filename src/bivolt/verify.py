@@ -6,10 +6,12 @@ half-resolution discretization estimate, so agreement with the closed-form
 transfer functions is a falsifiable inequality. Its node exponentials,
 shifted by the spectral abscissa, come from six expm calls per run (the
 first panel's five nodes and one panel width) and one matrix product per
-panel; the transient growth in the tail bound is sampled on the fine run
-only. aux_output_2d convolves the boundary-adjusted order-2 kernels with an
-input signal on an aligned lattice; eps_sweep, symmetry_probe and
-phi1_bounds_probe are convergence/property probes.
+panel; the transient growth in the tail bound is sampled on the fine run,
+once per system and (T, panels), and kept on the system. aux_output_2d
+convolves the boundary-adjusted order-2 kernels with an input signal on an
+aligned lattice; eps_sweep is a convergence probe. symmetry_probe checks
+eval_symmetric against the symmetrisation of the triangular kernel, and
+phi1_bounds_probe checks the bounds of phi1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import eval_symmetric
+from .kernels import eval_symmetric, eval_triangular
 from .linalg import expm, phi1_apply
 from .response import SampledSignal, impulse_response, nascent_response
 from .system import BilinearSystem, _channels_tuple, require_explicit
@@ -122,8 +124,11 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
     w = T / panels, times panel p - 1's: a run makes six expm calls and one
     product per panel, and raises FloatingPointError naming the panel where
     that product overflows. The growth max ||e^{(A - alpha I) t}||_2 of the
-    tail bound is sampled at every node of the fine run only; the coarse run
-    (panels // 2, or 2 for one panel) gives the discretization estimate.
+    tail bound depends on A, T and panels only. It is sampled at every node of
+    the fine run once per system and (T, panels), and stored on the system
+    when that run ends without an error; later calls skip the 2-norms but
+    still form and check every panel. The coarse run (panels // 2, or 2 for
+    one panel) gives the discretization estimate.
     """
     require_explicit(sys)
     ss = _freq_tuple(s)
@@ -166,7 +171,9 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
             v = axis[i] @ v
         return sys.C @ v, growth
 
-    value, growth = run(panels, True)
+    memo, key = sys._quadrature_growth, (float(T), panels)
+    value, growth = run(panels, key not in memo)
+    growth = memo.setdefault(key, growth)
     coarse, _ = run(panels // 2 if panels >= 2 else 2 * panels, False)
     disc = float(np.max(np.abs(value - coarse)))
     margins = [(z.real - abscissa, (z.real - abscissa) * T) for z in sig]
@@ -368,12 +375,22 @@ def eps_sweep(sys: BilinearSystem, mu, eps_list, probe_times) -> SweepReport:
     return SweepReport(eps=eps, errors=errors, ratios=ratios, order=order)
 
 
+def _symmetrised(sys: BilinearSystem, chs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """1/k! sum_pi eval_triangular(pi t, pi j) over the permutations pi of 0..k-1."""
+    perms = [list(perm) for perm in itertools.permutations(range(len(ts)))]
+    return sum(eval_triangular(sys, chs[perm], ts[perm])
+               for perm in perms) / math.factorial(len(ts))
+
+
 def symmetry_probe(sys: BilinearSystem, k: int, samples: int,
                    seed: int = 0) -> float:
-    """Largest relative deviation of the symmetric kernel under permutations.
+    """Largest relative deviation of eval_symmetric from its definition.
 
     Samples random positive time tuples and channel tuples, then compares
-    eval_symmetric on every simultaneous permutation against the base value.
+    eval_symmetric with the symmetrisation 1/k! sum_pi eval_triangular(pi t,
+    pi j) over all simultaneous permutations pi of (times, channels). For
+    distinct times only one pi orders the tuple onto the simplex; the others
+    are zero without an expm, so each sample costs two chain evaluations.
     """
     require_explicit(sys)
     if not 1 <= k <= 6:
@@ -381,16 +398,14 @@ def symmetry_probe(sys: BilinearSystem, k: int, samples: int,
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    perms = list(itertools.permutations(range(k)))
     worst = 0.0
     for _ in range(samples):
         ts = rng.uniform(0.25, 3.0, size=k)
         chs = rng.integers(1, sys.m + 1, size=k)
-        base = eval_symmetric(sys, chs, ts)
-        scale = max(float(np.max(np.abs(base))), 1e-30)
-        for perm in perms[1:]:
-            val = eval_symmetric(sys, chs[list(perm)], ts[list(perm)])
-            worst = max(worst, float(np.max(np.abs(val - base))) / scale)
+        want = _symmetrised(sys, chs, ts)
+        got = eval_symmetric(sys, chs, ts)
+        scale = max(float(np.max(np.abs(want))), 1e-30)
+        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
     return worst
 
 

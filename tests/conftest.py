@@ -28,6 +28,17 @@ def make_stable_system(rng, n=4, m=1, p=1, coupling=0.4, with_x0=False):
     return BilinearSystem(A=A, N=N, B=B, C=C, x0=x0)
 
 
+def transient_growth_system(m=1):
+    """Non-normal 2-state system: ||e^{At}||_2 e^{t} rises from 1 towards 40.
+
+    m = 2 adds a second input channel; A, and so the growth, is the same.
+    """
+    N = [[[0.3, -0.2], [0.1, 0.4]], [[0.0, 0.5], [-0.3, 0.2]]][:m]
+    B = np.array([[1.0, 0.5], [1.0, -1.0]])[:, :m]
+    return BilinearSystem(A=[[-1.0, 20.0], [0.0, -1.5]], N=N, B=B,
+                          C=[[1.0, 0.0], [0.5, -1.0]])
+
+
 def overflowing_chain(n=30, a=3.2e10):
     """A, B, C of a nilpotent Jordan chain whose e^{At} passes the largest double.
 

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivolt import (BilinearSystem, eval_tf_symmetric, eval_tf_triangular, expm,
+from bivolt import (eval_tf_symmetric, eval_tf_triangular, expm,
                     laplace_quadrature, roc_margin)
 from bivolt.verify import _gl_points, _tail_bound
 
-from conftest import make_stable_system
+from conftest import make_stable_system, transient_growth_system
 
 RTOL = 1e-12
 DISC_ATOL = 1e-9
@@ -112,11 +112,9 @@ def test_quadrature_matches_per_node_expm(kind, panels, k, T, n, m, seed):
 @pytest.mark.parametrize("panels", [1, 2, 3, 32])
 @pytest.mark.parametrize("kind", ["regular", "triangular"])
 def test_quadrature_matches_per_node_expm_under_transient_growth(kind, panels):
-    # ||e^{At}||_2 e^{t} rises from 1 towards 40, so the growth constant comes
-    # from the last nodes, where the panel-step products have run longest
-    sys = BilinearSystem(A=[[-1.0, 20.0], [0.0, -1.5]],
-                         N=[[[0.3, -0.2], [0.1, 0.4]]], B=[[1.0], [1.0]],
-                         C=[[1.0, 0.0], [0.5, -1.0]])
+    # the growth constant comes from the last nodes, where the panel-step
+    # products have run longest
+    sys = transient_growth_system()
     growth = assert_quadrature_matches(sys, [1, 1], kind, [0.5 + 1.0j, 0.3 - 0.5j],
                                        12.0, panels)
     assert growth > 2.0

@@ -1,15 +1,44 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bivolt import (BilinearSystem, TimeGrid, aux_output_2d, delta_eps_signal,
-                    eps_sweep, eval_tf_regular, eval_tf_triangular,
+                    eps_sweep, eval_symmetric, eval_tf_regular, eval_tf_triangular,
                     laplace_quadrature, phi1_apply, phi1_bounds_probe,
                     richardson_limit, suggest_truncation, symmetry_probe,
                     zero_signal)
+from bivolt.verify import _symmetrised
 
-from conftest import make_stable_system, overflowing_chain
+from conftest import make_stable_system, overflowing_chain, transient_growth_system
+
+
+def fresh_copy(sys):
+    """The same system as a new instance, with nothing cached."""
+    return BilinearSystem(A=sys.A, N=sys.N, B=sys.B, C=sys.C, x0=sys.x0)
+
+
+def assert_same_estimate(got, want):
+    assert np.array_equal(got.value, want.value)
+    assert got.tail_bound == want.tail_bound
+    assert got.discretization_estimate == want.discretization_estimate
+
+
+def random_system(rng, n, normal):
+    """m = 2, p = 2 system whose A = Q (D + U) Q^T has eigenvalues in [-2, -0.5].
+
+    U = 0 gives a normal A; a strictly upper triangular U with entries up to 8
+    gives a non-normal A whose ||e^{At}||_2 first grows.
+    """
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    D = np.diag(-rng.uniform(0.5, 2.0, n))
+    U = 0.0 if normal else np.triu(rng.uniform(-8.0, 8.0, (n, n)), 1)
+    N = 0.4 * rng.standard_normal((2, n, n)) / np.sqrt(n)
+    return BilinearSystem(A=Q @ (D + U) @ Q.T, N=N, B=rng.standard_normal((n, 2)),
+                          C=rng.standard_normal((2, n)))
 
 
 class TestLaplaceQuadrature:
@@ -128,6 +157,57 @@ class TestLaplaceQuadrature:
         with pytest.raises(FloatingPointError, match="not finite on panel 15"):
             laplace_quadrature(sys, [1], "regular", [1.0], 32.0, 32)
 
+    @pytest.mark.parametrize("chs, kind, s", [
+        ([1, 1], "triangular", [0.5 + 1.0j, 0.3 - 0.5j]),
+        ([2, 1], "regular", [0.5 + 1.0j, 0.3 - 0.5j]),
+        ([1, 1], "regular", [0.9, 0.4 + 2.0j]),
+        ([2], "regular", [0.7 - 1.0j]),
+        ([1, 2, 2], "triangular", [0.4, 0.6 + 0.5j, 1.1 - 1.5j]),
+    ])
+    def test_growth_memo_hit_matches_fresh_system(self, chs, kind, s):
+        # the first call at (T, panels) = (12, 32) samples the growth (close to
+        # 40 here) and stores it; the second reuses it for other arguments
+        sys = transient_growth_system(m=2)
+        laplace_quadrature(sys, [1, 1], "regular", [0.5 + 1.0j, 0.3 - 0.5j], 12.0, 32)
+        got = laplace_quadrature(sys, chs, kind, s, 12.0, 32)
+        assert_same_estimate(got, laplace_quadrature(fresh_copy(sys), chs, kind, s,
+                                                     12.0, 32))
+
+    @pytest.mark.parametrize("grid", [(9.0, 32), (12.0, 8)])
+    def test_growth_memo_keyed_by_horizon_and_panels(self, grid):
+        # the growth still rises at t = 12, so its samples at the last nodes
+        # differ between grids, and a reused value would show in the tail bound
+        sys = transient_growth_system()
+        args = ([1, 1], "regular", [0.5 + 1.0j, 0.3 - 0.5j])
+        first = laplace_quadrature(sys, *args, 12.0, 32)
+        got = laplace_quadrature(sys, *args, *grid)
+        assert got.tail_bound != first.tail_bound
+        assert_same_estimate(got, laplace_quadrature(fresh_copy(sys), *args, *grid))
+
+    def test_overflowing_run_stores_no_growth(self):
+        A, B, C = overflowing_chain()
+        sys = BilinearSystem(A=A, N=[np.eye(30)], B=B, C=C)
+        for _ in range(2):
+            with pytest.raises(FloatingPointError, match="not finite on panel 15"):
+                laplace_quadrature(sys, [1], "regular", [1.0], 32.0, 32)
+            assert sys._quadrature_growth == {}
+
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(n=st.integers(1, 6), normal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bound_holds_on_every_call(self, n, normal, seed):
+        # one grid per system, so every call after the first reuses the growth
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, n, normal)
+        for kind, k in itertools.product(("regular", "triangular"), (1, 2, 3)):
+            s = rng.uniform(0.2, 1.5, k) + 1j * rng.uniform(-2.0, 2.0, k)
+            chs = rng.integers(1, 3, size=k)
+            est = laplace_quadrature(sys, chs, kind, s, 16.0, 32)
+            closed = (eval_tf_regular if kind == "regular"
+                      else eval_tf_triangular)(sys, chs, s).value
+            gap = float(np.max(np.abs(est.value - closed)))
+            assert gap <= est.tail_bound + est.discretization_estimate
+
+
 class TestAuxOutput2d:
     def test_zero_input(self, scalar_system):
         grid = TimeGrid(0.0, 1.0, 0.01)
@@ -206,6 +286,23 @@ class TestProbes:
         rng = np.random.default_rng(15)
         sys = make_stable_system(rng, n=3, m=2, p=2)
         assert symmetry_probe(sys, 3, 40, seed=2) <= 1e-12
+
+    @pytest.mark.parametrize("chs, ts", [
+        ([2, 2], [0.9, 0.9]),
+        ([1, 1, 1], [0.8, 0.8, 0.8]),
+        ([2, 2, 1], [1.1, 1.1, 0.4]),
+        ([1, 2, 2], [0.4, 1.1, 1.1]),
+        ([2, 1, 2, 2], [1.2, 0.3, 1.2, 1.2]),
+        ([1, 1, 1, 1], [0.7, 0.7, 0.7, 0.7]),
+    ])
+    def test_symmetrisation_at_tied_times(self, chs, ts):
+        # one group of r tied times with one channel: r! permutations land on
+        # the simplex face, each scaled by the boundary factor 1/r!
+        rng = np.random.default_rng(15)
+        sys = make_stable_system(rng, n=3, m=2, p=2)
+        want = _symmetrised(sys, np.array(chs), np.array(ts))
+        got = eval_symmetric(sys, chs, ts)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_symmetry_order_cap(self, scalar_system):
         with pytest.raises(ValueError):
