@@ -8,6 +8,7 @@ non-finite results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -93,18 +94,25 @@ def system_to_document(sys: BilinearSystem) -> dict:
 def signal_from_spec(spec: dict, grid: TimeGrid, m: int):
     """Build the input signal described by a SignalSpec document on a grid."""
     kind = spec.get("kind")
+
+    def number(key, default=None) -> float:
+        if default is None and key not in spec:
+            raise ValueError(f"{kind} signal needs key {key!r}")
+        try:
+            return float(spec.get(key, default))
+        except (TypeError, ValueError):
+            raise ValueError(f"signal key {key!r} must be a real number") from None
+
     mu = np.atleast_1d(np.asarray(spec.get("mu", np.ones(m)), dtype=float))
     if kind != "samples" and mu.shape != (m,):
         raise ValueError(f"signal mu has shape {mu.shape}; expected ({m},)")
     if kind == "delta_eps":
-        if "eps" not in spec:
-            raise ValueError("delta_eps signal needs key 'eps'")
-        return delta_eps_signal(grid, float(spec["eps"]), mu)
+        return delta_eps_signal(grid, number("eps"), mu)
     if kind == "step":
-        return step_signal(grid, mu, amplitude=float(spec.get("amplitude", 1.0)))
+        return step_signal(grid, mu, amplitude=number("amplitude", 1.0))
     if kind == "sine":
-        return sine_signal(grid, mu, amplitude=float(spec.get("amplitude", 1.0)),
-                           omega=float(spec.get("frequency", 1.0)))
+        return sine_signal(grid, mu, amplitude=number("amplitude", 1.0),
+                           omega=number("frequency", 1.0))
     if kind == "zero":
         return zero_signal(grid, m)
     if kind == "samples":
@@ -118,21 +126,17 @@ def signal_from_spec(spec: dict, grid: TimeGrid, m: int):
 
 
 def _load_json(path: str) -> dict:
+    """Read a system or signal document; its top level must be a JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_system(path: str) -> BilinearSystem:
-    sys_ = system_from_document(_load_json(path))
-    violations = validate(sys_)
-    if violations:
-        raise ValueError("; ".join(violations))
-    return fold_implicit(sys_)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _fmt(column: str, value) -> str:
@@ -140,239 +144,187 @@ def _fmt(column: str, value) -> str:
         if not math.isfinite(value):
             raise FloatingPointError(f"non-finite value {value} in column {column}")
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 
 def _emit_csv(out, header, rows) -> None:
     """Write a CSV of results; raises FloatingPointError before writing a NaN or inf."""
     cells = [[_fmt(name, v) for name, v in zip(header, row, strict=True)] for row in rows]
-
-    def write(handle):
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(cells)
-
-    if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            write(fh)
-    else:
-        write(_sys.stdout)
+    # stdout is looked up per call: an in-process caller may have redirected it
+    with (open(out, "w", newline="", encoding="utf-8") if out
+          else contextlib.nullcontext(_sys.stdout)) as handle:
+        csv.writer(handle).writerows([header, *cells])
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _channels(args, k: int) -> list[int]:
-    """--channels as 1-based channel numbers, else channel 1 for all k arguments."""
-    return _ints(args.channels) if args.channels else [1] * k
-
-
-def _complexes(text: str) -> list[complex]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+def _list_of(parse):
+    """argparse type= converter for a comma-separated list; empty items are skipped."""
+    def convert(text: str) -> list:
         try:
-            out.append(complex(tok.replace("i", "j")))
+            return [parse(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
         except ValueError as exc:
-            raise ValueError(f"cannot parse complex number {tok!r} "
-                             "(expected a+bi / a-bi)") from exc
-    return out
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _complex(tok: str) -> complex:
+    try:
+        return complex(tok.replace("i", "j"))
+    except ValueError:
+        raise ValueError(f"cannot parse complex number {tok!r} "
+                         "(expected a+bi / a-bi)") from None
+
+
+_floats = _list_of(float)
+_ints = _list_of(int)
+_complexes = _list_of(_complex)
 
 
 def _grid(text: str) -> TimeGrid:
     parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("grid must be t0:t1:dt")
-    return TimeGrid(float(parts[0]), float(parts[1]), float(parts[2]))
+    try:
+        if len(parts) != 3:
+            raise ValueError("grid must be t0:t1:dt")
+        return TimeGrid(float(parts[0]), float(parts[1]), float(parts[2]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _kind(text: str) -> str:
-    try:
-        return _KINDS[text]
-    except KeyError:
-        raise ValueError(f"unknown kind {text!r} (use tri|reg|sym)") from None
+    if text not in _KINDS:
+        raise argparse.ArgumentTypeError(f"unknown kind {text!r} (use tri|reg|sym)")
+    return _KINDS[text]
 
 
-def _cmd_validate(args) -> int:
-    sys_ = system_from_document(_load_json(args.system))
-    violations = validate(sys_)
-    if violations:
-        for v in violations:
-            print(v, file=_sys.stderr)
-        return 2
-    folded = fold_implicit(sys_)
+def _per_output(name: str, p: int) -> list[str]:
+    """Column names of a quantity with one value per output: name, or name_1..name_p."""
+    return [name + (f"_{i + 1}" if p > 1 else "") for i in range(p)]
+
+
+def _complex_cells(cells: dict, name: str, z: complex) -> None:
+    cells[f"{name}_re"], cells[f"{name}_im"] = z.real, z.imag
+
+
+def _cmd_validate(raw, folded, args) -> int:
+    """Report a document that passed validation; emit it, as read, when asked."""
     print(f"ok: n={folded.n} m={folded.m} p={folded.p}"
-          + (" (E folded)" if sys_.E is not None else ""))
+          + (" (E folded)" if raw.E is not None else ""))
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(system_to_document(sys_), fh)
+            json.dump(system_to_document(raw), fh)
             fh.write("\n")
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    sys_ = _load_system(args.system)
-    grid = _grid(args.grid)
-    signal = signal_from_spec(_load_json(args.signal), grid, sys_.m)
+# The other commands take the folded system and the parsed arguments and return
+# (header, rows) or (header, rows, exit code); run_command writes the CSV.
+
+def _cmd_simulate(sys_, args):
+    signal = signal_from_spec(_load_json(args.signal), args.grid, sys_.m)
     header: list = ["t"]
-    columns: list[np.ndarray] = [grid.times()]
+    columns: list[np.ndarray] = [args.grid.times()]
     if args.method in ("direct", "both"):
-        direct = ode_direct(sys_, signal, grid)
-        for i in range(sys_.p):
-            header.append(f"y{i + 1}")
-            columns.append(direct.values[:, i])
+        direct = ode_direct(sys_, signal, args.grid)
+        header += [f"y{i + 1}" for i in range(sys_.p)]
+        columns += list(direct.values.T)
     if args.method in ("cascade", "both"):
         if args.orders is None:
             raise ValueError("--orders is required for the cascade method")
-        series = volterra_cascade(sys_, signal, args.orders, grid)
+        series = volterra_cascade(sys_, signal, args.orders, args.grid)
         for k in range(series.per_order.shape[0]):
-            for i in range(sys_.p):
-                name = f"y_k{k + 1}" + (f"_{i + 1}" if sys_.p > 1 else "")
-                header.append(name)
-                columns.append(series.per_order[k, :, i])
-        total = series.total
-        for i in range(sys_.p):
-            header.append("total" + (f"_{i + 1}" if sys_.p > 1 else ""))
-            columns.append(total[:, i])
-    _emit_csv(args.out, header, zip(*columns))
-    return 0
+            header += _per_output(f"y_k{k + 1}", sys_.p)
+            columns += list(series.per_order[k].T)
+        header += _per_output("total", sys_.p)
+        columns += list(series.total.T)
+    return header, zip(*columns)
 
 
-def _cmd_impulse(args) -> int:
-    sys_ = _load_system(args.system)
-    mu = _floats(args.mu)
-    times = _floats(args.times)
+def _cmd_impulse(sys_, args):
     header = ["t"] + [f"g{i + 1}" for i in range(sys_.p)]
     for k in range(1, args.orders + 1):
-        header += [f"g_k{k}" + (f"_{i + 1}" if sys_.p > 1 else "")
-                   for i in range(sys_.p)]
+        header += _per_output(f"g_k{k}", sys_.p)
     rows = []
-    for t in times:
-        row: list = [t]
-        row += list(impulse_response(sys_, mu, t))
+    for t in args.times:
+        row = [t, *impulse_response(sys_, args.mu, t)]
         for k in range(1, args.orders + 1):
-            row += list(impulse_response_subsystem(sys_, mu, k, t))
+            row += list(impulse_response_subsystem(sys_, args.mu, k, t))
         rows.append(row)
-    _emit_csv(args.out, header, rows)
-    return 0
+    return header, rows
 
 
-def _cmd_kernel(args) -> int:
-    sys_ = _load_system(args.system)
-    kind = _kind(args.kind)
-    times = _floats(args.t)
-    channels = _channels(args, len(times))
+def _cmd_kernel(sys_, args):
     evaluate, classify = {"triangular": (eval_triangular, classify_triangular),
                           "regular": (eval_regular, classify_regular),
-                          "symmetric": (eval_symmetric, None)}[kind]
-    value = evaluate(sys_, channels, times, tol=args.tol)
+                          "symmetric": (eval_symmetric, None)}[args.kind]
+    value = evaluate(sys_, args.channels, args.t, tol=args.tol)
     note = ("symmetric", "", "")
     if classify is not None:
-        region = classify(times, tol=args.tol)
+        region = classify(args.t, tol=args.tol)
         note = (region.kind, region.n, region.factor)
-    header = ([f"t{i + 1}" for i in range(len(times))]
+    header = ([f"t{i + 1}" for i in range(len(args.t))]
               + [f"y{i + 1}" for i in range(sys_.p)]
               + ["region", "n", "factor"])
-    _emit_csv(args.out, header, [list(times) + list(value) + list(note)])
-    return 0
+    return header, [list(args.t) + list(value) + list(note)]
 
 
-def _cmd_tf(args) -> int:
-    sys_ = _load_system(args.system)
-    kind = _kind(args.kind)
-    s = _complexes(args.s)
-    channels = _channels(args, len(s))
-    tv = _evaluator(kind)(sys_, channels, s)
-    margin = roc_margin(sys_, s, kind)
-    header, row = [], []
-    for i, z in enumerate(s):
-        header += [f"s{i + 1}_re", f"s{i + 1}_im"]
-        row += [z.real, z.imag]
-    for i in range(sys_.p):
-        header += [f"G{i + 1}_re", f"G{i + 1}_im"]
-        row += [tv.value[i].real, tv.value[i].imag]
-    header.append("roc_margin")
-    row.append(margin)
-    _emit_csv(args.out, header, [row])
-    return 0
+def _cmd_tf(sys_, args):
+    tv = _evaluator(args.kind)(sys_, args.channels, args.s)
+    cells: dict = {}
+    for i, z in enumerate(args.s):
+        _complex_cells(cells, f"s{i + 1}", z)
+    for i, g in enumerate(tv.value):
+        _complex_cells(cells, f"G{i + 1}", g)
+    cells["roc_margin"] = roc_margin(sys_, args.s, args.kind)
+    return list(cells), [list(cells.values())]
 
 
-def _cmd_verify_laplace(args) -> int:
-    sys_ = _load_system(args.system)
-    kind = _kind(args.kind)
-    s = _complexes(args.s)
-    channels = _channels(args, len(s))
-    est = laplace_quadrature(sys_, channels, kind, s, args.T, args.panels)
-    closed = _evaluator(kind)(sys_, channels, s).value
+def _cmd_verify_laplace(sys_, args):
+    est = laplace_quadrature(sys_, args.channels, args.kind, args.s, args.T, args.panels)
+    closed = _evaluator(args.kind)(sys_, args.channels, args.s).value
     diff = float(np.max(np.abs(est.value - closed)))
     bound = est.tail_bound + est.discretization_estimate
-    header, row = [], []
+    cells: dict = {}
     for i in range(sys_.p):
-        header += [f"quad{i + 1}_re", f"quad{i + 1}_im",
-                   f"closed{i + 1}_re", f"closed{i + 1}_im"]
-        row += [est.value[i].real, est.value[i].imag,
-                closed[i].real, closed[i].imag]
-    header += ["tail_bound", "discretization_estimate", "abs_diff", "within_bound"]
-    row += [est.tail_bound, est.discretization_estimate, diff, int(diff <= bound)]
-    _emit_csv(args.out, header, [row])
-    return 0 if diff <= bound else 1
+        _complex_cells(cells, f"quad{i + 1}", est.value[i])
+        _complex_cells(cells, f"closed{i + 1}", closed[i])
+    cells.update(tail_bound=est.tail_bound,
+                 discretization_estimate=est.discretization_estimate,
+                 abs_diff=diff, within_bound=int(diff <= bound))
+    return list(cells), [list(cells.values())], 0 if diff <= bound else 1
 
 
-def _cmd_verify_eps_sweep(args) -> int:
-    sys_ = _load_system(args.system)
-    report = eps_sweep(sys_, _floats(args.mu), _floats(args.eps), _floats(args.times))
-    rows = []
-    for i, e in enumerate(report.eps):
-        ratio = report.ratios[i - 1] if i >= 1 else ""
-        order = report.order if report.order is not None else ""
-        rows.append([e, report.errors[i], ratio, order])
-    _emit_csv(args.out, ["eps", "error", "ratio", "fitted_order"], rows)
-    return 0
+def _cmd_verify_eps_sweep(sys_, args):
+    report = eps_sweep(sys_, args.mu, args.eps, args.times)
+    ratios = [""] + list(report.ratios)
+    order = report.order if report.order is not None else ""
+    rows = [[e, err, ratio, order]
+            for e, err, ratio in zip(report.eps, report.errors, ratios)]
+    return ["eps", "error", "ratio", "fitted_order"], rows
 
 
-def _cmd_verify_symmetry(args) -> int:
-    sys_ = _load_system(args.system)
+def _cmd_verify_symmetry(sys_, args):
     dev = symmetry_probe(sys_, args.k, args.samples, seed=args.seed)
-    _emit_csv(args.out, ["k", "samples", "seed", "max_relative_deviation"],
-              [[args.k, args.samples, args.seed, dev]])
-    return 0
+    return (["k", "samples", "seed", "max_relative_deviation"],
+            [[args.k, args.samples, args.seed, dev]])
 
 
-def _cmd_verify_bounds(args) -> int:
-    lo, hi = _floats(args.range)
+def _cmd_verify_bounds(_, args):
+    lo, hi = args.range
     violations = phi1_bounds_probe(args.samples, (lo, hi), seed=args.seed)
-    _emit_csv(args.out, ["samples", "lo", "hi", "seed", "violations"],
-              [[args.samples, lo, hi, args.seed, violations]])
-    return 0 if violations == 0 else 1
+    return (["samples", "lo", "hi", "seed", "violations"],
+            [[args.samples, lo, hi, args.seed, violations]],
+            0 if violations == 0 else 1)
 
 
-def _cmd_verify_aux2d(args) -> int:
-    sys_ = _load_system(args.system)
-    kind = _kind(args.kind)
-    if kind == "symmetric":
-        raise ValueError("aux2d supports tri|reg kinds")
-    eps_list = _floats(args.eps)
+def _cmd_verify_aux2d(sys_, args):
     rows = []
-    values = []
-    for eps in eps_list:
+    for eps in args.eps:
         grid = TimeGrid(0.0, 2.0 * eps, eps / args.pulse_div)
         pulse = delta_eps_signal(grid, eps)
-        val = aux_output_2d(sys_, pulse, kind, args.t1, args.t2, nodes=args.nodes)
-        values.append(val)
-        rows.append([eps, val])
-    if len(values) >= 2:
-        rows.append([0.0, richardson_limit(eps_list, values)])
-    _emit_csv(args.out, ["eps", "value"], rows)
-    return 0
+        rows.append([eps, aux_output_2d(sys_, pulse, args.kind, args.t1, args.t2,
+                                        nodes=args.nodes)])
+    if len(rows) >= 2:
+        rows.append([0.0, richardson_limit(args.eps, [val for _, val in rows])])
+    return ["eps", "value"], rows
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -381,93 +333,81 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bilinear dynamical systems via the Volterra series")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a system document")
-    p.add_argument("--system", required=True)
-    p.add_argument("--emit", help="write the normalized document here")
-    p.set_defaults(func=_cmd_validate)
+    # Options that several commands share, each declared once in a parent parser.
+    system, out, channels, any_kind, quad_kind = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    system.add_argument("--system", required=True)
+    out.add_argument("--out")
+    channels.add_argument("--channels", type=_ints, help="comma-separated 1-based channels")
+    any_kind.add_argument("--kind", type=_kind, required=True, help="tri|reg|sym")
+    quad_kind.add_argument("--kind", type=_kind, choices=("triangular", "regular"),
+                           required=True, help="tri|reg")
 
-    p = sub.add_parser("simulate", help="integrate the system for a signal")
-    p.add_argument("--system", required=True)
+    def command(group, name, func, help, *parents):
+        p = group.add_parser(name, help=help, parents=[system, out, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    p = sub.add_parser("validate", help="check a system document", parents=[system])
+    p.add_argument("--emit", help="write the normalized document here")
+
+    p = command(sub, "simulate", _cmd_simulate, "integrate the system for a signal")
     p.add_argument("--signal", required=True)
-    p.add_argument("--grid", required=True, help="t0:t1:dt")
+    p.add_argument("--grid", type=_grid, required=True, help="t0:t1:dt")
     p.add_argument("--method", choices=["direct", "cascade", "both"],
                    default="direct")
     p.add_argument("--orders", type=int, help="cascade truncation order K")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("impulse", help="closed-form impulse response")
-    p.add_argument("--system", required=True)
-    p.add_argument("--mu", required=True, help="comma-separated impulse weights")
-    p.add_argument("--times", required=True, help="comma-separated times > 0")
+    p = command(sub, "impulse", _cmd_impulse, "closed-form impulse response")
+    p.add_argument("--mu", type=_floats, required=True,
+                   help="comma-separated impulse weights")
+    p.add_argument("--times", type=_floats, required=True,
+                   help="comma-separated times > 0")
     p.add_argument("--orders", type=int, default=6,
                    help="number of per-subsystem columns")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_impulse)
 
-    p = sub.add_parser("kernel", help="evaluate an adjusted Volterra kernel")
-    p.add_argument("--system", required=True)
-    p.add_argument("--kind", required=True, help="tri|reg|sym")
-    p.add_argument("--channels", help="comma-separated 1-based channels")
-    p.add_argument("--t", required=True, help="comma-separated times")
+    p = command(sub, "kernel", _cmd_kernel, "evaluate an adjusted Volterra kernel",
+                any_kind, channels)
+    p.add_argument("--t", type=_floats, required=True, help="comma-separated times")
     p.add_argument("--tol", type=float, default=DEFAULT_TIE_TOL)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_kernel)
 
-    p = sub.add_parser("tf", help="evaluate a multidimensional transfer function")
-    p.add_argument("--system", required=True)
-    p.add_argument("--kind", required=True, help="tri|reg|sym")
-    p.add_argument("--channels", help="comma-separated 1-based channels")
-    p.add_argument("--s", required=True, help='complex list, e.g. "1+2i,3-0.5i"')
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_tf)
+    p = command(sub, "tf", _cmd_tf, "evaluate a multidimensional transfer function",
+                any_kind, channels)
+    p.add_argument("--s", type=_complexes, required=True,
+                   help='complex list, e.g. "1+2i,3-0.5i"')
 
     v = sub.add_parser("verify", help="numerical cross-check harnesses")
     vsub = v.add_subparsers(dest="check", required=True)
 
-    p = vsub.add_parser("laplace", help="quadrature vs closed-form transform")
-    p.add_argument("--system", required=True)
-    p.add_argument("--kind", required=True, help="tri|reg")
-    p.add_argument("--channels")
-    p.add_argument("--s", required=True)
+    p = command(vsub, "laplace", _cmd_verify_laplace, "quadrature vs closed-form transform",
+                quad_kind, channels)
+    p.add_argument("--s", type=_complexes, required=True)
     p.add_argument("--T", type=float, default=30.0)
     p.add_argument("--panels", type=int, default=200)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_laplace)
 
-    p = vsub.add_parser("eps-sweep", help="nascent-delta convergence sweep")
-    p.add_argument("--system", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--eps", required=True, help="strictly decreasing list")
-    p.add_argument("--times", required=True, help="probe times")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_eps_sweep)
+    p = command(vsub, "eps-sweep", _cmd_verify_eps_sweep, "nascent-delta convergence sweep")
+    p.add_argument("--mu", type=_floats, required=True)
+    p.add_argument("--eps", type=_floats, required=True, help="strictly decreasing list")
+    p.add_argument("--times", type=_floats, required=True, help="probe times")
 
-    p = vsub.add_parser("symmetry", help="symmetric-kernel permutation probe")
-    p.add_argument("--system", required=True)
+    p = command(vsub, "symmetry", _cmd_verify_symmetry, "symmetric-kernel permutation probe")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_symmetry)
 
-    p = vsub.add_parser("bounds", help="phi1 scalar plausibility bounds probe")
+    p = vsub.add_parser("bounds", help="phi1 scalar plausibility bounds probe", parents=[out])
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--range", default="-5,5")
+    p.add_argument("--range", type=_floats, default="-5,5")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_verify_bounds)
 
-    p = vsub.add_parser("aux2d", help="order-2 auxiliary output delta-pulse limit")
-    p.add_argument("--system", required=True)
-    p.add_argument("--kind", required=True, help="tri|reg")
+    p = command(vsub, "aux2d", _cmd_verify_aux2d, "order-2 auxiliary output delta-pulse limit",
+                quad_kind)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--t2", type=float, required=True)
-    p.add_argument("--eps", required=True, help="pulse widths, e.g. 1e-2,5e-3")
+    p.add_argument("--eps", type=_floats, required=True, help="pulse widths, e.g. 1e-2,5e-3")
     p.add_argument("--nodes", type=int, default=201)
     p.add_argument("--pulse-div", dest="pulse_div", type=int, default=20)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_aux2d)
 
     return parser
 
@@ -480,7 +420,24 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        sys_ = None
+        if "system" in args:
+            raw = system_from_document(_load_json(args.system))
+            violations = validate(raw)
+            if violations and args.command == "validate":
+                print("\n".join(violations), file=_sys.stderr)
+                return 2
+            if violations:
+                raise ValueError("; ".join(violations))
+            sys_ = fold_implicit(raw)
+            if args.command == "validate":
+                return _cmd_validate(raw, sys_, args)
+        if "channels" in args and not args.channels:
+            # channel 1 for each of the k time (kernel) or frequency arguments
+            args.channels = [1] * len(args.t if "t" in args else args.s)
+        header, rows, *code = args.func(sys_, args)
+        _emit_csv(args.out, header, rows)
+        return code[0] if code else 0
     except (PoleHitError, GridResolutionError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 1

@@ -42,10 +42,6 @@ class RegionClass:
     factor: float
 
 
-def _tol_at(a: float, b: float, tol: float) -> float:
-    return tol * max(1.0, abs(a), abs(b))
-
-
 def _times_tuple(times) -> tuple[float, ...]:
     ts = tuple(float(t) for t in np.atleast_1d(np.asarray(times, dtype=float)))
     if not ts:
@@ -53,44 +49,49 @@ def _times_tuple(times) -> tuple[float, ...]:
     return ts
 
 
-def classify_triangular(times, tol: float = DEFAULT_TIE_TOL) -> RegionClass:
-    """Classify a tuple against the ordered simplex t_1 >= ... >= t_k > 0."""
+def _slots(ts: tuple[float, ...], triangular: bool):
+    """Exponent slots of a time tuple, right-to-left, and the scale of each slot.
+
+    Triangular slots are the gaps t_1 - t_2, ..., t_{k-1} - t_k, then t_k, with
+    scale max(1, |a|, |b|) for the gap a - b; regular slots are the t_i with
+    scale max(1, |t_i|).
+    """
+    if not triangular:
+        return ts, [max(1.0, abs(t)) for t in ts]
+    pairs = list(zip(ts, ts[1:] + (0.0,)))
+    return tuple(a - b for a, b in pairs), [max(1.0, abs(a), abs(b)) for a, b in pairs]
+
+
+def _face(slots, scales, tol: float) -> RegionClass:
+    """The face rule: region of a tuple from its k exponent slots.
+
+    A slot below -tol * scale, or a last slot (t_k) not above tol * scale,
+    puts the tuple outside the domain. Otherwise n, the number of slots
+    above tol * scale, is the dimension of its face, and the factor is
+    1/(k+1-n)!. For the triangular kind this factor equals the
+    symmetrisation of the triangular kernel only when at most one group of
+    times ties: at t = (1, 1, 0.5, 0.5) eval_symmetric is 1.5 times the
+    symmetrised eval_triangular.
+    """
     if tol < 0:
         raise ValueError("tolerance must be >= 0")
-    ts = _times_tuple(times)
-    k = len(ts)
-    if ts[-1] <= _tol_at(ts[-1], 0.0, tol):
+    bounds = [tol * scale for scale in scales]
+    if slots[-1] <= bounds[-1] or any(x < -b for x, b in zip(slots, bounds)):
         return RegionClass("zero", 0, 0.0)
-    distinct = 1
-    for a, b in zip(ts, ts[1:]):
-        gap = a - b
-        if gap < -_tol_at(a, b, tol):
-            return RegionClass("zero", 0, 0.0)
-        if gap > _tol_at(a, b, tol):
-            distinct += 1
-    factor = 1.0 / math.factorial(k + 1 - distinct)
-    kind = "interior" if distinct == k else "surface"
-    return RegionClass(kind, distinct, factor)
+    k = len(slots)
+    n = sum(x > b for x, b in zip(slots, bounds))
+    return RegionClass("interior" if n == k else "surface", n,
+                       1.0 / math.factorial(k + 1 - n))
+
+
+def classify_triangular(times, tol: float = DEFAULT_TIE_TOL) -> RegionClass:
+    """Classify a tuple against the ordered simplex t_1 >= ... >= t_k > 0."""
+    return _face(*_slots(_times_tuple(times), True), tol)
 
 
 def classify_regular(times, tol: float = DEFAULT_TIE_TOL) -> RegionClass:
     """Classify a tuple against the orthant t_1..t_{k-1} >= 0, t_k > 0."""
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    ts = _times_tuple(times)
-    k = len(ts)
-    if ts[-1] <= _tol_at(ts[-1], 0.0, tol):
-        return RegionClass("zero", 0, 0.0)
-    zeros = 0
-    for t in ts[:-1]:
-        if t < -_tol_at(t, 0.0, tol):
-            return RegionClass("zero", 0, 0.0)
-        if abs(t) <= _tol_at(t, 0.0, tol):
-            zeros += 1
-    n = k - zeros
-    factor = 1.0 / math.factorial(k + 1 - n)
-    kind = "interior" if n == k else "surface"
-    return RegionClass(kind, n, factor)
+    return _face(*_slots(_times_tuple(times), False), tol)
 
 
 def _chain(sys: BilinearSystem, channels: tuple[int, ...],
@@ -104,33 +105,29 @@ def _chain(sys: BilinearSystem, channels: tuple[int, ...],
     return sys.C @ v
 
 
-def _triangular_exponents(ts: tuple[float, ...]) -> tuple[float, ...]:
-    # exponent slots right-to-left: t_1 - t_2, ..., t_{k-1} - t_k, then t_k
-    return tuple(ts[i] - ts[i + 1] for i in range(len(ts) - 1)) + (ts[-1],)
+def _eval_adjusted(sys: BilinearSystem, channels, times, tol: float,
+                   triangular: bool) -> np.ndarray:
+    """Adjusted kernel value of either kind: the face factor times the chain."""
+    require_explicit(sys)
+    ts = _times_tuple(times)
+    chs = _channels_tuple(sys, channels, len(ts))
+    slots, scales = _slots(ts, triangular)
+    region = _face(slots, scales, tol)
+    if region.kind == "zero":
+        return np.zeros(sys.p)
+    return region.factor * _chain(sys, chs, slots)
 
 
 def eval_triangular(sys: BilinearSystem, channels, times,
                     tol: float = DEFAULT_TIE_TOL) -> np.ndarray:
     """Adjusted triangular kernel value, a p-vector (zero outside the simplex)."""
-    require_explicit(sys)
-    ts = _times_tuple(times)
-    chs = _channels_tuple(sys, channels, len(ts))
-    region = classify_triangular(ts, tol)
-    if region.kind == "zero":
-        return np.zeros(sys.p)
-    return region.factor * _chain(sys, chs, _triangular_exponents(ts))
+    return _eval_adjusted(sys, channels, times, tol, triangular=True)
 
 
 def eval_regular(sys: BilinearSystem, channels, times,
                  tol: float = DEFAULT_TIE_TOL) -> np.ndarray:
     """Adjusted regular kernel value, a p-vector (zero outside the orthant)."""
-    require_explicit(sys)
-    ts = _times_tuple(times)
-    chs = _channels_tuple(sys, channels, len(ts))
-    region = classify_regular(ts, tol)
-    if region.kind == "zero":
-        return np.zeros(sys.p)
-    return region.factor * _chain(sys, chs, ts)
+    return _eval_adjusted(sys, channels, times, tol, triangular=False)
 
 
 def eval_symmetric(sys: BilinearSystem, channels, times,
@@ -145,13 +142,13 @@ def eval_symmetric(sys: BilinearSystem, channels, times,
     ts = _times_tuple(times)
     chs = _channels_tuple(sys, channels, len(ts))
     for t in ts:
-        if t <= _tol_at(t, 0.0, tol):
+        if t <= tol * max(1.0, abs(t)):
             raise ValueError(f"symmetric kernel needs positive times, got {t}")
     order = sorted(range(len(ts)), key=lambda i: (-ts[i], chs[i]))
     sorted_ts = tuple(ts[i] for i in order)
     sorted_chs = tuple(chs[i] for i in order)
     scale = 1.0 / math.factorial(len(ts))
-    return scale * _chain(sys, sorted_chs, _triangular_exponents(sorted_ts))
+    return scale * _chain(sys, sorted_chs, _slots(sorted_ts, True)[0])
 
 
 def triangular_coords_from_regular(times) -> tuple[float, ...]:

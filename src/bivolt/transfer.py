@@ -125,19 +125,26 @@ def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
     return TransferValue(sys.C @ F[-1] / math.factorial(k), "symmetric", chs)
 
 
-def _constraints(ss: tuple[complex, ...], kind: str) -> tuple[complex, ...]:
-    """Laplace exponents whose real parts must all exceed the spectral abscissa.
+def _kind_rules(kind: str):
+    """(evaluator, Laplace exponents of a frequency tuple) of a transfer kind.
 
+    The real parts of the exponents must all exceed the spectral abscissa.
     The partial sums of all argument permutations, which the symmetric kind
     needs, are exactly the nonempty subset sums.
     """
-    if kind == "regular":
-        return ss
-    if kind == "triangular":
-        return _partial_sums(ss)
-    if kind == "symmetric":
-        return tuple(_subset_sums(ss)[1:])
-    raise ValueError(f"unknown transfer kind {kind!r}")
+    # Built per call, so a wrapper later bound to these names (perfbench's
+    # tracer) also sees the calls made through this table.
+    rules = {"regular": (eval_tf_regular, tuple),
+             "triangular": (eval_tf_triangular, _partial_sums),
+             "symmetric": (eval_tf_symmetric, lambda ss: tuple(_subset_sums(ss)[1:]))}
+    if kind not in rules:
+        raise ValueError(f"unknown transfer kind {kind!r}")
+    return rules[kind]
+
+
+def _evaluator(kind: str):
+    """Transfer-function evaluator of a kind name."""
+    return _kind_rules(kind)[0]
 
 
 def roc_margin(sys: BilinearSystem, s, kind: str) -> float:
@@ -149,18 +156,8 @@ def roc_margin(sys: BilinearSystem, s, kind: str) -> float:
     """
     require_explicit(sys)
     ss = _freq_tuple(s)
-    return min(z.real for z in _constraints(ss, kind)) - sys.spectral_abscissa
-
-
-def _evaluator(kind: str):
-    """Transfer-function evaluator of a kind name."""
-    # Built per call, so a wrapper later bound to these names (perfbench's
-    # tracer) also sees the calls made through this table.
-    evaluators = {"regular": eval_tf_regular, "triangular": eval_tf_triangular,
-                  "symmetric": eval_tf_symmetric}
-    if kind not in evaluators:
-        raise ValueError(f"unknown transfer kind {kind!r}")
-    return evaluators[kind]
+    _, exponents = _kind_rules(kind)
+    return min(z.real for z in exponents(ss)) - sys.spectral_abscissa
 
 
 def _per_channel(U, m: int):

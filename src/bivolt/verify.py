@@ -26,7 +26,7 @@ from .kernels import eval_symmetric, eval_triangular
 from .linalg import expm, phi1_apply
 from .response import SampledSignal, impulse_response, nascent_response
 from .system import BilinearSystem, _channels_tuple, require_explicit
-from .transfer import _constraints, _freq_tuple, roc_margin
+from .transfer import _freq_tuple, _kind_rules, roc_margin
 
 __all__ = [
     "QuadratureEstimate",
@@ -103,7 +103,8 @@ def _exponents(sys: BilinearSystem, ss: tuple[complex, ...], kind: str):
     if margin <= 0:
         raise ValueError(
             f"frequency tuple outside the region of convergence (margin {margin:.3e})")
-    return _constraints(ss, kind), margin
+    _, exponents = _kind_rules(kind)
+    return exponents(ss), margin
 
 
 def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,

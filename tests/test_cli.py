@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +383,103 @@ class TestDispatch:
         assert run_command(["--help"]) == 0
         assert run_command(["verify", "--help"]) == 0
         capsys.readouterr()
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize("argv, option", [
+        (["kernel", "--kind", "diag", "--t", "1"], "--kind"),
+        (["tf", "--kind", "diag", "--s", "1+0i"], "--kind"),
+        (["verify", "laplace", "--kind", "diag", "--s", "1+0i"], "--kind"),
+        (["verify", "laplace", "--kind", "sym", "--s", "1+0i"], "--kind"),
+        (["verify", "aux2d", "--kind", "diag", "--t1", "1", "--t2", "1",
+          "--eps", "1e-2"], "--kind"),
+        (["verify", "aux2d", "--kind", "sym", "--t1", "1", "--t2", "1",
+          "--eps", "1e-2"], "--kind"),
+        (["tf", "--kind", "reg", "--s", "1+0i,2+2x"], "--s"),
+        (["verify", "laplace", "--kind", "reg", "--s", "1+0i,2x"], "--s"),
+        (["impulse", "--mu", "1", "--times", "0.5,x"], "--times"),
+        (["verify", "eps-sweep", "--mu", "1", "--eps", "1e-2", "--times", "1,,y"],
+         "--times"),
+        (["impulse", "--mu", "one", "--times", "1"], "--mu"),
+        (["verify", "eps-sweep", "--mu", "1;2", "--eps", "1e-2", "--times", "1"],
+         "--mu"),
+    ])
+    def test_malformed_argument_exits_2(self, argv, option, scalar_doc_path, capsys):
+        assert run_command(argv + ["--system", scalar_doc_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {option}" in captured.err
+
+    def test_empty_channels_mean_the_default(self, scalar_doc_path, capsys):
+        argv = ["tf", "--system", scalar_doc_path, "--kind", "tri", "--s", "1+0i,2+0i"]
+        assert run_command(argv) == 0
+        default = capsys.readouterr().out
+        assert run_command(argv + ["--channels", ""]) == 0
+        assert capsys.readouterr().out == default
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        "step",
+        {"kind": "step", "amplitude": [1, 2]},
+        {"kind": "sine", "frequency": {"hz": 1}},
+        {"kind": "sine", "amplitude": "loud"},
+        {"kind": "delta_eps", "eps": None},
+        {"kind": "delta_eps"},
+    ])
+    def test_signal_document_exits_2(self, doc, scalar_doc_path, tmp_path, capsys):
+        signal = tmp_path / "signal.json"
+        signal.write_text(json.dumps(doc))
+        code = run_command(["simulate", "--system", scalar_doc_path,
+                            "--signal", str(signal), "--grid", "0:1:0.01"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["impulse", "--mu", "1", "--times", "1"]])
+    def test_system_document_must_be_an_object(self, command, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([SCALAR_DOC]))
+        assert run_command(command + ["--system", str(path)]) == 2
+        assert "does not hold a JSON object" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli():
+    """The README's CLI section: its system document, its example signal
+    document and the arguments of each `bivolt` line of its shell block."""
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    system = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    signal = re.search(r'`(\{"kind": .*?\})`', section).group(1)
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("bivolt ")]
+    return system, signal, commands
+
+
+README_SYSTEM, README_SIGNAL, README_COMMANDS = readme_cli()
+
+
+def command_name(argv):
+    return " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
+
+
+def test_readme_shows_every_command():
+    assert {command_name(argv) for argv in README_COMMANDS} == {
+        "validate", "simulate", "impulse", "kernel", "tf", "verify laplace",
+        "verify eps-sweep", "verify symmetry", "verify bounds", "verify aux2d"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=command_name)
+def test_readme_cli_example_exits_0(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "sys.json").write_text(README_SYSTEM)
+    (tmp_path / "sig.json").write_text(README_SIGNAL)
+    monkeypatch.chdir(tmp_path)
+    code = run_command(argv)
+    assert code == 0, capsys.readouterr().err
