@@ -24,7 +24,7 @@ from .response import (GridResolutionError, TimeGrid, delta_eps_signal,
                        signal_from_samples, sine_signal, step_signal,
                        volterra_cascade, zero_signal)
 from .system import BilinearSystem, fold_implicit, validate
-from .transfer import _evaluator, roc_margin
+from .transfer import _kind_rules, roc_margin
 from .verify import (aux_output_2d, eps_sweep, laplace_quadrature,
                      phi1_bounds_probe, richardson_limit, symmetry_probe)
 
@@ -103,7 +103,13 @@ def signal_from_spec(spec: dict, grid: TimeGrid, m: int):
         except (TypeError, ValueError):
             raise ValueError(f"signal key {key!r} must be a real number") from None
 
-    mu = np.atleast_1d(np.asarray(spec.get("mu", np.ones(m)), dtype=float))
+    def reals(key, default=None) -> np.ndarray:
+        try:
+            return np.asarray(spec.get(key, default), dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"signal key {key!r} must hold real numbers") from None
+
+    mu = np.atleast_1d(reals("mu", np.ones(m)))
     if kind != "samples" and mu.shape != (m,):
         raise ValueError(f"signal mu has shape {mu.shape}; expected ({m},)")
     if kind == "delta_eps":
@@ -118,7 +124,7 @@ def signal_from_spec(spec: dict, grid: TimeGrid, m: int):
     if kind == "samples":
         if "t" not in spec or "u" not in spec:
             raise ValueError("samples signal needs keys 't' and 'u'")
-        sig = signal_from_samples(grid, spec["t"], spec["u"])
+        sig = signal_from_samples(grid, reals("t"), reals("u"))
         if sig.m != m:
             raise ValueError(f"sample signal has {sig.m} channels; expected {m}")
         return sig
@@ -147,11 +153,19 @@ def _fmt(column: str, value) -> str:
     return str(value)
 
 
+def _open_out(path: str, newline=None):
+    """Open an output file; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit_csv(out, header, rows) -> None:
     """Write a CSV of results; raises FloatingPointError before writing a NaN or inf."""
     cells = [[_fmt(name, v) for name, v in zip(header, row, strict=True)] for row in rows]
     # stdout is looked up per call: an in-process caller may have redirected it
-    with (open(out, "w", newline="", encoding="utf-8") if out
+    with (_open_out(out, newline="") if out
           else contextlib.nullcontext(_sys.stdout)) as handle:
         csv.writer(handle).writerows([header, *cells])
 
@@ -205,13 +219,13 @@ def _complex_cells(cells: dict, name: str, z: complex) -> None:
 
 
 def _cmd_validate(raw, folded, args) -> int:
-    """Report a document that passed validation; emit it, as read, when asked."""
-    print(f"ok: n={folded.n} m={folded.m} p={folded.p}"
-          + (" (E folded)" if raw.E is not None else ""))
+    """Emit a document that passed validation, as read, when asked; then report it."""
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
+        with _open_out(args.emit) as fh:
             json.dump(system_to_document(raw), fh)
             fh.write("\n")
+    print(f"ok: n={folded.n} m={folded.m} p={folded.p}"
+          + (" (E folded)" if raw.E is not None else ""))
     return 0
 
 
@@ -267,7 +281,7 @@ def _cmd_kernel(sys_, args):
 
 
 def _cmd_tf(sys_, args):
-    tv = _evaluator(args.kind)(sys_, args.channels, args.s)
+    tv = _kind_rules(args.kind)[0](sys_, args.channels, args.s)
     cells: dict = {}
     for i, z in enumerate(args.s):
         _complex_cells(cells, f"s{i + 1}", z)
@@ -279,7 +293,7 @@ def _cmd_tf(sys_, args):
 
 def _cmd_verify_laplace(sys_, args):
     est = laplace_quadrature(sys_, args.channels, args.kind, args.s, args.T, args.panels)
-    closed = _evaluator(args.kind)(sys_, args.channels, args.s).value
+    closed = _kind_rules(args.kind)[0](sys_, args.channels, args.s).value
     diff = float(np.max(np.abs(est.value - closed)))
     bound = est.tail_bound + est.discretization_estimate
     cells: dict = {}

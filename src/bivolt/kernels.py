@@ -4,7 +4,10 @@ Order-k triangular kernels live on the ordered simplex t_1 >= ... >= t_k > 0
 and regular kernels on the orthant t_1, ..., t_{k-1} >= 0, t_k > 0. On
 boundary faces, where the plain product formulas are ambiguous, the value is
 the interior limit scaled by 1/(k+1-n)! with n the dimension of the face the
-time tuple occupies. Channel indices are 1-based (j_i in 1..m), matching the
+time tuple occupies. The interior value is the chain
+C e^{A tau_k} N_{j_k} ... N_{j_2} e^{A tau_1} b_{j_1} over the exponent slots
+tau_i, formed by system._chain, which transfer functions and the Laplace
+quadrature share. Channel indices are 1-based (j_i in 1..m), matching the
 usual numbering of system inputs.
 """
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import expm
-from .system import BilinearSystem, _channels_tuple, require_explicit
+from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
 
 __all__ = [
     "DEFAULT_TIE_TOL",
@@ -46,6 +49,8 @@ def _times_tuple(times) -> tuple[float, ...]:
     ts = tuple(float(t) for t in np.atleast_1d(np.asarray(times, dtype=float)))
     if not ts:
         raise ValueError("time tuple must have order k >= 1")
+    if not all(math.isfinite(t) for t in ts):
+        raise ValueError("time tuple has non-finite entries")
     return ts
 
 
@@ -94,17 +99,6 @@ def classify_regular(times, tol: float = DEFAULT_TIE_TOL) -> RegionClass:
     return _face(*_slots(_times_tuple(times), False), tol)
 
 
-def _chain(sys: BilinearSystem, channels: tuple[int, ...],
-           exponents: tuple[float, ...]) -> np.ndarray:
-    """C e^{A e_k} N_{j_k} ... N_{j_2} e^{A e_1} b_{j_1} evaluated right-to-left."""
-    v = sys.B[:, channels[0] - 1]
-    for i in range(1, len(channels)):
-        v = expm(sys.A, exponents[i - 1]) @ v
-        v = sys.N[channels[i] - 1] @ v
-    v = expm(sys.A, exponents[-1]) @ v
-    return sys.C @ v
-
-
 def _eval_adjusted(sys: BilinearSystem, channels, times, tol: float,
                    triangular: bool) -> np.ndarray:
     """Adjusted kernel value of either kind: the face factor times the chain."""
@@ -115,7 +109,7 @@ def _eval_adjusted(sys: BilinearSystem, channels, times, tol: float,
     region = _face(slots, scales, tol)
     if region.kind == "zero":
         return np.zeros(sys.p)
-    return region.factor * _chain(sys, chs, slots)
+    return region.factor * _chain(sys, chs, lambda i, v: expm(sys.A, slots[i]) @ v)
 
 
 def eval_triangular(sys: BilinearSystem, channels, times,
@@ -147,8 +141,9 @@ def eval_symmetric(sys: BilinearSystem, channels, times,
     order = sorted(range(len(ts)), key=lambda i: (-ts[i], chs[i]))
     sorted_ts = tuple(ts[i] for i in order)
     sorted_chs = tuple(chs[i] for i in order)
+    slots = _slots(sorted_ts, True)[0]
     scale = 1.0 / math.factorial(len(ts))
-    return scale * _chain(sys, sorted_chs, _slots(sorted_ts, True)[0])
+    return scale * _chain(sys, sorted_chs, lambda i, v: expm(sys.A, slots[i]) @ v)
 
 
 def triangular_coords_from_regular(times) -> tuple[float, ...]:

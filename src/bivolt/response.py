@@ -142,8 +142,8 @@ def delta_eps_signal(grid: TimeGrid, eps: float, mu=1.0,
     piecewise-linear interpolant integrates to exactly one; the grid must
     resolve the pulse (dt <= eps/10) and hit both pulse edges on nodes.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     if grid.dt > eps / 10 + 1e-12 * eps:
         raise GridResolutionError(
             f"grid too coarse for delta pulse: need dt <= eps/10, "

@@ -110,6 +110,19 @@ def _channels_tuple(sys: BilinearSystem, channels, k: int) -> tuple[int, ...]:
     return chs
 
 
+def _chain(sys: BilinearSystem, channels: tuple[int, ...], factor) -> np.ndarray:
+    """C X_k N_{j_k} ... N_{j_2} X_1 b_{j_1}, right to left, with X_i v = factor(i, v).
+
+    The one product behind kernels (X_i = e^{A tau_i}), transfer functions
+    (X_i = (sigma_i I - A)^{-1}) and the Laplace quadrature (X_i its Gauss-
+    Legendre axis sums); i counts from 0.
+    """
+    v = factor(0, sys.B[:, channels[0] - 1])
+    for i in range(1, len(channels)):
+        v = factor(i, sys.N[channels[i] - 1] @ v)
+    return sys.C @ v
+
+
 def validate(sys: BilinearSystem) -> list[str]:
     """Return every invariant violation as a message; empty list when valid."""
     violations: list[str] = []

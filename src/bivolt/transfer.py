@@ -1,12 +1,15 @@
 """Multidimensional transfer functions of bilinear systems.
 
-Regular transfer functions chain single-frequency resolvents,
-triangular ones chain resolvents at the partial sums s_1 + ... + s_i, and the
-symmetric one averages the triangular value over all argument permutations.
-That average is not formed permutation by permutation: the triangular chains
-share their partial results, which depend only on the set of arguments used
-so far, so one resolvent solve per nonempty subset (2^k - 1 in all) gives it.
-Frequency tuples are sequences of complex numbers; channels are 1-based.
+Regular transfer functions chain single-frequency resolvents and triangular
+ones chain resolvents at the partial sums s_1 + ... + s_i. The chain is
+system._chain, the product a kernel forms with e^{A tau_i} where these take
+(sigma_i I - A)^{-1}: the Laplace transform of a kernel is a transfer
+function. The symmetric one averages the triangular value over all argument
+permutations. That average is not formed permutation by permutation: the
+triangular chains share their partial results, which depend only on the set
+of arguments used so far, so one resolvent solve per nonempty subset
+(2^k - 1 in all) gives it. Frequency tuples are sequences of complex
+numbers; channels are 1-based.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import resolvent_apply
-from .system import BilinearSystem, _channels_tuple, require_explicit
+from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
 
 __all__ = [
     "MAX_PERMUTATION_ORDER",
@@ -54,16 +57,6 @@ def _freq_tuple(s) -> tuple[complex, ...]:
     return ss
 
 
-def _resolvent_chain(sys: BilinearSystem, channels: tuple[int, ...],
-                     freqs: tuple[complex, ...]) -> np.ndarray:
-    v = sys.B[:, channels[0] - 1].astype(complex)
-    v = resolvent_apply(sys.A, freqs[0], v)
-    for i in range(1, len(channels)):
-        v = sys.N[channels[i] - 1] @ v
-        v = resolvent_apply(sys.A, freqs[i], v)
-    return sys.C @ v
-
-
 def _partial_sums(ss: tuple[complex, ...]) -> tuple[complex, ...]:
     return tuple(itertools.accumulate(ss))
 
@@ -87,7 +80,8 @@ def eval_tf_regular(sys: BilinearSystem, channels, s) -> TransferValue:
     require_explicit(sys)
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
-    return TransferValue(_resolvent_chain(sys, chs, ss), "regular", chs)
+    value = _chain(sys, chs, lambda i, v: resolvent_apply(sys.A, ss[i], v))
+    return TransferValue(value, "regular", chs)
 
 
 def eval_tf_triangular(sys: BilinearSystem, channels, s) -> TransferValue:
@@ -95,8 +89,9 @@ def eval_tf_triangular(sys: BilinearSystem, channels, s) -> TransferValue:
     require_explicit(sys)
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
-    return TransferValue(_resolvent_chain(sys, chs, _partial_sums(ss)),
-                         "triangular", chs)
+    sums = _partial_sums(ss)
+    value = _chain(sys, chs, lambda i, v: resolvent_apply(sys.A, sums[i], v))
+    return TransferValue(value, "triangular", chs)
 
 
 def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
@@ -142,11 +137,6 @@ def _kind_rules(kind: str):
     return rules[kind]
 
 
-def _evaluator(kind: str):
-    """Transfer-function evaluator of a kind name."""
-    return _kind_rules(kind)[0]
-
-
 def roc_margin(sys: BilinearSystem, s, kind: str) -> float:
     """Distance of s from the region-of-convergence boundary (positive = inside).
 
@@ -183,7 +173,7 @@ def output_transform(sys: BilinearSystem, channels, s, kind: str, U) -> np.ndarr
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
     evaluators = _per_channel(U, sys.m)
-    tv = _evaluator(kind)(sys, chs, ss)
+    tv = _kind_rules(kind)[0](sys, chs, ss)
     args = ss
     if kind == "regular":
         args = (ss[0],) + tuple(ss[i] - ss[i - 1] for i in range(1, len(ss)))

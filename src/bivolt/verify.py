@@ -6,12 +6,14 @@ half-resolution discretization estimate, so agreement with the closed-form
 transfer functions is a falsifiable inequality. Its node exponentials,
 shifted by the spectral abscissa, come from six expm calls per run (the
 first panel's five nodes and one panel width) and one matrix product per
-panel; the transient growth in the tail bound is sampled on the fine run,
-once per system and (T, panels), and kept on the system. aux_output_2d
-convolves the boundary-adjusted order-2 kernels with an input signal on an
-aligned lattice; eps_sweep is a convergence probe. symmetry_probe checks
-eval_symmetric against the symmetrisation of the triangular kernel, and
-phi1_bounds_probe checks the bounds of phi1.
+panel; the axis sums enter system._chain, the product kernels and transfer
+functions also form. The transient growth in the tail bound is sampled on the
+fine run, once per system and (T, panels), and kept on the system.
+aux_output_2d convolves the boundary-adjusted order-2 kernels with an input
+signal on an aligned lattice, one body for both kinds; eps_sweep is a
+convergence probe. symmetry_probe checks eval_symmetric against the
+symmetrisation of the triangular kernel, and phi1_bounds_probe checks the
+bounds of phi1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .kernels import eval_symmetric, eval_triangular
 from .linalg import expm, phi1_apply
 from .response import SampledSignal, impulse_response, nascent_response
-from .system import BilinearSystem, _channels_tuple, require_explicit
+from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
 from .transfer import _freq_tuple, _kind_rules, roc_margin
 
 __all__ = [
@@ -80,19 +82,13 @@ def _gl_points(T: float, panels: int):
     return ts, wts
 
 
-def _tail_bound(sys: BilinearSystem, chs, margins, growth: float) -> float:
-    k = len(margins)
+def _tail_bound(sys: BilinearSystem, chs, rates, T: float, growth: float) -> float:
+    """Tail past T: 2 ||C|| ||b|| prod ||N|| growth^k sum_i e^{-r_i T} / prod_i r_i."""
     scale = np.linalg.norm(sys.C, 2) * np.linalg.norm(sys.B[:, chs[0] - 1])
     for j in chs[1:]:
         scale *= np.linalg.norm(sys.N[j - 1], 2)
-    tails = 0.0
-    for i in range(k):
-        term = math.exp(-margins[i][1]) / margins[i][0]
-        for jj in range(k):
-            if jj != i:
-                term /= margins[jj][0]
-        tails += term
-    return 2.0 * scale * growth ** k * tails
+    tails = sum(math.exp(-r * T) for r in rates) / math.prod(rates)
+    return 2.0 * scale * growth ** len(rates) * tails
 
 
 def _exponents(sys: BilinearSystem, ss: tuple[complex, ...], kind: str):
@@ -166,19 +162,14 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
                 norms = np.linalg.norm(block, 2, axis=(1, 2))
                 growth = max(growth, float(np.max(norms)))
             axis += np.tensordot(damped[:, p], block, axes=1)
-        v = axis[0] @ sys.B[:, chs[0] - 1].astype(complex)
-        for i in range(1, k):
-            v = sys.N[chs[i] - 1] @ v
-            v = axis[i] @ v
-        return sys.C @ v, growth
+        return _chain(sys, chs, lambda i, v: axis[i] @ v), growth
 
     memo, key = sys._quadrature_growth, (float(T), panels)
     value, growth = run(panels, key not in memo)
     growth = memo.setdefault(key, growth)
     coarse, _ = run(panels // 2 if panels >= 2 else 2 * panels, False)
     disc = float(np.max(np.abs(value - coarse)))
-    margins = [(z.real - abscissa, (z.real - abscissa) * T) for z in sig]
-    tail = _tail_bound(sys, chs, margins, growth)
+    tail = _tail_bound(sys, chs, [z.real - abscissa for z in sig], T, growth)
     return QuadratureEstimate(value=value, truncation=float(T), panels=panels,
                               tail_bound=float(tail),
                               discretization_estimate=disc)
@@ -204,10 +195,10 @@ def suggest_truncation(sys: BilinearSystem, channels, kind: str, s,
     shifted = sys.A - abscissa * np.eye(sys.n)
     growth = 2.0 * max(np.linalg.norm(expm(shifted, t), 2)
                        for t in np.linspace(0.0, horizon, 33))
+    rates = [z.real - abscissa for z in sig]
 
     def tail_at(T: float) -> float:
-        margins = [(z.real - abscissa, (z.real - abscissa) * T) for z in sig]
-        return _tail_bound(sys, chs, margins, growth)
+        return _tail_bound(sys, chs, rates, T, growth)
 
     lo, hi = 1e-3, 1e-3
     while tail_at(hi) > tol:
@@ -242,10 +233,14 @@ def aux_output_2d(sys: BilinearSystem, u: SampledSignal, kind: str,
     """Order-2 auxiliary output by 2-D convolution of the adjusted kernel with u.
 
     Trapezoid rule on the intersection of the kernel support with the input
-    support. Both axes share one lattice {q h}, so the kernel's discontinuity
-    locus (tau_1 = tau_2 for the triangular kind, tau_1 = 0 for the regular
-    kind) passes through nodes, where the boundary-adjusted 1/2 values are
-    exactly the midpoint samples the trapezoid rule needs.
+    support. The regular kernel at (tau_1, tau_2) is the triangular one at
+    (tau_1 + tau_2, tau_2), so the kinds differ only in the first exponent
+    slot (tau_1 - tau_2 for the triangular kind, tau_1 for the regular one)
+    and in the first input argument (t_1 - tau_1, or t_1 + t_2 - tau_1 -
+    tau_2). Both axes share one lattice {q h}, so the kernel's discontinuity
+    locus, where the first slot is zero, passes through nodes, where the
+    boundary-adjusted 1/2 values are exactly the midpoint samples the
+    trapezoid rule needs.
     """
     require_explicit(sys)
     if sys.m != 1 or sys.p != 1:
@@ -258,12 +253,12 @@ def aux_output_2d(sys: BilinearSystem, u: SampledSignal, kind: str,
     if s_hi <= s_lo:
         return 0.0
 
-    if kind == "triangular":
-        w1 = (t1 - s_hi, t1 - s_lo)
-        w2 = (t2 - s_hi, t2 - s_lo)
-    else:
-        w2 = (t2 - s_hi, t2 - s_lo)
-        w1 = (t1 + t2 - s_hi - w2[1], t1 + t2 - s_lo - w2[0])
+    # reg = 1 adds tau_2 to the first input argument and drops it from the
+    # first exponent slot.
+    reg = int(kind == "regular")
+    t_first = t1 + reg * t2
+    w2 = (t2 - s_hi, t2 - s_lo)
+    w1 = (t_first - s_hi - reg * w2[1], t_first - s_lo - reg * w2[0])
     # Refine the signal's own grid so its kinks (and, for lattice-aligned
     # probe times, its one-sided jump loci) land on quadrature nodes.
     h_target = max(w1[1] - w1[0], w2[1] - w2[0]) / (nodes - 1)
@@ -272,47 +267,21 @@ def aux_output_2d(sys: BilinearSystem, u: SampledSignal, kind: str,
     # strictly interior to the box (the padding itself integrates zeros).
     q1_lo, q1_hi = _lattice(*w1, h)
     q2_lo, q2_hi = _lattice(*w2, h)
-    q1_lo, q1_hi = q1_lo - 1, q1_hi + 1
-    q2_lo, q2_hi = q2_lo - 1, q2_hi + 1
-    tau1 = h * np.arange(q1_lo, q1_hi + 1)
-    tau2 = h * np.arange(q2_lo, q2_hi + 1)
-    n1, n2 = tau1.size, tau2.size
+    q1 = np.arange(q1_lo - 1, q1_hi + 2)
+    q2 = np.arange(q2_lo - 1, q2_hi + 2)
+    tau2 = h * q2
+    # Lattice indices of the first exponent slot and of the first input argument.
+    slot = np.subtract.outer(q1, (1 - reg) * q2)
+    arg = np.add.outer(q1, reg * q2)
 
-    C_row = sys.C[0]
-    b_col = sys.B[:, 0]
-    Nmat = sys.N[0]
-    rows = np.empty((n2, sys.n))
-    for j, t in enumerate(tau2):
-        rows[j] = (C_row @ expm(sys.A, t)) @ Nmat
-    pos2 = tau2 > 0.0
-
-    vals = np.zeros((n1, n2))
-    if kind == "triangular":
-        base = q1_lo - q2_lo
-        d_max = q1_hi - q2_lo
-        Ee_b = [b_col]
-        for d in range(1, max(d_max, 0) + 1):
-            Ee_b.append(expm(sys.A, d * h) @ b_col)
-        j_idx = np.arange(n2)
-        for d in range(0, d_max + 1):
-            i_idx = d - base + j_idx
-            ok = (i_idx >= 0) & (i_idx < n1) & pos2
-            if not np.any(ok):
-                continue
-            dots = rows[j_idx[ok]] @ Ee_b[d]
-            if d == 0:
-                dots = 0.5 * dots
-            vals[i_idx[ok], j_idx[ok]] = dots
-    else:
-        cols = np.zeros((n1, sys.n))
-        for i, t in enumerate(tau1):
-            if t >= 0.0:
-                cols[i] = expm(sys.A, t) @ b_col
-        vals = np.einsum("in,jn->ij", cols, rows)
-        if q1_lo <= 0 <= q1_hi:
-            vals[-q1_lo, :] *= 0.5
-        vals[tau1 < 0.0, :] = 0.0
-        vals[:, ~pos2] = 0.0
+    b = sys.B[:, 0]
+    rows = np.stack([(sys.C[0] @ expm(sys.A, t)) @ sys.N[0] for t in tau2])
+    lags = np.arange(max(slot.min(), 0), max(slot.max(), 0) + 1)
+    cols = np.stack([expm(sys.A, d * h) @ b if d else b for d in lags])
+    vals = (cols @ rows.T)[np.clip(slot - lags[0], 0, None), np.arange(q2.size)]
+    # The face rule: zero outside the domain, half where the first slot is zero.
+    vals[(slot < 0) | (tau2 <= 0.0)] = 0.0
+    vals[slot == 0] *= 0.5
 
     # One-sided signals jump from 0 to u(0) at argument zero; when that locus
     # sits on a node the midpoint value u(0)/2 keeps the trapezoid rule clean.
@@ -324,20 +293,9 @@ def aux_output_2d(sys: BilinearSystem, u: SampledSignal, kind: str,
             out[np.abs(args) <= 1e-6 * h] *= 0.5
         return out
 
-    if kind == "triangular":
-        u1 = samples(t1 - tau1)
-        u2 = samples(t2 - tau2)
-        weights = np.outer(u1, u2)
-    else:
-        r = np.arange(q1_lo + q2_lo, q1_hi + q2_hi + 1)
-        u_anti = samples(t1 + t2 - h * r)
-        idx = np.add.outer(np.arange(n1) + q1_lo, np.arange(n2) + q2_lo) - r[0]
-        u2 = samples(t2 - tau2)
-        weights = u_anti[idx] * u2[None, :]
-
-    w1v = _trapz_weights(n1, h)
-    w2v = _trapz_weights(n2, h)
-    return float(w1v @ (vals * weights) @ w2v)
+    r = np.arange(arg.min(), arg.max() + 1)
+    weights = samples(t_first - h * r)[arg - r[0]] * samples(t2 - tau2)
+    return float(_trapz_weights(q1.size, h) @ (vals * weights) @ _trapz_weights(q2.size, h))
 
 
 def richardson_limit(eps_values, values) -> float:

@@ -427,6 +427,9 @@ class TestMalformedDocuments:
         {"kind": "sine", "amplitude": "loud"},
         {"kind": "delta_eps", "eps": None},
         {"kind": "delta_eps"},
+        {"kind": "step", "mu": {"a": 1}},
+        {"kind": "samples", "t": [0, 1], "u": {"a": 1}},
+        {"kind": "delta_eps", "eps": 1e400},
     ])
     def test_signal_document_exits_2(self, doc, scalar_doc_path, tmp_path, capsys):
         signal = tmp_path / "signal.json"
@@ -437,6 +440,16 @@ class TestMalformedDocuments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--kind", "tri", "--t", "1,1", "--out"],
+        ["validate", "--emit"]], ids=["out", "emit"])
+    def test_unwritable_output_exits_2(self, argv, scalar_doc_path, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "result")
+        assert run_command(argv + [path, "--system", scalar_doc_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}")
 
     @pytest.mark.parametrize("command", [
         ["validate"], ["impulse", "--mu", "1", "--times", "1"]])

@@ -48,6 +48,22 @@ class TestClassify:
         assert (rc.kind, rc.n) == ("surface", 2)
         assert rc.factor == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1])
+    @pytest.mark.parametrize("classify", [classify_triangular, classify_regular])
+    def test_non_finite_times_refused(self, classify, where, bad):
+        times = [1.0, 0.5]
+        times[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            classify(times)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evaluate", [eval_triangular, eval_regular, eval_symmetric])
+def test_evaluators_refuse_non_finite_times(scalar_system, evaluate, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate(scalar_system, [1, 1], [bad, 0.5])
+
 
 class TestTriangularKernel:
     def test_interior_scalar(self, scalar_system):

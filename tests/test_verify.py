@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from bivolt import (BilinearSystem, TimeGrid, aux_output_2d, delta_eps_signal,
                     eps_sweep, eval_symmetric, eval_tf_regular, eval_tf_triangular,
                     laplace_quadrature, phi1_apply, phi1_bounds_probe,
-                    richardson_limit, suggest_truncation, symmetry_probe,
-                    zero_signal)
+                    richardson_limit, sine_signal, step_signal, suggest_truncation,
+                    symmetry_probe, zero_signal)
 from bivolt.verify import _symmetrised
 
 from conftest import make_stable_system, overflowing_chain, transient_growth_system
@@ -238,6 +238,18 @@ class TestAuxOutput2d:
         from bivolt import eval_triangular
         expected = eval_triangular(sys, [1, 1], [1.0, 1.0])[0]
         assert got == pytest.approx(expected, rel=5e-2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("signal", [step_signal, sine_signal])
+    def test_regular_is_triangular_after_change_of_variables(self, signal, seed):
+        # the regular kernel at (tau_1, tau_2) is the triangular one at
+        # (tau_1 + tau_2, tau_2), so the outputs agree at (t1, t2) and (t1 + t2, t2)
+        sys = make_stable_system(np.random.default_rng(seed), n=3)
+        u = signal(TimeGrid(0.0, 2.0, 0.01))
+        for t1, t2 in ((0.3, 0.9), (0.0, 1.0), (0.7, 0.4)):
+            want = aux_output_2d(sys, u, "triangular", t1 + t2, t2)
+            assert aux_output_2d(sys, u, "regular", t1, t2) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
 
     def test_rejects_mimo(self):
         rng = np.random.default_rng(1)
