@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import expm
-from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
+from .system import BilinearSystem, _chain, _channels_tuple
 
 __all__ = [
     "DEFAULT_TIE_TOL",
@@ -102,7 +102,6 @@ def classify_regular(times, tol: float = DEFAULT_TIE_TOL) -> RegionClass:
 def _eval_adjusted(sys: BilinearSystem, channels, times, tol: float,
                    triangular: bool) -> np.ndarray:
     """Adjusted kernel value of either kind: the face factor times the chain."""
-    require_explicit(sys)
     ts = _times_tuple(times)
     chs = _channels_tuple(sys, channels, len(ts))
     slots, scales = _slots(ts, triangular)
@@ -132,7 +131,6 @@ def eval_symmetric(sys: BilinearSystem, channels, times,
     under simultaneous permutations of (times, channels). Ties are broken by
     channel index to keep the evaluation order deterministic.
     """
-    require_explicit(sys)
     ts = _times_tuple(times)
     chs = _channels_tuple(sys, channels, len(ts))
     for t in ts:

@@ -81,7 +81,8 @@ def _pade13(A: np.ndarray):
 def expm(M, t: float = 1.0) -> np.ndarray:
     """Evaluate e^{M t} by scaling-and-squaring with the degree-13 Pade approximant.
 
-    Raises FloatingPointError when M t or the result overflows.
+    Returns the identity exactly when M t = 0. Raises FloatingPointError when
+    M t or the result overflows.
     """
     A = _square_array(M, "expm argument")
     if not np.isfinite(t):
@@ -91,6 +92,8 @@ def expm(M, t: float = 1.0) -> np.ndarray:
         nrm = np.linalg.norm(A, 1) if A.size else 0.0
     if not math.isfinite(nrm):
         raise FloatingPointError(f"expm overflow: ||M t||_1 is not finite (t = {t!r})")
+    if nrm == 0.0:
+        return np.eye(A.shape[0], dtype=A.dtype)
     squarings = 0
     if nrm > _THETA13:
         squarings = int(math.ceil(math.log2(nrm / _THETA13)))

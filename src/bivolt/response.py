@@ -232,7 +232,6 @@ class ResponseSeries:
 
 def impulse_response(sys: BilinearSystem, mu, t: float) -> np.ndarray:
     """Impulse response C e^{At} (phi1(Nhat) bhat + e^{Nhat} x0) for t > 0."""
-    require_explicit(sys)
     if t <= 0:
         raise ValueError("impulse response defined for t > 0 only")
     eff = effective_matrices(sys, mu)
@@ -243,7 +242,6 @@ def impulse_response(sys: BilinearSystem, mu, t: float) -> np.ndarray:
 def impulse_response_subsystem(sys: BilinearSystem, mu, k: int,
                                t: float) -> np.ndarray:
     """Order-k impulse response C e^{At} Nhat^{k-1} (bhat/k! + x0/(k-1)!)."""
-    require_explicit(sys)
     if k < 1:
         raise ValueError("subsystem order k must be >= 1")
     if t <= 0:
@@ -262,7 +260,6 @@ def nascent_response(sys: BilinearSystem, mu, eps: float, t: float) -> np.ndarra
     pulse acts, then free flow from the transition state x(eps). The phi1 form
     keeps the pulse phase valid for singular Ahat.
     """
-    require_explicit(sys)
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if t < 0:
@@ -443,6 +440,7 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     midpoint and next-node samples are one vector u belongs to a run; each
     run within a block is filled by _RunMap.fill. Other steps are forced.
     """
+    require_explicit(sys)
     if u.m != sys.m:
         raise ValueError(f"signal has {u.m} channels; system expects {sys.m}")
     if grid.nodes < 2:
@@ -510,7 +508,6 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
 
 def ode_direct(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid) -> OutputSeries:
     """RK4 integration of x' = (A + sum_j N_j u_j(t)) x + B u(t); y = C x."""
-    require_explicit(sys)
     return OutputSeries(grid, _rk4(sys, u, grid, sys.x0[None], shift=0)[0])
 
 
@@ -521,7 +518,6 @@ def volterra_cascade(sys: BilinearSystem, u: SampledSignal, K: int,
     x_1' = A x_1 + B u with x_1(0) = x0, and for k >= 2
     x_k' = A x_k + (sum_j N_j u_j) x_{k-1} with x_k(0) = 0.
     """
-    require_explicit(sys)
     if int(K) < 1:
         raise ValueError("truncation order K must be >= 1")
     Y0 = np.zeros((int(K), sys.n))

@@ -5,8 +5,11 @@ The model is
     E x'(t) = A x(t) + sum_j N_j u_j(t) x(t) + B u(t),    x(0) = x0,
       y(t)  = C x(t),
 
-with E optional (identity when absent). All downstream numerics expect an
-explicit system; fold E eagerly with :func:`fold_implicit`.
+with E optional (identity when absent). Every function that takes a system
+refuses one that still carries E; fold E eagerly with :func:`fold_implicit`.
+The refusal, require_explicit, sits in the helpers the numerics go through:
+_channels_tuple, effective_matrices and response._rk4, plus roc_margin and
+aux_output_2d, which use none of them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "validate",
     "fold_implicit",
     "effective_matrices",
-    "require_explicit",
 ]
 
 
@@ -100,7 +102,8 @@ class EffectiveExcitation:
 
 
 def _channels_tuple(sys: BilinearSystem, channels, k: int) -> tuple[int, ...]:
-    """Check an order-k tuple of 1-based input channels against sys.m."""
+    """Check an explicit sys and an order-k tuple of 1-based channels against sys.m."""
+    require_explicit(sys)
     chs = tuple(int(j) for j in np.atleast_1d(channels))
     if len(chs) != k:
         raise ValueError(f"channel tuple has length {len(chs)}; expected k = {k}")
@@ -191,6 +194,7 @@ def fold_implicit(sys: BilinearSystem) -> BilinearSystem:
 
 def effective_matrices(sys: BilinearSystem, mu) -> EffectiveExcitation:
     """Build Nhat = sum_j N_j mu_j and bhat = B mu for impulse weights mu."""
+    require_explicit(sys)
     weights = np.atleast_1d(np.asarray(mu, dtype=float))
     if weights.shape != (sys.m,):
         raise ValueError(

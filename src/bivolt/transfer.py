@@ -77,7 +77,6 @@ def _subset_sums(ss: tuple[complex, ...]) -> list[complex]:
 
 def eval_tf_regular(sys: BilinearSystem, channels, s) -> TransferValue:
     """C (s_k I - A)^{-1} N_{j_k} ... N_{j_2} (s_1 I - A)^{-1} b_{j_1}."""
-    require_explicit(sys)
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
     value = _chain(sys, chs, lambda i, v: resolvent_apply(sys.A, ss[i], v))
@@ -86,7 +85,6 @@ def eval_tf_regular(sys: BilinearSystem, channels, s) -> TransferValue:
 
 def eval_tf_triangular(sys: BilinearSystem, channels, s) -> TransferValue:
     """Triangular transfer function: resolvents at the partial sums s_1+...+s_i."""
-    require_explicit(sys)
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
     sums = _partial_sums(ss)
@@ -104,7 +102,6 @@ def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
     s_i in S; the value is C F(all) / k!. That is 2^k - 1 resolvent solves
     in place of k k! (the Held-Karp subset recursion). Refuses k > 8.
     """
-    require_explicit(sys)
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
     k = len(ss)
@@ -169,15 +166,13 @@ def output_transform(sys: BilinearSystem, channels, s, kind: str, U) -> np.ndarr
     U_{j_1}(s_1) U_{j_2}(s_2 - s_1) ... U_{j_k}(s_k - s_{k-1}).
     ``U`` is a single callable applied to every channel, or one per channel.
     """
-    require_explicit(sys)
     ss = _freq_tuple(s)
-    chs = _channels_tuple(sys, channels, len(ss))
+    tv = _kind_rules(kind)[0](sys, channels, ss)
     evaluators = _per_channel(U, sys.m)
-    tv = _kind_rules(kind)[0](sys, chs, ss)
     args = ss
     if kind == "regular":
         args = (ss[0],) + tuple(ss[i] - ss[i - 1] for i in range(1, len(ss)))
     factor = 1.0 + 0.0j
-    for j, arg in zip(chs, args):
+    for j, arg in zip(tv.channels, args):
         factor *= complex(evaluators[j - 1](arg))
     return tv.value * factor

@@ -82,13 +82,17 @@ def _gl_points(T: float, panels: int):
     return ts, wts
 
 
-def _tail_bound(sys: BilinearSystem, chs, rates, T: float, growth: float) -> float:
-    """Tail past T: 2 ||C|| ||b|| prod ||N|| growth^k sum_i e^{-r_i T} / prod_i r_i."""
+def _tail_bound(sys: BilinearSystem, chs, rates, growth: float):
+    """Tail past T as a function of T.
+
+    It is 2 ||C|| ||b|| prod ||N|| growth^k sum_i e^{-r_i T} / prod_i r_i; the
+    2-norms and the factor that does not depend on T are formed once.
+    """
     scale = np.linalg.norm(sys.C, 2) * np.linalg.norm(sys.B[:, chs[0] - 1])
     for j in chs[1:]:
         scale *= np.linalg.norm(sys.N[j - 1], 2)
-    tails = sum(math.exp(-r * T) for r in rates) / math.prod(rates)
-    return 2.0 * scale * growth ** len(rates) * tails
+    factor, rate_prod = 2.0 * scale * growth ** len(rates), math.prod(rates)
+    return lambda T: factor * (sum(math.exp(-r * T) for r in rates) / rate_prod)
 
 
 def _exponents(sys: BilinearSystem, ss: tuple[complex, ...], kind: str):
@@ -127,7 +131,6 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
     still form and check every panel. The coarse run (panels // 2, or 2 for
     one panel) gives the discretization estimate.
     """
-    require_explicit(sys)
     ss = _freq_tuple(s)
     k = len(ss)
     if k > 3:
@@ -169,7 +172,7 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
     growth = memo.setdefault(key, growth)
     coarse, _ = run(panels // 2 if panels >= 2 else 2 * panels, False)
     disc = float(np.max(np.abs(value - coarse)))
-    tail = _tail_bound(sys, chs, [z.real - abscissa for z in sig], T, growth)
+    tail = _tail_bound(sys, chs, [z.real - abscissa for z in sig], growth)(T)
     return QuadratureEstimate(value=value, truncation=float(T), panels=panels,
                               tail_bound=float(tail),
                               discretization_estimate=disc)
@@ -184,7 +187,6 @@ def suggest_truncation(sys: BilinearSystem, channels, kind: str, s,
     factor-2 safety margin; the definitive bound is still the one reported by
     the quadrature run itself.
     """
-    require_explicit(sys)
     if tol <= 0:
         raise ValueError("tolerance must be > 0")
     ss = _freq_tuple(s)
@@ -195,19 +197,15 @@ def suggest_truncation(sys: BilinearSystem, channels, kind: str, s,
     shifted = sys.A - abscissa * np.eye(sys.n)
     growth = 2.0 * max(np.linalg.norm(expm(shifted, t), 2)
                        for t in np.linspace(0.0, horizon, 33))
-    rates = [z.real - abscissa for z in sig]
-
-    def tail_at(T: float) -> float:
-        return _tail_bound(sys, chs, rates, T, growth)
-
+    tail = _tail_bound(sys, chs, [z.real - abscissa for z in sig], growth)
     lo, hi = 1e-3, 1e-3
-    while tail_at(hi) > tol:
+    while tail(hi) > tol:
         hi *= 2.0
         if hi > 1e9:
             raise ValueError("tail bound cannot reach the requested tolerance")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if tail_at(mid) > tol:
+        if tail(mid) > tol:
             lo = mid
         else:
             hi = mid
@@ -277,7 +275,7 @@ def aux_output_2d(sys: BilinearSystem, u: SampledSignal, kind: str,
     b = sys.B[:, 0]
     rows = np.stack([(sys.C[0] @ expm(sys.A, t)) @ sys.N[0] for t in tau2])
     lags = np.arange(max(slot.min(), 0), max(slot.max(), 0) + 1)
-    cols = np.stack([expm(sys.A, d * h) @ b if d else b for d in lags])
+    cols = np.stack([expm(sys.A, d * h) @ b for d in lags])
     vals = (cols @ rows.T)[np.clip(slot - lags[0], 0, None), np.arange(q2.size)]
     # The face rule: zero outside the domain, half where the first slot is zero.
     vals[(slot < 0) | (tau2 <= 0.0)] = 0.0
@@ -351,7 +349,6 @@ def symmetry_probe(sys: BilinearSystem, k: int, samples: int,
     distinct times only one pi orders the tuple onto the simplex; the others
     are zero without an expm, so each sample costs two chain evaluations.
     """
-    require_explicit(sys)
     if not 1 <= k <= 6:
         raise ValueError("symmetry probe supports 1 <= k <= 6")
     if samples < 1:

@@ -19,8 +19,10 @@ def series_phi1(x, terms=40):
 
 class TestExpm:
     def test_zero_time_is_identity(self):
-        M = np.array([[3.0, -2.0], [1.0, 4.0]])
-        assert_allclose(expm(M, 0.0), np.eye(2), atol=1e-15)
+        rng = np.random.default_rng(3)
+        for n in range(1, 21):
+            M = rng.standard_normal((n, n))
+            assert np.array_equal(expm(M, 0.0), np.eye(n))
 
     def test_nilpotent_series_terminates(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]])

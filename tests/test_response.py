@@ -349,12 +349,3 @@ class TestVolterraCascade:
         direct = ode_direct(sys, u, grid)
         err = np.linalg.norm(series.total - direct.values)
         assert err <= 1e-6 * np.linalg.norm(direct.values)
-
-    def test_rejects_implicit_system(self):
-        sys = BilinearSystem(A=[[-1.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]],
-                             E=[[2.0]])
-        grid = TimeGrid(0.0, 1.0, 0.01)
-        with pytest.raises(ValueError, match="fold_implicit"):
-            ode_direct(sys, zero_signal(grid), grid)
-        with pytest.raises(ValueError, match="fold_implicit"):
-            impulse_response(sys, [1.0], 1.0)

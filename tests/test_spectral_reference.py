@@ -61,7 +61,7 @@ def reference_quadrature(sys, chs, kind, s, T, panels):
 
     value, growth = run(panels)
     coarse, _ = run(panels // 2 if panels >= 2 else 2 * panels)
-    return (value, _tail_bound(sys, chs, [z.real - abscissa for z in sig], T, growth),
+    return (value, _tail_bound(sys, chs, [z.real - abscissa for z in sig], growth)(T),
             float(np.max(np.abs(value - coarse))), growth)
 
 

@@ -1,11 +1,49 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import bivolt as bv
 from bivolt import (BilinearSystem, TimeGrid, effective_matrices, fold_implicit,
-                    ode_direct, sine_signal, validate)
+                    ode_direct, sine_signal, validate, volterra_cascade)
 
 from conftest import make_stable_system
+
+CASCADE_K = 3
+
+
+def implicit_rk4(sys, u, grid, K):
+    """RK4 on E x' = f(x) solving with E at every stage; outputs (nodes, rows, p).
+
+    The full system when K is None (one row), else the first K cascade orders.
+    """
+    times = grid.times()
+    h = grid.dt
+    U = u.at_many(times)
+    Um = u.at_many(times[:-1] + 0.5 * h)
+
+    def rhs(uv, X):
+        Nu = np.tensordot(uv, sys.N, axes=1)
+        dX = X @ sys.A.T
+        dX[0] += sys.B @ uv
+        if K is None:
+            dX += X @ Nu.T
+        else:
+            dX[1:] += X[:-1] @ Nu.T
+        return np.linalg.solve(sys.E, dX.T).T
+
+    X = np.zeros((1 if K is None else K, sys.n))
+    X[0] = sys.x0
+    states = [X]
+    for i in range(grid.nodes - 1):
+        k1 = rhs(U[i], X)
+        k2 = rhs(Um[i], X + 0.5 * h * k1)
+        k3 = rhs(Um[i], X + 0.5 * h * k2)
+        k4 = rhs(U[i + 1], X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(X)
+    return np.array(states) @ sys.C.T
 
 
 class TestValidate:
@@ -82,38 +120,66 @@ class TestFoldImplicit:
             with pytest.raises(ValueError, match="singular"):
                 fold_implicit(sys)
 
-    def test_fold_then_simulate_matches_implicit_integration(self):
-        # oracle: RK4 that solves E xdot = Ax + (sum N u) x + Bu per stage
-        rng = np.random.default_rng(42)
-        n = 4
-        base = make_stable_system(rng, n=n, m=1, p=1, with_x0=True)
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(n=st.integers(1, 5), m=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_fold_then_simulate_matches_implicit_integration(self, n, m, seed):
+        # oracle: RK4 that solves E xdot = Ax + (sum N u) x + Bu per stage, for
+        # the full system and for the cascade orders
+        rng = np.random.default_rng(seed)
+        base = make_stable_system(rng, n=n, m=m, p=1, with_x0=True)
         E = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        assume(np.linalg.cond(E) < 1e3)
         implicit = BilinearSystem(A=base.A, N=base.N, B=base.B, C=base.C,
                                   x0=base.x0, E=E)
-        grid = TimeGrid(0.0, 3.0, 1e-3)
-        u = sine_signal(grid, [1.0])
+        grid = TimeGrid(0.0, 3.0, 2e-3)
+        u = sine_signal(grid, rng.standard_normal(m))
         folded = fold_implicit(implicit)
-        direct = ode_direct(folded, u, grid).values[:, 0]
+        got = [ode_direct(folded, u, grid).values,
+               *volterra_cascade(folded, u, CASCADE_K, grid).per_order]
+        want = [implicit_rk4(implicit, u, grid, None)[:, 0],
+                *implicit_rk4(implicit, u, grid, CASCADE_K).transpose(1, 0, 2)]
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= 1e-8 * np.linalg.norm(w)
 
-        times = grid.times()
-        uu = u.at_many(times)[:, 0]
-        um = u.at_many(times[:-1] + grid.dt / 2)[:, 0]
-        x = implicit.x0.copy()
-        ys = [(implicit.C @ x)[0]]
-        h = grid.dt
-        for i in range(grid.nodes - 1):
-            def f(uv, xv):
-                rhs = implicit.A @ xv + uv * (implicit.N[0] @ xv) + implicit.B[:, 0] * uv
-                return np.linalg.solve(E, rhs)
-            k1 = f(uu[i], x)
-            k2 = f(um[i], x + h / 2 * k1)
-            k3 = f(um[i], x + h / 2 * k2)
-            k4 = f(uu[i + 1], x + h * k3)
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            ys.append((implicit.C @ x)[0])
-        ys = np.asarray(ys)
-        scale = np.linalg.norm(ys)
-        assert np.linalg.norm(direct - ys) <= 1e-8 * scale
+
+S2, GRID = (1.0, 0.5), TimeGrid(0.0, 1.0, 0.01)
+STEP = bv.step_signal(GRID)
+# Every public function that takes a system, with arguments it accepts for the
+# folded scalar system a = -0.5, n = 0.25, b = 0.5, c = 1.
+TAKES_SYSTEM = {
+    "eval_triangular": lambda s: bv.eval_triangular(s, [1, 1], S2),
+    "eval_regular": lambda s: bv.eval_regular(s, [1, 1], S2),
+    "eval_symmetric": lambda s: bv.eval_symmetric(s, [1, 1], S2),
+    "eval_tf_regular": lambda s: bv.eval_tf_regular(s, [1, 1], S2),
+    "eval_tf_triangular": lambda s: bv.eval_tf_triangular(s, [1, 1], S2),
+    "eval_tf_symmetric": lambda s: bv.eval_tf_symmetric(s, [1, 1], S2),
+    "roc_margin": lambda s: bv.roc_margin(s, S2, "regular"),
+    "output_transform": lambda s: bv.output_transform(
+        s, [1, 1], S2, "regular", lambda z: 1.0 / (z + 1.0)),
+    "effective_matrices": lambda s: bv.effective_matrices(s, [1.0]),
+    "impulse_response": lambda s: bv.impulse_response(s, [1.0], 1.0),
+    "impulse_response_subsystem": lambda s: bv.impulse_response_subsystem(
+        s, [1.0], 2, 1.0),
+    "nascent_response": lambda s: bv.nascent_response(s, [1.0], 0.01, 1.0),
+    "ode_direct": lambda s: bv.ode_direct(s, STEP, GRID),
+    "volterra_cascade": lambda s: bv.volterra_cascade(s, STEP, 2, GRID),
+    "laplace_quadrature": lambda s: bv.laplace_quadrature(
+        s, [1, 1], "regular", S2, 8.0, 4),
+    "suggest_truncation": lambda s: bv.suggest_truncation(
+        s, [1, 1], "regular", S2, 1e-6),
+    "aux_output_2d": lambda s: bv.aux_output_2d(s, STEP, "triangular", 1.0, 0.5),
+    "eps_sweep": lambda s: bv.eps_sweep(s, [1.0], [0.02, 0.01], [1.0]),
+    "symmetry_probe": lambda s: bv.symmetry_probe(s, 2, 1),
+}
+
+
+@pytest.mark.parametrize("call", TAKES_SYSTEM.values(), ids=TAKES_SYSTEM.keys())
+def test_implicit_system_refused_folded_accepted(call):
+    implicit = BilinearSystem(A=[[-1.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]],
+                              E=[[2.0]])
+    with pytest.raises(ValueError, match="fold_implicit"):
+        call(implicit)
+    call(fold_implicit(implicit))
 
 
 class TestEffectiveMatrices:
