@@ -170,13 +170,32 @@ def _emit_csv(out, header, rows) -> None:
         csv.writer(handle).writerows([header, *cells])
 
 
-def _list_of(parse):
-    """argparse type= converter for a comma-separated list; empty items are skipped."""
+def _list_of(parse, empty_ok: bool = False):
+    """argparse type= converter for a comma-separated list; empty items are skipped.
+
+    A list with no items left is refused unless empty_ok.
+    """
     def convert(text: str) -> list:
         try:
-            return [parse(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+            items = [parse(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+        if not items and not empty_ok:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        return items
+    return convert
+
+
+def _int_at_least(lo: int):
+    """argparse type= converter for an integer >= lo."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
     return convert
 
 
@@ -189,7 +208,7 @@ def _complex(tok: str) -> complex:
 
 
 _floats = _list_of(float)
-_ints = _list_of(int)
+_ints = _list_of(int, empty_ok=True)  # --channels: empty means the default
 _complexes = _list_of(_complex)
 
 
@@ -377,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated impulse weights")
     p.add_argument("--times", type=_floats, required=True,
                    help="comma-separated times > 0")
-    p.add_argument("--orders", type=int, default=6,
+    p.add_argument("--orders", type=_int_at_least(0), default=6,
                    help="number of per-subsystem columns")
 
     p = command(sub, "kernel", _cmd_kernel, "evaluate an adjusted Volterra kernel",
@@ -421,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=float, required=True)
     p.add_argument("--eps", type=_floats, required=True, help="pulse widths, e.g. 1e-2,5e-3")
     p.add_argument("--nodes", type=int, default=201)
-    p.add_argument("--pulse-div", dest="pulse_div", type=int, default=20)
+    p.add_argument("--pulse-div", dest="pulse_div", type=_int_at_least(1), default=20)
 
     return parser
 

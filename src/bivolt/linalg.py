@@ -2,11 +2,12 @@
 
 Everything operates on plain numpy arrays (row-major, float64/complex128).
 The matrix exponential is scaling-and-squaring with a degree-13 Pade
-approximant. Linear solves factorise once with LAPACK and refuse a matrix
-whose condition number reaches 1/PIVOT_RTOL, so a frequency on the spectrum
-or a singular E is reported instead of surfacing as garbage downstream.
-An exponential that overflows raises FloatingPointError instead of
-returning inf or NaN.
+approximant; it raises FloatingPointError instead of returning inf or NaN.
+The affine flow e^M x0 + phi1(M) b is one exponential of [[M, b], [0, 0]]
+applied to [x0; 1], and phi1_apply is that flow from x0 = 0. Linear solves
+factorise once with LAPACK and refuse a matrix whose condition number
+reaches 1/PIVOT_RTOL, so a frequency on the spectrum or a singular E is
+reported instead of surfacing as garbage downstream.
 """
 
 from __future__ import annotations
@@ -111,22 +112,21 @@ def expm(M, t: float = 1.0) -> np.ndarray:
     return R
 
 
-def phi1_apply(M, v) -> np.ndarray:
-    """Apply phi1(M) = sum_{k>=1} M^{k-1}/k! to a vector.
+def _affine_flow(M: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
+    """e^M x0 + phi1(M) b, as e^{[[M, b], [0, 0]]} [x0; 1]; valid for singular M."""
+    W = np.zeros((len(b) + 1,) * 2, dtype=np.result_type(M, b, float))
+    W[:-1, :-1], W[:-1, -1] = M, b
+    return (expm(W) @ np.append(x0, 1.0))[:-1]
 
-    Computed as the top-right block of the exponential of the augmented
-    matrix [[M, v], [0, 0]], which stays valid for singular M.
-    """
+
+def phi1_apply(M, v) -> np.ndarray:
+    """Apply phi1(M) = sum_{k>=1} M^{k-1}/k! to a vector: the affine flow from 0."""
     A = _square_array(M, "phi1 argument")
     vec = np.asarray(v)
     if vec.shape != (A.shape[0],):
         raise ValueError(
             f"phi1 vector has shape {vec.shape}; expected ({A.shape[0]},)")
-    n = A.shape[0]
-    W = np.zeros((n + 1, n + 1), dtype=np.result_type(A, vec, float))
-    W[:n, :n] = A
-    W[:n, n] = vec
-    return expm(W)[:n, n]
+    return _affine_flow(A, vec, np.zeros(A.shape[0]))
 
 
 def solve(K, B) -> np.ndarray:

@@ -1,5 +1,10 @@
-"""Time-domain engines: closed-form impulse response, exact nascent-delta
-two-phase solution, Volterra cascade simulation, and direct integration.
+"""Time-domain engines: closed-form impulse and nascent-delta responses,
+Volterra cascade simulation, and direct integration.
+
+Each closed form is one affine flow e^M x0 + phi1(M) b, one augmented
+exponential in linalg, then free flow under A: the impulse takes M = Nhat,
+b = bhat; the pulse phase, of length tau = min(t, eps), takes
+M = (A + Nhat/eps) tau, b = bhat tau/eps, and eps -> 0 gives the impulse.
 
 Simulation uses classical fixed-step RK4 on a uniform grid with inputs
 interpolated linearly at half-steps (on the signal's own grid, the node
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm, phi1_apply
+from .linalg import _affine_flow, expm
 from .system import BilinearSystem, effective_matrices, require_explicit
 
 __all__ = [
@@ -235,8 +240,7 @@ def impulse_response(sys: BilinearSystem, mu, t: float) -> np.ndarray:
     if t <= 0:
         raise ValueError("impulse response defined for t > 0 only")
     eff = effective_matrices(sys, mu)
-    core = phi1_apply(eff.Nhat, eff.bhat) + expm(eff.Nhat) @ sys.x0
-    return sys.C @ (expm(sys.A, t) @ core)
+    return sys.C @ (expm(sys.A, t) @ _affine_flow(eff.Nhat, eff.bhat, sys.x0))
 
 
 def impulse_response_subsystem(sys: BilinearSystem, mu, k: int,
@@ -254,24 +258,16 @@ def impulse_response_subsystem(sys: BilinearSystem, mu, k: int,
 
 
 def nascent_response(sys: BilinearSystem, mu, eps: float, t: float) -> np.ndarray:
-    """Exact output under the rectangle pulse mu/eps on [0, eps].
-
-    Two closed-form phases: stiffened dynamics Ahat = A + Nhat/eps while the
-    pulse acts, then free flow from the transition state x(eps). The phi1 form
-    keeps the pulse phase valid for singular Ahat.
-    """
+    """Exact output under the rectangle pulse mu/eps on [0, eps]: the flow of
+    Ahat = A + Nhat/eps for tau = min(t, eps), then free flow for t - tau."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if t < 0:
         raise ValueError("nascent response defined for t >= 0")
     eff = effective_matrices(sys, mu)
-    Ahat = sys.A + eff.Nhat / eps
-    if t <= eps:
-        x = (t / eps) * phi1_apply(Ahat * t, eff.bhat) + expm(Ahat, t) @ sys.x0
-    else:
-        x_eps = phi1_apply(Ahat * eps, eff.bhat) + expm(Ahat, eps) @ sys.x0
-        x = expm(sys.A, t - eps) @ x_eps
-    return sys.C @ x
+    tau = min(t, eps)
+    x = _affine_flow((sys.A + eff.Nhat / eps) * tau, eff.bhat * (tau / eps), sys.x0)
+    return sys.C @ (expm(sys.A, t - tau) @ x)
 
 
 # State rows buffered, checked and projected through C at a time: BLOCK_ROWS

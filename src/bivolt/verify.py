@@ -28,7 +28,7 @@ from .kernels import eval_symmetric, eval_triangular
 from .linalg import expm, phi1_apply
 from .response import SampledSignal, impulse_response, nascent_response
 from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
-from .transfer import _freq_tuple, _kind_rules, roc_margin
+from .transfer import _freq_tuple, _kind_rules
 
 __all__ = [
     "QuadratureEstimate",
@@ -99,12 +99,12 @@ def _exponents(sys: BilinearSystem, ss: tuple[complex, ...], kind: str):
     """Laplace exponents of a regular or triangular kernel and their ROC margin."""
     if kind not in ("regular", "triangular"):
         raise ValueError(f"unknown quadrature kind {kind!r}")
-    margin = roc_margin(sys, ss, kind)
+    sig = _kind_rules(kind)[1](ss)
+    margin = min(z.real for z in sig) - sys.spectral_abscissa
     if margin <= 0:
         raise ValueError(
             f"frequency tuple outside the region of convergence (margin {margin:.3e})")
-    _, exponents = _kind_rules(kind)
-    return exponents(ss), margin
+    return sig, margin
 
 
 def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,

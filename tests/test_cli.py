@@ -403,6 +403,10 @@ class TestArgumentParsing:
         (["impulse", "--mu", "one", "--times", "1"], "--mu"),
         (["verify", "eps-sweep", "--mu", "1;2", "--eps", "1e-2", "--times", "1"],
          "--mu"),
+        (["verify", "aux2d", "--kind", "tri", "--t1", "1", "--t2", "1",
+          "--eps", "1e-2", "--pulse-div", "0"], "--pulse-div"),
+        (["impulse", "--mu", "1", "--times", "1", "--orders", "-2"], "--orders"),
+        (["impulse", "--mu", "1", "--times", ","], "--times"),
     ])
     def test_malformed_argument_exits_2(self, argv, option, scalar_doc_path, capsys):
         assert run_command(argv + ["--system", scalar_doc_path]) == 2

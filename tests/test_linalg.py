@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bivolt.linalg import (PoleHitError, SingularMatrixError, expm, phi1_apply,
-                           resolvent_apply, solve)
+from bivolt.linalg import (PoleHitError, SingularMatrixError, _affine_flow, expm,
+                           phi1_apply, resolvent_apply, solve)
 
 
 def series_phi1(x, terms=40):
@@ -126,6 +126,39 @@ class TestPhi1:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             phi1_apply(np.eye(2), np.ones(3))
+
+
+class TestAffineFlow:
+    """e^M x0 + phi1(M) b against closed forms that need neither scipy nor mpmath."""
+
+    @pytest.mark.parametrize("m", [-3.0, -0.5, 0.0, 1e-9, 0.7, 2.0])
+    def test_scalar_closed_form(self, m):
+        for x0, b in [(1.0, 0.0), (0.0, 1.0), (-2.5, 4.0)]:
+            got = _affine_flow(np.array([[m]]), np.array([b]), np.array([x0]))[0]
+            # (e^m - 1)/m, with its m -> 0 limit 1
+            phi = math.expm1(m) / m if m else 1.0
+            assert got == pytest.approx(math.exp(m) * x0 + phi * b, rel=1e-14, abs=1e-15)
+
+    def test_nilpotent_series_terminates(self):
+        rng = np.random.default_rng(4)
+        M = np.triu(rng.standard_normal((3, 3)), 1)  # M^3 = 0
+        x0, b = rng.standard_normal(3), rng.standard_normal(3)
+        M2 = M @ M
+        expected = x0 + M @ x0 + M2 @ x0 / 2 + b + M @ b / 2 + M2 @ b / 6
+        assert_allclose(_affine_flow(M, b, x0), expected, rtol=1e-14, atol=1e-15)
+
+    def test_singular_matrix_with_initial_state(self):
+        # rank one M = u v^T with v^T u = lam: M^k = lam^(k-1) M, so
+        # e^M = I + phi1(lam) M and phi1(M) = I + phi2(lam) M
+        rng = np.random.default_rng(8)
+        u, v = rng.standard_normal(4), rng.standard_normal(4)
+        M = np.outer(u, v)
+        lam = float(v @ u)
+        phi1 = math.expm1(lam) / lam
+        phi2 = (math.expm1(lam) - lam) / lam**2
+        x0, b = rng.standard_normal(4), rng.standard_normal(4)
+        expected = x0 + phi1 * (M @ x0) + b + phi2 * (M @ b)
+        assert_allclose(_affine_flow(M, b, x0), expected, rtol=1e-13)
 
 
 class TestResolvent:

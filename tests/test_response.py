@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from bivolt import (BilinearSystem, GridResolutionError, SampledSignal,
                     TimeGrid, delta_eps_signal, expm, impulse_response,
                     impulse_response_subsystem, nascent_response, ode_direct,
-                    signal_from_samples, sine_signal, step_signal,
+                    phi1_apply, signal_from_samples, sine_signal, step_signal,
                     volterra_cascade, zero_signal)
 
 from conftest import make_stable_system
@@ -185,6 +185,9 @@ class TestNascentResponse:
         sys = BilinearSystem(A=[[-1.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]],
                              x0=[2.0])
         assert nascent_response(sys, [1.0], 1e-3, 0.0)[0] == 2.0
+        sys = make_stable_system(np.random.default_rng(23), n=4, m=2, p=3, with_x0=True)
+        got = nascent_response(sys, [0.6, 1.1], 1e-2, 0.0)
+        assert np.array_equal(got, sys.C @ sys.x0)
 
     def test_halving_eps_halves_error(self, scalar_system):
         errs = [abs(nascent_response(scalar_system, [1.0], e, 1.0)[0]
@@ -194,6 +197,42 @@ class TestNascentResponse:
     def test_rejects_bad_eps(self, scalar_system):
         with pytest.raises(ValueError):
             nascent_response(scalar_system, [1.0], 0.0, 1.0)
+
+    @staticmethod
+    def two_branch(sys, mu, eps, t):
+        """The pulse phase for t <= eps, else free flow from x(eps), in two
+        exponentials each: phi1_apply for bhat, expm for x0."""
+        Nhat = np.tensordot(np.asarray(mu, dtype=float), sys.N, axes=1)
+        bhat = sys.B @ mu
+        Ahat = sys.A + Nhat / eps
+        if t <= eps:
+            x = (t / eps) * phi1_apply(Ahat * t, bhat) + expm(Ahat, t) @ sys.x0
+        else:
+            x_eps = phi1_apply(Ahat * eps, bhat) + expm(Ahat, eps) @ sys.x0
+            x = expm(sys.A, t - eps) @ x_eps
+        return sys.C @ x
+
+    def test_matches_two_branch_formula(self):
+        rng = np.random.default_rng(21)
+        for n, m in [(1, 1), (3, 2), (6, 1)]:
+            sys = make_stable_system(rng, n=n, m=m, p=2, with_x0=True)
+            mu = rng.uniform(-1.0, 1.0, m)
+            for eps in (1e-2, 1e-3):
+                for t in (0.3 * eps, eps, 1.7 * eps, 1.0):
+                    want = self.two_branch(sys, mu, eps, t)
+                    got = nascent_response(sys, mu, eps, t)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_continuous_at_pulse_end(self):
+        rng = np.random.default_rng(22)
+        sys = make_stable_system(rng, n=3, m=2, p=2, with_x0=True)
+        mu, eps = [0.8, -0.4], 1e-3
+        at = nascent_response(sys, mu, eps, eps)
+        for side in (-1.0, 1.0):
+            # a jump would make the gap per unit delta grow as delta shrinks
+            slopes = [np.max(np.abs(nascent_response(sys, mu, eps, eps + side * d) - at)) / d
+                      for d in (1e-7, 1e-9, 1e-11)]
+            assert max(slopes[1:]) <= 2.0 * slopes[0]
 
 
 class TestOdeDirect:
