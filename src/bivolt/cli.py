@@ -425,11 +425,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command(vsub, "symmetry", _cmd_verify_symmetry, "symmetric-kernel permutation probe")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
 
     p = vsub.add_parser("bounds", help="phi1 scalar plausibility bounds probe", parents=[out])
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_int_at_least(1), default=10000)
     p.add_argument("--range", type=_floats, default="-5,5")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_bounds)

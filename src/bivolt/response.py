@@ -19,11 +19,21 @@ for the full system, and for the cascade a band of blocks, lower-triangular
 Toeplitz over the orders. A run is filled by doubling with the powers F,
 F^2, F^4, ... (squared when first needed, kept while finite, dropped when
 the next run brings another u): L steps within one buffer block cost about
-log2 L band products over their state rows, not L Python steps. A run takes
-the map only when that counts fewer multiply-adds than stepping it; other
-steps are forced, one RK4 step each. States go through a fixed block buffer
-that is checked for overflow and projected through C once per block, so
-memory does not grow with the grid beyond the outputs themselves.
+log2 L band products over their state rows, not L Python steps. Other steps
+are forced. A forced step is an affine map of the same band form, built from
+its node, midpoint and next-node samples: a forced stretch within a block,
+cut so that one stack holds at most STACK doubles of maps, can form all its
+maps as one stack, with three stacked products, and fill its states by
+pairwise reduction. Neighbouring maps are composed, the states
+at even steps come from those by recursion, and the odd ones follow in one
+stacked apply: about L small products in log2 L rounds. Where a map or a
+product is not finite, the stretch is stepped instead. Each stretch takes
+the cheapest of stepping, its run map and the reduction, counted in
+multiply-adds plus a fixed cost per numpy call (_mapped): stepping costs
+calls and the reduction flops, so the reduction takes small n. States go
+through a fixed block buffer that is checked for overflow and projected
+through C once per block, so memory does not grow with the grid beyond the
+outputs themselves.
 """
 
 from __future__ import annotations
@@ -331,6 +341,16 @@ def _band_apply(X: np.ndarray, T: np.ndarray, r=None, out=None) -> np.ndarray:
     return out
 
 
+def _compose(first, then):
+    """The band map (T, r) `first` followed by `then`: x -> (x T1 + r1) T2 + r2.
+
+    Also stacked: maps (b, S, n, n) with shifts (rows, S, 1, n) compose pairwise
+    over S. r = None stands for a zero shift.
+    """
+    (T1, r1), (T2, r2) = first, then
+    return _band_apply(T1, T2), (r2 if r1 is None else _band_apply(r1, T2, r2))
+
+
 class _RunMap:
     """The RK4 step under a constant input u, and its powers F^(2^i).
 
@@ -389,9 +409,7 @@ class _RunMap:
     def _largest(self, limit: int) -> tuple[int, tuple]:
         """(P, F^P) for the largest kept power P = 2^i <= limit."""
         while not self.capped and 2 ** len(self.powers) <= limit:
-            T, r = self.powers[-1]
-            square = (_band_apply(T, T),
-                      None if r is None else _band_apply(r, T, r))
+            square = _compose(self.powers[-1], self.powers[-1])
             if all(p is None or np.isfinite(p).all() for p in square):
                 self.powers.append(square)
             else:
@@ -400,31 +418,137 @@ class _RunMap:
         return 1 << i, self.powers[i]
 
 
-def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
-            rows: int, shift: int, block: int) -> np.ndarray:
-    """Steps taken by a run map: the runs of steady steps for which the map
-    costs fewer multiply-adds than forced steps.
+def _step_maps(sys: BilinearSystem, Un: np.ndarray, Um: np.ndarray, h: float,
+               rows: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maps (T, r) of L forced steps, stacked on axis 1: T (rows, L, n, n)
+    in bands, r (rows, L, 1, n), from node samples Un (L + 1, m) and midpoint
+    samples Um (L, m).
 
-    Counted in units of n^2 for a run of L steps whose map has b bands (rows
-    when its input drives the cascade's orders, else 1): forced steps take
-    4 (m + 1) rows per step; the map takes 3 (2b - 1) n to form,
-    b (b + 1) n / 2 per squaring, one per doubling level within a block, and
-    rows b - b (b - 1) / 2 per step to apply.
+    Each sample u gives the generator G = (L(u), c(u)) of y' = y L + c in
+    bands: A^T + N(u)^T for the full system; A^T and N(u)^T one order down
+    for the cascade; c = B u into order 1. With P = (I + a T, a r) for a
+    step's G_0, G_m, G_1, the step is I + h/6 (G_0 + 2 Q_1 + 2 Q_2 + Q_3),
+    Q_1 = P(h/2, G_0) G_m, Q_2 = P(h/2, Q_1) G_m, Q_3 = P(h, Q_2) G_1:
+    three stacked products, each with a map whose constant term is 1.
+    _RunMap forms its one map by Horner's rule instead, and keeps its rounding.
     """
-    flips = np.flatnonzero(np.diff(steady, prepend=False, append=False))
-    first, last = flips[::2], flips[1::2]
+    n, L = sys.n, Um.shape[0]
+    u = np.concatenate([Un, Um])
+    NuT = np.tensordot(u, sys.N, axes=1).swapaxes(1, 2)
+    G = np.zeros((rows, 2 * L + 1, n, n))
+    c = np.zeros((rows, 2 * L + 1, 1, n))
+    g = 2 if 0 < shift < rows else 1
+    G[0] = sys.A.T
+    if shift < rows:
+        G[shift] += NuT
+    c[0, :, 0] = u @ sys.B.T
+    eye = np.zeros((rows, 1, n, n))
+    eye[0, 0] = np.eye(n)
+    G0, c0 = G[:, :L], c[:, :L]
+    Gm = G[:g, L + 1:], c[:, L + 1:]
+    Q1 = _compose((eye + (h / 2.0) * G0, (h / 2.0) * c0), Gm)
+    Q2 = _compose((eye + (h / 2.0) * Q1[0], (h / 2.0) * Q1[1]), Gm)
+    Q3 = _compose((eye + h * Q2[0], h * Q2[1]), (G[:g, 1:L + 1], c[:, 1:L + 1]))
+    return (eye + (h / 6.0) * (G0 + 2.0 * (Q1[0] + Q2[0]) + Q3[0]),
+            (h / 6.0) * (c0 + 2.0 * (Q1[1] + Q2[1]) + Q3[1]))
+
+
+def _reduce(Y: np.ndarray, out: np.ndarray, T: np.ndarray, r: np.ndarray) -> bool:
+    """Write the states of the stacked maps (T, r), applied in turn from Y
+    (rows, 1, 1, n), into out (rows, L, 1, n) by pairwise reduction.
+
+    Neighbouring maps are composed (L/2 products) and the states at even
+    steps come from those by recursion; the odd ones follow from them in one
+    stacked apply. That is about L products in log2 L rounds. Returns False,
+    with out unfinished, when a map or a product is not finite: 0 @ inf is
+    NaN where stepping keeps a zero state zero, so the caller steps instead.
+    """
+    if not (np.isfinite(T).all() and np.isfinite(r).all()):
+        return False
+    L = T.shape[1]
+    if L > 1 and not _reduce(Y, out[:, 1::2], *_compose((T[:, :L - 1:2], r[:, :L - 1:2]),
+                                                        (T[:, 1::2], r[:, 1::2]))):
+        return False
+    prev = np.concatenate([Y, out[:, 1:L - 1:2]], axis=1)
+    _band_apply(prev, T[:, ::2], r[:, ::2], out=out[:, ::2])
+    return True
+
+
+# How a step is taken: one RK4 step, a run map, or the pairwise reduction.
+STEP, MAP, REDUCE = 0, 1, 2
+
+# Doubles in one stacked array of step maps (rows, L, n, n): a reduced stretch
+# holds about ten such arrays at once, so it is at most STACK // (rows n^2)
+# steps long, and its maps take a few MB at most whatever n and K are.
+STACK = 2 ** 14
+
+# Cost of one numpy call on the small operands of an RK4 step, in
+# multiply-adds of stacked small products. Measured on x86-64 with one BLAS
+# thread: a forced step at n = 4 (about 20 calls, a few hundred multiply-adds)
+# takes 16-30 us, and the reduction at n = 20 runs its 4 n^3 multiply-adds per
+# step at about 0.8 ns each.
+CALL = 1000
+
+
+def _stretches(mask: np.ndarray, *cuts: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, stop) of each run of True in mask, also split before each
+    multiple of every cut."""
+    head, tail = mask.copy(), mask.copy()
+    head[1:] &= ~mask[:-1]
+    tail[:-1] &= ~mask[1:]
+    for cut in cuts:
+        head[::cut] = mask[::cut]
+        tail[cut - 1::cut] = mask[cut - 1::cut]
+    return np.flatnonzero(head), np.flatnonzero(tail) + 1
+
+
+def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
+            rows: int, shift: int, block: int, span: int) -> np.ndarray:
+    """How each step is taken: MAP, REDUCE or STEP, by the cheapest count of
+    multiply-adds, with CALL for each numpy call.
+
+    For a stretch of L steps whose maps have b bands of n x n blocks:
+    - stepping takes 4 (m + 1) rows n^2 and 20 calls per step;
+    - a steady run's map takes 3 (2b - 1) n^3 to form, b (b + 1) n^3 / 2 per
+      squaring, one per doubling level within a block, (rows b - b (b - 1) / 2)
+      n^2 per step to apply, and 20 calls plus 6 (b + 1) per level; b is
+      rows when its input drives the cascade's orders, else 1;
+    - a forced stretch within a block and a span (the span steps from a
+      multiple of span), reduced, takes 3 (g b - g + 1) n^3 per step to
+      form its maps from g generator bands (2 for a driven cascade,
+      else 1), about one composition (b (b + 1) n^3 / 2 for the band, as much
+      n^2 for the shift) and one apply (b (b + 1) n^2 / 2) per step, and
+      40 calls plus 6 (b + 1) per round, of which there are log2 L + 1; b is
+      rows.
+    A steady run takes its map when that is cheaper than stepping it, and
+    every other stretch within a block is reduced when that is cheaper.
+    Stepping costs calls and the others flops, so the reduction takes small
+    states and long stretches, and stepping the rest.
+    """
+    n, m = sys.n, sys.m
+    per_step = 4 * (m + 1) * rows * n * n + 20 * CALL
+    via = np.full(steady.size, STEP, dtype=np.int8)
+    first, last = _stretches(steady)
     L = last - first
-    drives = sys.N.reshape(sys.m, -1).any(axis=1)
+    drives = sys.N.reshape(m, -1).any(axis=1)
     coupled = (U[first][:, drives] != 0).any(axis=1) & (shift == 1)
     b = np.where(coupled, rows, 1)
     levels = np.floor(np.log2(np.maximum(np.minimum(L, block) - 1, 1)))
-    by_map = (sys.n * (3 * (2 * b - 1) + levels * b * (b + 1) / 2)
-              + L * (rows * b - b * (b - 1) / 2))
-    dearer = by_map >= 4 * (sys.m + 1) * rows * L
-    mapped = steady.copy()
-    for a, z in zip(first[dearer], last[dearer]):
-        mapped[a:z] = False
-    return mapped
+    by_map = (n ** 3 * (3 * (2 * b - 1) + levels * b * (b + 1) / 2)
+              + L * n * n * (rows * b - b * (b - 1) / 2)
+              + CALL * (20 + 6 * (b + 1) * levels))
+    cheaper = by_map < L * per_step
+    for a, z in zip(first[cheaper], last[cheaper]):
+        via[a:z] = MAP
+    first, last = _stretches(via == STEP, block, span)
+    L = last - first
+    b, g = rows, 2 if 0 < shift < rows else 1
+    by_reduce = (L * n * n * (3 * (g * b - g + 1) * n + b * (b + 1) / 2 * (n + 2))
+                 + CALL * (40 + 6 * (b + 1) * (np.ceil(np.log2(L)) + 1)))
+    cheaper = by_reduce < L * per_step
+    for a, z in zip(first[cheaper], last[cheaper]):
+        via[a:z] = REDUCE
+    return via
 
 
 def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
@@ -433,8 +557,11 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
 
     shift = 0 is the full system (one row); shift = 1 is the cascade, where
     row k - 1 drives row k through the N_j (see _weights). A step whose node,
-    midpoint and next-node samples are one vector u belongs to a run; each
-    run within a block is filled by _RunMap.fill. Other steps are forced.
+    midpoint and next-node samples are one vector u belongs to a run. Each
+    stretch of steps within a block is filled by a run map (_RunMap.fill),
+    by the pairwise reduction of its step maps (_reduce) or by RK4 steps, as
+    _mapped decides; a reduced stretch also ends at each multiple of span,
+    which bounds its stack of maps (STACK).
     """
     require_explicit(sys)
     if u.m != sys.m:
@@ -451,11 +578,17 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
         Um = u.at_many(times[:-1] + 0.5 * grid.dt)
     n, h, rows = sys.n, grid.dt, Y0.shape[0]
     block = min(max(BLOCK_ROWS // rows, 1), grid.nodes - 1)
+    span = min(max(STACK // (rows * n * n), 1), block)
     # Two runs never touch: the step across a change of level is forced.
     steady = np.all((U[:-1] == Um) & (Um == U[1:]), axis=1)
-    mapped = _mapped(sys, U, steady, rows, shift, block)
-    # steps where a mapped run or a forced stretch begins, past step 0
-    edges = np.flatnonzero(mapped[1:] != mapped[:-1]) + 1
+    via = _mapped(sys, U, steady, rows, shift, block, span)
+    # steps where a stretch taken one way begins, and multiples of span
+    # within reduced stretches (a mask: np.union1d imports numpy.ma on first
+    # use, about 30 ms and 1 MB per process)
+    begins = np.zeros(via.size, dtype=bool)
+    begins[1:] = via[1:] != via[:-1]
+    begins[::span] |= via[::span] == REDUCE
+    edges = np.flatnonzero(begins)
     GT = np.concatenate([sys.A[None], sys.N]).reshape(-1, n).T
     CT = sys.C.T
     out = np.empty((rows, grid.nodes, sys.p))
@@ -466,23 +599,27 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, grid.nodes - 1, block):
             stop = min(start + block, grid.nodes - 1)
-            if not mapped[start:stop].all():
-                Wn = _weights(U[start:stop + 1], rows, shift)
-                Wm = _weights(Um[start:stop], rows, shift)
             cuts = edges[np.searchsorted(edges, start, "right"):
                          np.searchsorted(edges, stop)]
             bounds = [start, *cuts.tolist(), stop]
             prev = Y
             for a, b in zip(bounds[:-1], bounds[1:]):
-                if mapped[a]:
+                run = buf[:, a - start:b - start]
+                if via[a] == MAP:
                     if run_map is None or (run_map.u != U[a]).any():
                         run_map = None  # free the last run's powers first
                         run_map = _RunMap(sys, U[a], h, rows, shift)
-                    Y = run_map.fill(Y, buf[:, a - start:b - start])
+                    Y = run_map.fill(Y, run)
+                elif via[a] == REDUCE and _reduce(
+                        Y[:, None, None], run[:, :, None],
+                        *_step_maps(sys, U[a:b + 1], Um[a:b], h, rows, shift)):
+                    Y = run[:, -1].copy()
                 else:
-                    for j in range(a - start, b - start):
+                    Wn = _weights(U[a:b + 1], rows, shift)
+                    Wm = _weights(Um[a:b], rows, shift)
+                    for j in range(b - a):
                         Y = _rk4_step(Y, h, GT, R, Wn[j], Wm[j], Wn[j + 1])
-                        buf[:, j] = Y
+                        run[:, j] = Y
             states = buf[:, :stop - start]
             # A step stands while its state and its stage sum
             # k1 + 2 k2 + 2 k3 + k4 = 6 (y_k - y_{k-1}) / h are finite: a

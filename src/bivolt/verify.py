@@ -371,6 +371,8 @@ def phi1_bounds_probe(samples: int, bounds_range=(-5.0, 5.0),
     lo, hi = float(bounds_range[0]), float(bounds_range[1])
     if not lo < hi:
         raise ValueError("bounds_range must be an increasing pair")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     ns = rng.uniform(lo, hi, size=int(samples))
     violations = 0

@@ -407,6 +407,9 @@ class TestArgumentParsing:
           "--eps", "1e-2", "--pulse-div", "0"], "--pulse-div"),
         (["impulse", "--mu", "1", "--times", "1", "--orders", "-2"], "--orders"),
         (["impulse", "--mu", "1", "--times", ","], "--times"),
+        (["verify", "bounds", "--samples", "0"], "--samples"),
+        (["verify", "bounds", "--samples", "-5"], "--samples"),
+        (["verify", "symmetry", "--k", "2", "--samples", "0"], "--samples"),
     ])
     def test_malformed_argument_exits_2(self, argv, option, scalar_doc_path, capsys):
         assert run_command(argv + ["--system", scalar_doc_path]) == 2

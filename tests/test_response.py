@@ -10,7 +10,7 @@ from bivolt import (BilinearSystem, GridResolutionError, SampledSignal,
                     TimeGrid, delta_eps_signal, expm, impulse_response,
                     impulse_response_subsystem, nascent_response, ode_direct,
                     phi1_apply, signal_from_samples, sine_signal, step_signal,
-                    volterra_cascade, zero_signal)
+                    response, volterra_cascade, zero_signal)
 
 from conftest import make_stable_system
 
@@ -274,15 +274,18 @@ class TestOdeDirect:
         ratio = errs[0] / errs[1]
         assert 16.0 * 0.7 <= ratio <= 16.0 * 1.3
 
-    @pytest.mark.parametrize("kind", ["free", "forced"])
+    @pytest.mark.parametrize("kind", ["free", "forced", "sine"])
     def test_non_finite_state_raises(self, kind):
         # RK4 multiplies the mode a = -1e4 by about 4.0e6 per step of 1e-2,
-        # past the largest double at step 47
-        x0 = [1.0] if kind == "free" else None
+        # past the largest double at step 47. Under the sine every step is
+        # forced and the reduction's map products overflow before the state
+        # does; the step named must still be the one stepping names.
+        x0 = None if kind == "forced" else [1.0]
         sys = BilinearSystem(A=[[-1e4]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]],
                              x0=x0)
         grid = TimeGrid(0.0, 1.0, 1e-2)
-        u = zero_signal(grid) if kind == "free" else step_signal(grid)
+        u = {"free": zero_signal, "forced": step_signal,
+             "sine": sine_signal}[kind](grid)
         pattern = r"non-finite at step 47 \(t = 0\.47, dt = 0\.01\)"
         with pytest.raises(FloatingPointError, match=pattern):
             ode_direct(sys, u, grid)
@@ -298,6 +301,62 @@ class TestOdeDirect:
         u = zero_signal(grid)
         assert np.all(ode_direct(sys, u, grid).values == 0.0)
         assert np.all(volterra_cascade(sys, u, 3, grid).per_order == 0.0)
+
+    def test_zero_mode_under_overflowing_map_products_stays_zero(self, monkeypatch):
+        # The stiff mode of the free map above, decoupled and never excited:
+        # under the sine every step is forced, the products of the step maps
+        # overflow in that mode (0 @ inf is NaN), and stepping keeps it zero,
+        # so the engines must give the outputs of the slow mode alone.
+        reduce_states, reduced = response._reduce, []
+
+        def spy(*args):
+            reduced.append(reduce_states(*args))
+            return reduced[-1]
+
+        monkeypatch.setattr(response, "_reduce", spy)
+        sys = BilinearSystem(A=np.diag([-1e4, -1.0]), N=[np.diag([0.0, 0.5])],
+                             B=[[0.0], [1.0]], C=[[1.0, 1.0]], x0=[0.0, 1.0])
+        slow = BilinearSystem(A=[[-1.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]],
+                              x0=[1.0])
+        grid = TimeGrid(0.0, 3.0, 1e-2)
+        u = sine_signal(grid)
+        for outputs in (lambda s: ode_direct(s, u, grid).values,
+                        lambda s: volterra_cascade(s, u, 3, grid).per_order):
+            reduced.clear()
+            got = outputs(sys)
+            assert False in reduced
+            want = outputs(slow)
+            assert np.all(np.isfinite(got))
+            assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n, K", [(16, None), (8, 4)])
+    def test_reduced_stretches_hold_bounded_stacks(self, n, K, monkeypatch):
+        # Near the size where stepping wins, the maps of a whole block would
+        # take 20 MB (n = 16) and 4.5 MB (n = 8, K = 4) of stacked arrays;
+        # each stretch is cut to STACK doubles per array instead.
+        import tracemalloc
+
+        reduce_states, reduced = response._reduce, []
+
+        def spy(*args):
+            reduced.append(args[2].size)
+            return reduce_states(*args)
+
+        monkeypatch.setattr(response, "_reduce", spy)
+        sys = make_stable_system(np.random.default_rng(n), n=n, m=2, with_x0=True)
+        grid = TimeGrid(0.0, 10.0, 4e-3)
+        u = sine_signal(grid, mu=[1.0, -0.5], omega=1.7)
+        tracemalloc.start()
+        try:
+            if K is None:
+                ode_direct(sys, u, grid)
+            else:
+                volterra_cascade(sys, u, K, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reduced and max(reduced) <= response.STACK
+        assert peak < 4e6, peak
 
     def test_zero_state_under_overflowing_run_map_stays_zero(self):
         # the step input of the forced case above without B: the run map's

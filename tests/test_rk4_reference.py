@@ -10,6 +10,13 @@ block. Zero runs in the mixed inputs are short; a burst followed by a zero
 tail runs one input-free stretch through a whole block and across two block
 edges; held levels put nonzero constant runs of up to 300 nodes across block
 edges, between zero runs.
+
+Sine and random inputs change on every step, so every step is forced; at
+these small n a forced stretch is filled by the pairwise reduction of its
+step maps. Patched inputs put forced stretches of 1..41 steps between held
+levels. Each forced case runs twice: with the path the cost model picks,
+and with every forced stretch reduced, whatever its length. One long case
+reduces the benchmark's forced shape, 2500 steps on a stiff system.
 """
 
 import numpy as np
@@ -17,8 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivolt import SampledSignal, TimeGrid, ode_direct, volterra_cascade
-from bivolt.response import BLOCK_ROWS
+from bivolt import (BilinearSystem, SampledSignal, TimeGrid, ode_direct,
+                    response, signal_from_samples, sine_signal, volterra_cascade)
+from bivolt.response import BLOCK_ROWS, REDUCE, STEP
 
 from conftest import make_stable_system
 
@@ -160,3 +168,115 @@ def test_cascade_held_levels(K, where, n, m, seed):
     got = volterra_cascade(sys, u, K, grid).per_order
     want = reference_rk4(sys, u, grid, K).transpose(1, 0, 2)
     assert_close_per_order(got, want)
+
+
+def sine_input(rng, grid, m):
+    """A sine of random frequency and phase on each channel."""
+    t = grid.times()[:, None]
+    return SampledSignal(grid, np.sin(rng.uniform(0.5, 3.0, m) * t
+                                      + rng.uniform(0.0, 2 * np.pi, m)))
+
+
+def random_input(rng, grid, m):
+    return SampledSignal(grid, rng.standard_normal((grid.nodes, m)))
+
+
+def patched_input(rng, grid, m):
+    """Held levels of 2..100 nodes, zero or not, each followed by random
+    samples on 0..40 nodes: forced stretches of 1..41 steps between runs."""
+    parts = []
+    while sum(map(len, parts)) < grid.nodes:
+        level = rng.standard_normal(m) * rng.integers(2)
+        parts.append(np.repeat(level[None], rng.integers(2, 101), axis=0))
+        parts.append(rng.standard_normal((rng.integers(0, 41), m)))
+    return SampledSignal(grid, np.concatenate(parts)[:grid.nodes])
+
+
+FORCED = {"sine": sine_input, "random": random_input, "patched": patched_input}
+
+
+def reduce_every_forced_stretch(monkeypatch):
+    """Reduce every forced stretch, whatever its length and the cost model."""
+    mapped = response._mapped
+
+    def reduced(*args):
+        via = mapped(*args)
+        via[via == STEP] = REDUCE
+        return via
+
+    monkeypatch.setattr(response, "_mapped", reduced)
+
+
+@pytest.mark.parametrize("kind", FORCED)
+@pytest.mark.parametrize("where", WHERE)
+@SETTINGS
+@given(n=st.sampled_from([1, 3, 4]), m=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_ode_direct_forced(where, kind, n, m, seed):
+    sys, grid, u = case(seed, n, m, nodes_for(where, BLOCK_ROWS), FORCED[kind])
+    want = reference_rk4(sys, u, grid)
+    for reduce_all in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if reduce_all:
+                reduce_every_forced_stretch(mp)
+            got = ode_direct(sys, u, grid).values
+        assert_close_per_order([got], [want])
+
+
+@pytest.mark.parametrize("kind", FORCED)
+@pytest.mark.parametrize("where", WHERE)
+@SETTINGS
+@given(K=st.integers(1, 5), n=st.sampled_from([1, 3, 4]),
+       m=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_cascade_forced(where, kind, K, n, m, seed):
+    sys, grid, u = case(seed, n, m, nodes_for(where, BLOCK_ROWS // K), FORCED[kind])
+    want = reference_rk4(sys, u, grid, K).transpose(1, 0, 2)
+    for reduce_all in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if reduce_all:
+                reduce_every_forced_stretch(mp)
+            got = volterra_cascade(sys, u, K, grid).per_order
+        assert_close_per_order(got, want)
+
+
+@pytest.mark.parametrize("n, refused", [(4, "_rk4_step"), (100, "_reduce")])
+def test_cost_model_reduces_at_small_n_and_steps_at_large_n(n, refused, monkeypatch):
+    # sim_forced's sine case: 2500 steps of 4e-3, m = 2, K = 4, every step forced
+    def refuse(*args):
+        raise AssertionError(f"{refused} should not run at n = {n}")
+
+    monkeypatch.setattr(response, refused, refuse)
+    grid = TimeGrid(0.0, 10.0, 4e-3)
+    u = sine_signal(grid, mu=[1.0, -0.5], omega=1.7)
+    sys = make_stable_system(np.random.default_rng(n), n=n, m=2, p=1, with_x0=True)
+    ode_direct(sys, u, grid)
+    volterra_cascade(sys, u, 4, grid)
+
+
+def test_forced_on_a_long_stiff_grid(monkeypatch):
+    # The benchmark's forced shape, where the reduction's coherent rounding
+    # has the most steps to build up: n = 4, m = 2, K = 4, 2500 steps of
+    # 4e-3, a dense stiff system with eigenvalues -0.5 .. -60 +- 0.25i .. 3i,
+    # and piecewise-linear samples in [0.5, 1.5]. Every step is reduced.
+    # Of seeds 0..11, seed 0 leaves the least margin: cascade order 3 is off
+    # by 8.6e-14 relative, where stepping is off by at most 1.9e-15.
+    def refuse(*args):
+        raise AssertionError("every forced stretch should be reduced here")
+
+    rng = np.random.default_rng(0)
+    A0 = np.zeros((4, 4))
+    for i, (re, im) in enumerate([(-0.5, 0.25), (-60.0, 3.0)]):
+        A0[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[re, im], [-im, re]]
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    sys = BilinearSystem(A=Q @ A0 @ Q.T, N=0.00125 * rng.standard_normal((2, 4, 4)),
+                         B=rng.standard_normal((4, 2)) / 2,
+                         C=rng.standard_normal((1, 4)) / 2,
+                         x0=0.05 * rng.standard_normal(4))
+    grid = TimeGrid(0.0, 10.0, 4e-3)
+    knots = np.linspace(0.0, 11.0, 41)
+    u = signal_from_samples(grid, knots, 0.5 + rng.random((knots.size, 2)))
+    want_direct = reference_rk4(sys, u, grid)
+    want_cascade = reference_rk4(sys, u, grid, 4).transpose(1, 0, 2)
+    monkeypatch.setattr(response, "_rk4_step", refuse)
+    assert_close_per_order([ode_direct(sys, u, grid).values], [want_direct])
+    assert_close_per_order(volterra_cascade(sys, u, 4, grid).per_order, want_cascade)

@@ -323,6 +323,13 @@ class TestProbes:
     def test_phi1_bounds_no_violations(self):
         assert phi1_bounds_probe(2000, (-5.0, 5.0), seed=0) == 0
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_probes_refuse_no_samples(self, scalar_system, samples):
+        with pytest.raises(ValueError, match="at least one sample"):
+            phi1_bounds_probe(samples)
+        with pytest.raises(ValueError, match="at least one sample"):
+            symmetry_probe(scalar_system, 2, samples)
+
     def test_phi1_value_inside_band(self):
         val = float(phi1_apply([[1.0]], [1.0])[0])
         assert val == pytest.approx(math.e - 1.0, rel=1e-12)
