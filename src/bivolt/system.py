@@ -118,7 +118,8 @@ def _chain(sys: BilinearSystem, channels: tuple[int, ...], factor) -> np.ndarray
 
     The one product behind kernels (X_i = e^{A tau_i}), transfer functions
     (X_i = (sigma_i I - A)^{-1}) and the Laplace quadrature (X_i its Gauss-
-    Legendre axis sums); i counts from 0.
+    Legendre axis sums, applied to v node by node without forming X_i); i
+    counts from 0.
     """
     v = factor(0, sys.B[:, channels[0] - 1])
     for i in range(1, len(channels)):

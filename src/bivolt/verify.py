@@ -4,11 +4,13 @@ laplace_quadrature integrates kernel * exp(-sum s_i t_i) with composite
 Gauss-Legendre panels and reports an analytic truncation-tail bound next to a
 half-resolution discretization estimate, so agreement with the closed-form
 transfer functions is a falsifiable inequality. Its node exponentials,
-shifted by the spectral abscissa, come from six expm calls per run (the
-first panel's five nodes and one panel width) and one matrix product per
-panel; the axis sums enter system._chain, the product kernels and transfer
-functions also form. The transient growth in the tail bound is sampled on the
-fine run, once per system and (T, panels), and kept on the system.
+shifted by the spectral abscissa, come from six expm calls (the first
+panel's five nodes and one panel width), which the coarse run shares when the
+panel count is even. They are applied to the chain's vectors and never summed
+into matrices: inside system._chain, the product kernels and transfer
+functions also form, each panel costs one product of five vectors by the
+panel step. The transient growth in the tail bound is sampled from the fine
+run's matrices, once per system and (T, panels), and kept on the system.
 aux_output_2d convolves the boundary-adjusted order-2 kernels with an input
 signal on an aligned lattice, one body for both kinds; eps_sweep is a
 convergence probe. symmetry_probe checks eval_symmetric against the
@@ -107,6 +109,77 @@ def _exponents(sys: BilinearSystem, ss: tuple[complex, ...], kind: str):
     return sig, margin
 
 
+def _overflow(what: str, p: int, ts: np.ndarray) -> FloatingPointError:
+    return FloatingPointError(
+        f"quadrature overflow: {what} is not finite on panel {p} of {len(ts)} "
+        f"(t = {ts[p, 0]:.6g} .. {ts[p, -1]:.6g})")
+
+
+def _sampled_growth(first: np.ndarray, step: np.ndarray, ts: np.ndarray) -> float:
+    """max(1, ||e^{(A - alpha I) t}||_2) over a run's nodes ts, one (P, 5) row per panel.
+
+    Panel p's exponentials are step times panel p - 1's, starting from first;
+    raises FloatingPointError naming the first panel where they are not finite.
+    Each 2-norm is the root of the largest eigenvalue of E^T E, with E first
+    divided by the power of two just above its largest entry, so that E^T E
+    cannot overflow; that scaling is exact.
+    """
+    block, growth = first, 1.0
+    for p in range(len(ts)):
+        if p:
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = step @ block
+            if not np.all(np.isfinite(block)):
+                raise _overflow("e^((A - alpha I) t)", p, ts)
+        exps = np.frexp(np.max(np.abs(block), axis=(1, 2)))[1]
+        scaled = np.ldexp(block, -exps[:, None, None])
+        tops = np.linalg.eigvalsh(np.swapaxes(scaled, 1, 2) @ scaled)[:, -1]
+        growth = max(growth, float(np.max(np.ldexp(np.sqrt(tops), exps))))
+    return growth
+
+
+def _panel_sums(first: np.ndarray, step: np.ndarray, ts: np.ndarray,
+                damped: np.ndarray, twice: bool = False):
+    """system._chain's factor for one run: sum_pj damped[i, p, j] e^{(A - alpha I) t_pj} v.
+
+    Panel 0's five vectors are first[j] v and each later panel's are the ones
+    before times step, so a run costs k P products of five vectors by an n x n
+    matrix and forms no n x n product. With twice, first[j] and step apply
+    twice each, which gives the run whose nodes and width are twice those of
+    the run that formed them. Real and imaginary parts are stepped as separate
+    real rows. Raises FloatingPointError naming the first panel whose vectors
+    are not finite; the caller ignores numpy's overflow warnings.
+    """
+    P, reps = len(ts), 2 if twice else 1
+    first_t, step_t = np.swapaxes(first, 1, 2), step.T
+
+    def factor(i, v):
+        rows = np.stack([v.real, v.imag]) if np.iscomplexobj(v) else v[None]
+        c, n = rows.shape
+        Ys = np.empty((P, 5 * c, n))
+        Y = rows
+        for _ in range(reps):
+            Y = Y @ first_t
+        Ys[0] = Y.reshape(5 * c, n)
+        for p in range(1, P):
+            Y = Ys[p - 1]
+            for _ in range(reps):
+                Y = Y @ step_t
+            Ys[p] = Y
+        finite = np.isfinite(Ys).all(axis=(1, 2))
+        if not finite.all():
+            raise _overflow("e^((A - alpha I) t) v", int(np.argmin(finite)), ts)
+        # Five-node sums per panel, added panel after panel: one product over
+        # all 5P terms rounded up to ten times worse where the integral is far
+        # smaller than its terms.
+        Ys, weights = Ys.reshape(P, 5, c * n), damped[i][:, None, :]
+        out = ((weights.real @ Ys).sum(axis=0)
+               + 1j * (weights.imag @ Ys).sum(axis=0)).reshape(c, n)
+        return out[0] + 1j * out[1] if c == 2 else out[0]
+
+    return factor
+
+
 def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
                        T: float, panels: int) -> QuadratureEstimate:
     """Numerically Laplace-transform an order-k kernel over a truncated domain.
@@ -116,63 +189,70 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
     box in difference coordinates with exponents at the partial sums
     s_1 + ... + s_i, which covers the ordered simplex of diameter T. The
     integrand factorizes along axes, so each axis is one composite 5-point
-    Gauss-Legendre sum over matrix exponentials.
+    Gauss-Legendre sum over matrix exponentials, applied to the chain's vector.
 
     With alpha the spectral abscissa of A, each factor e^{At} e^{-z t} is
     formed as e^{(A - alpha I) t} e^{-(z - alpha) t}, so it overflows neither
     for an unstable A inside the region of convergence nor for a strongly
     stable A on a long horizon. Panel p's exponentials are e^{(A - alpha I) w},
-    w = T / panels, times panel p - 1's: a run makes six expm calls and one
-    product per panel, and raises FloatingPointError naming the panel where
-    that product overflows. The growth max ||e^{(A - alpha I) t}||_2 of the
-    tail bound depends on A, T and panels only. It is sampled at every node of
-    the fine run once per system and (T, panels), and stored on the system
-    when that run ends without an error; later calls skip the 2-norms but
-    still form and check every panel. The coarse run (panels // 2, or 2 for
-    one panel) gives the discretization estimate.
+    w = T / panels, times panel p - 1's. A run makes six expm calls (the first
+    panel's five nodes and the step) and applies them to the chain's vectors
+    panel by panel; it raises FloatingPointError naming the panel where a
+    vector is not finite, and never returns a non-finite value. The coarse
+    run (panels // 2, or 2 for one panel) gives the discretization estimate.
+    For an even panel count its nodes and step are twice the fine run's, so
+    it applies the fine exponentials twice and makes no expm call of its own.
+    The growth max ||e^{(A - alpha I) t}||_2 of the tail bound depends on A,
+    T and panels only. It is sampled from the matrices at every node of the
+    fine run, stepped panel by panel and checked as the vectors are, once per
+    system and (T, panels), and stored on the system when the fine run ends
+    without an error; later calls form no n x n panel product.
     """
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"truncation horizon T must be finite and > 0, got {T!r}")
+    if not (float(panels).is_integer() and panels >= 1):
+        raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
+    panels = int(panels)
     ss = _freq_tuple(s)
     k = len(ss)
     if k > 3:
         raise ValueError(f"laplace_quadrature supports kernel orders k <= 3, got k = {k}")
     chs = _channels_tuple(sys, channels, k)
-    panels = int(panels)
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    if T <= 0:
-        raise ValueError("truncation horizon T must be > 0")
     sig, _ = _exponents(sys, ss, kind)
     abscissa = sys.spectral_abscissa
     shifted = sys.A - abscissa * np.eye(sys.n)
+    rates = np.array(sig) - abscissa
 
-    def run(P: int, sample_growth: bool):
+    def nodes(P: int):
         ts, wts = _gl_points(T, P)
-        ts, wts = ts.reshape(P, 5), wts.reshape(P, 5)
-        damped = wts * np.exp(-np.multiply.outer(np.array(sig) - abscissa, ts))
-        block = np.stack([expm(shifted, t) for t in ts[0]])
-        step = expm(shifted, T / P)
-        axis = np.zeros((k, sys.n, sys.n), dtype=complex)
-        growth = 1.0
-        for p in range(P):
-            if p:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    block = step @ block
-                if not np.all(np.isfinite(block)):
-                    raise FloatingPointError(
-                        "quadrature overflow: e^((A - alpha I) t) is not finite on "
-                        f"panel {p} of {P} (t = {ts[p, 0]:.6g} .. {ts[p, -1]:.6g})")
-            if sample_growth:
-                norms = np.linalg.norm(block, 2, axis=(1, 2))
-                growth = max(growth, float(np.max(norms)))
-            axis += np.tensordot(damped[:, p], block, axes=1)
-        return _chain(sys, chs, lambda i, v: axis[i] @ v), growth
+        return ts.reshape(P, 5), wts.reshape(P, 5)
 
+    def exponentials(P: int):
+        return np.stack([expm(shifted, t) for t in nodes(P)[0][0]]), expm(shifted, T / P)
+
+    def run(P: int, first, step, twice: bool = False):
+        ts, wts = nodes(P)
+        damped = wts * np.exp(-np.multiply.outer(rates, ts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _chain(sys, chs, _panel_sums(first, step, ts, damped, twice))
+        if not np.all(np.isfinite(out)):
+            raise FloatingPointError("quadrature overflow: the chain product is not finite")
+        return out
+
+    fine = exponentials(panels)
     memo, key = sys._quadrature_growth, (float(T), panels)
-    value, growth = run(panels, key not in memo)
-    growth = memo.setdefault(key, growth)
-    coarse, _ = run(panels // 2 if panels >= 2 else 2 * panels, False)
+    growth = memo.get(key)
+    if growth is None:
+        growth = _sampled_growth(*fine, nodes(panels)[0])
+    value = run(panels, *fine)
+    memo[key] = growth
+    half = panels // 2 or 2
+    if panels % 2:
+        coarse = run(half, *exponentials(half))
+    else:
+        coarse = run(half, *fine, twice=True)
     disc = float(np.max(np.abs(value - coarse)))
-    tail = _tail_bound(sys, chs, [z.real - abscissa for z in sig], growth)(T)
+    tail = _tail_bound(sys, chs, rates.real, growth)(T)
     return QuadratureEstimate(value=value, truncation=float(T), panels=panels,
                               tail_bound=float(tail),
                               discretization_estimate=disc)
@@ -187,8 +267,8 @@ def suggest_truncation(sys: BilinearSystem, channels, kind: str, s,
     factor-2 safety margin; the definitive bound is still the one reported by
     the quadrature run itself.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
     sig, margin = _exponents(sys, ss, kind)

@@ -303,6 +303,15 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert "supports kernel orders k <= 3, got k = 4" in captured.err
 
+    @pytest.mark.parametrize("T", ["nan", "inf"])
+    def test_laplace_non_finite_horizon_exits_2(self, T, scalar_doc_path, capsys):
+        code = run_command(["verify", "laplace", "--system", scalar_doc_path,
+                            "--kind", "reg", "--s", "1+0i", "--T", T])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "truncation horizon T must be finite and > 0" in captured.err
+
     def test_laplace_overflow_exits_1(self, tmp_path, capsys):
         A, B, C = overflowing_chain()
         doc = {"n": 30, "m": 1, "p": 1, "A": A.ravel().tolist(),

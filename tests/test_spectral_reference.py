@@ -3,12 +3,15 @@
 reference_tf_symmetric sums the triangular transfer function over all k!
 argument permutations (k k! resolvent solves); eval_tf_symmetric shares the
 partial results between permutations and solves once per nonempty subset.
-reference_quadrature calls expm at every Gauss-Legendre node of both runs and
-samples the transient growth there as ||e^{At}||_2 e^{-alpha t};
-laplace_quadrature shifts A by its spectral abscissa alpha, forms panel p's
-exponentials as e^{(A - alpha I) w} times panel p - 1's and samples the
-growth on the fine run only. panels = 1 takes the coarse run at 2 panels,
-the others at panels // 2.
+reference_quadrature calls expm at every Gauss-Legendre node of both runs,
+sums the exponentials into one matrix per axis and samples the transient
+growth there as ||e^{At}||_2 e^{-alpha t}. laplace_quadrature shifts A by its
+spectral abscissa alpha and applies the axis sums to the chain's vectors:
+panel p's vectors are e^{(A - alpha I) w} times panel p - 1's. It samples the
+growth on the fine run only, from the largest eigenvalue of E^T E. panels = 1
+takes the coarse run at 2 panels, the others at panels // 2; for an even
+count (2, 32) the coarse run applies the fine run's exponentials twice, for
+an odd one (1, 3) it forms its own.
 """
 
 import itertools

@@ -128,6 +128,20 @@ class TestLaplaceQuadrature:
         with pytest.raises(ValueError, match="kind"):
             laplace_quadrature(gain2_system, [1, 1], "symmetric", [1.0, 2.0],
                                10.0, 10)
+
+    @pytest.mark.parametrize("T, panels, name", [
+        (math.nan, 10, "horizon T"), (math.inf, 10, "horizon T"),
+        (-math.inf, 10, "horizon T"), (0.0, 10, "horizon T"),
+        (10.0, 7.9, "panels"), (10.0, math.nan, "panels"), (10.0, 0, "panels"),
+    ])
+    def test_bad_horizon_or_panel_count_refused(self, gain2_system, T, panels, name):
+        with pytest.raises(ValueError, match=name):
+            laplace_quadrature(gain2_system, [1, 1], "regular", [1.0, 2.0], T, panels)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_suggest_truncation_refuses_bad_tolerance(self, gain2_system, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            suggest_truncation(gain2_system, [1], "regular", [1.0], tol)
         with pytest.raises(ValueError, match="kind"):
             suggest_truncation(gain2_system, [1, 1], "symmetric", [1.0, 2.0],
                                1e-6)
@@ -183,6 +197,25 @@ class TestLaplaceQuadrature:
         got = laplace_quadrature(sys, *args, *grid)
         assert got.tail_bound != first.tail_bound
         assert_same_estimate(got, laplace_quadrature(fresh_copy(sys), *args, *grid))
+
+    def test_overflow_of_chain_vectors_on_memo_hit_raises(self):
+        # the first call stores the growth (close to 40); channel 2's b is
+        # 1e307, so e^{(A - alpha I) t} b passes the largest double on panel 3
+        # while every matrix stays finite
+        base = transient_growth_system(m=2)
+        sys = BilinearSystem(A=base.A, N=base.N, B=base.B * [1.0, 1e307], C=base.C)
+        s = [0.5 + 1.0j, 0.3 - 0.5j]
+        laplace_quadrature(sys, [1, 1], "regular", s, 12.0, 32)
+        assert list(sys._quadrature_growth) == [(12.0, 32)]
+        for kind in ("regular", "triangular"):
+            with pytest.raises(FloatingPointError, match="not finite on panel 3 of 32"):
+                laplace_quadrature(sys, [2, 1], kind, s, 12.0, 32)
+
+    def test_overflowing_chain_product_raises(self):
+        # every panel vector is finite; C times the sum is not
+        sys = BilinearSystem(A=[[-1.0]], N=[[[0.5]]], B=[[10.0]], C=[[1e308]])
+        with pytest.raises(FloatingPointError, match="chain product is not finite"):
+            laplace_quadrature(sys, [1], "regular", [1.0], 12.0, 32)
 
     def test_overflowing_run_stores_no_growth(self):
         A, B, C = overflowing_chain()
