@@ -13,27 +13,26 @@ each stage is one product of the state rows with the stacked
 G = [A; N_1..N_m] followed by a small input-dependent combination, the full
 system being one row and the cascade one row per order. A run is a stretch
 of steps whose node, midpoint and next-node samples are one vector u; zero
-input is one such u. On a run the step is a fixed affine map, linear on
-[1, state] with B u entering through a virtual order-0 row: one n x n block
-for the full system, and for the cascade a band of blocks, lower-triangular
-Toeplitz over the orders. A run is filled by doubling with the powers F,
-F^2, F^4, ... (squared when first needed, kept while finite, dropped when
-the next run brings another u): L steps within one buffer block cost about
-log2 L band products over their state rows, not L Python steps. Other steps
-are forced. A forced step is an affine map of the same band form, built from
-its node, midpoint and next-node samples: a forced stretch within a block,
-cut so that one stack holds at most STACK doubles of maps, can form all its
-maps as one stack, with three stacked products, and fill its states by
-pairwise reduction. Neighbouring maps are composed, the states
-at even steps come from those by recursion, and the odd ones follow in one
-stacked apply: about L small products in log2 L rounds. Where a map or a
-product is not finite, the stretch is stepped instead. Each stretch takes
-the cheapest of stepping, its run map and the reduction, counted in
-multiply-adds plus a fixed cost per numpy call (_mapped): stepping costs
-calls and the reduction flops, so the reduction takes small n. States go
-through a fixed block buffer that is checked for overflow and projected
-through C once per block, so memory does not grow with the grid beyond the
-outputs themselves.
+input is one such u. Any step is an affine map, linear on [1, state] with
+B u entering through a virtual order-0 row, formed from its node, midpoint
+and next-node samples by three stacked products (_step_maps): one n x n
+block for the full system, and for the cascade a band of blocks,
+lower-triangular Toeplitz over the orders. A run has one such map F and is
+filled by doubling with the powers F, F^2, F^4, ... (squared when first
+needed, dropped when the next run brings another u): L steps within one
+buffer block cost about log2 L band products over their state rows, not L
+Python steps. Other steps are forced: a forced stretch within a block, cut
+so that one stack holds at most STACK doubles of maps, can form all its maps
+as one stack and fill its states by pairwise reduction. Neighbouring maps
+are composed, the states at even steps come from those by recursion, and
+the odd ones follow in one stacked apply: about L small products in log2 L
+rounds. Where a map, a power or a product is not finite, the run or
+stretch is stepped instead. Each stretch takes the cheapest of stepping, its run map and the
+reduction, counted in multiply-adds plus a fixed cost per numpy call
+(_mapped): stepping costs calls and the reduction flops, so the reduction
+takes small n. States go through a fixed block buffer that is checked for
+overflow and projected through C once per block, so memory does not grow
+with the grid beyond the outputs themselves.
 """
 
 from __future__ import annotations
@@ -351,98 +350,62 @@ def _compose(first, then):
     return _band_apply(T1, T2), (r2 if r1 is None else _band_apply(r1, T2, r2))
 
 
-class _RunMap:
-    """The RK4 step under a constant input u, and its powers F^(2^i).
+def _finite(T: np.ndarray, r) -> bool:
+    return bool(np.isfinite(T).all() and (r is None or np.isfinite(r).all()))
 
-    The step is linear on [1, Y]: F(Y) = _band_apply(Y, T, r), r (rows, 1, n)
-    being what B u feeds in through the virtual order-0 row of _weights (None
-    when B u = 0). A power is squared from the last when first needed, kept
-    while the run's map is in use, and only while finite; past that the
-    largest finite one is reused. Otherwise a zero state under a map whose
-    powers overflow would turn into NaN (0 @ inf), where stepping keeps it
-    exactly zero.
+
+def _fill(Y: np.ndarray, run: np.ndarray, powers: list) -> bool:
+    """Write F(Y), F^2(Y), ..., F^steps(Y) into run (rows, steps, n), from the
+    powers [F, F^2, F^4, ...] of one run map; a power is squared from the last
+    when first needed and appended to the list.
+
+    Steps [0, P) mapped by F^P give steps [P, 2P), one band product over all
+    their states, for P = 1, 2, 4, ... Returns False, with run untouched, when
+    a power is not finite, as _reduce does.
     """
-
-    def __init__(self, sys: BilinearSystem, u: np.ndarray, h: float,
-                 rows: int, shift: int):
-        # Row form of the generator: y_k' = y_k L_0 + y_{k-1} L_1.
-        n, Nu = sys.n, np.tensordot(u, sys.N, axes=1).T
-        L = [sys.A.T + Nu] if shift == 0 else [sys.A.T]
-        if shift == 1 and rows > 1 and Nu.any():
-            L.append(Nu)
-        eye = np.zeros((rows if len(L) > 1 else 1, n, n))
-        eye[0] = np.eye(n)
-        # RK4 on a linear step is I + hL Q, Q = I + hL/2 (I + hL/3 (I + hL/4))
-        Q = eye.copy()
-        Q[:len(L)] += (h / 4.0) * np.array(L)
-        Q = eye + (h / 3.0) * _band_apply(Q, L)
-        Q = eye + (h / 2.0) * _band_apply(Q, L)
-        T = eye + h * _band_apply(Q, L)
-        r = None
-        Bu = sys.B @ u
-        if Bu.any():
-            feed = np.zeros((rows, 1, n))
-            feed[0] = h * Bu
-            r = _band_apply(feed, Q)
-        self.u = u
-        self.powers = [(T, r)]
-        self.capped = False
-
-    def fill(self, Y: np.ndarray, run: np.ndarray) -> np.ndarray:
-        """Write F(Y), F^2(Y), ..., F^steps(Y) into run (rows, steps, n).
-
-        Steps [0, P) mapped by F^P give steps [P, 2P), one band product over
-        all their states, for P = 1, 2, 4, ...; returns a copy of the last
-        state.
-        """
-        steps = run.shape[1]
-        _band_apply(Y[:, None], *self.powers[0], out=run[:, :1])
-        done = 1
-        while done < steps:
-            P, power = self._largest(done)
-            count = min(P, steps - done)
-            _band_apply(run[:, done - P:done - P + count], *power,
-                        out=run[:, done:done + count])
-            done += count
-        return run[:, -1].copy()
-
-    def _largest(self, limit: int) -> tuple[int, tuple]:
-        """(P, F^P) for the largest kept power P = 2^i <= limit."""
-        while not self.capped and 2 ** len(self.powers) <= limit:
-            square = _compose(self.powers[-1], self.powers[-1])
-            if all(p is None or np.isfinite(p).all() for p in square):
-                self.powers.append(square)
-            else:
-                self.capped = True
-        i = min(limit.bit_length(), len(self.powers)) - 1
-        return 1 << i, self.powers[i]
+    steps = run.shape[1]
+    levels = (steps - 1).bit_length()
+    # F was checked before any square of it was kept
+    if len(powers) == 1 and not _finite(*powers[0]):
+        return False
+    while len(powers) < levels:
+        square = _compose(powers[-1], powers[-1])
+        if not _finite(*square):
+            return False
+        powers.append(square)
+    _band_apply(Y[:, None], *powers[0], out=run[:, :1])
+    for i in range(levels):
+        P = 1 << i
+        _band_apply(run[:, :min(P, steps - P)], *powers[i], out=run[:, P:2 * P])
+    return True
 
 
 def _step_maps(sys: BilinearSystem, Un: np.ndarray, Um: np.ndarray, h: float,
                rows: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """The maps (T, r) of L forced steps, stacked on axis 1: T (rows, L, n, n)
-    in bands, r (rows, L, 1, n), from node samples Un (L + 1, m) and midpoint
-    samples Um (L, m).
+    """The maps (T, r) of L steps, stacked on axis 1: T (b, L, n, n) in bands,
+    r (rows, L, 1, n), from node samples Un (L + 1, m) and midpoint samples
+    Um (L, m). A run's map F is the one step of its u (L = 1).
 
     Each sample u gives the generator G = (L(u), c(u)) of y' = y L + c in
     bands: A^T + N(u)^T for the full system; A^T and N(u)^T one order down
     for the cascade; c = B u into order 1. With P = (I + a T, a r) for a
     step's G_0, G_m, G_1, the step is I + h/6 (G_0 + 2 Q_1 + 2 Q_2 + Q_3),
     Q_1 = P(h/2, G_0) G_m, Q_2 = P(h/2, Q_1) G_m, Q_3 = P(h, Q_2) G_1:
-    three stacked products, each with a map whose constant term is 1.
-    _RunMap forms its one map by Horner's rule instead, and keeps its rounding.
+    three stacked products, each with a map whose constant term is 1. The
+    maps have b = rows bands where N(u) drives a cascade's orders, else one.
     """
     n, L = sys.n, Um.shape[0]
     u = np.concatenate([Un, Um])
     NuT = np.tensordot(u, sys.N, axes=1).swapaxes(1, 2)
-    G = np.zeros((rows, 2 * L + 1, n, n))
+    b = rows if NuT.any() else 1
+    g = min(b, 2)
+    G = np.zeros((b, 2 * L + 1, n, n))
     c = np.zeros((rows, 2 * L + 1, 1, n))
-    g = 2 if 0 < shift < rows else 1
     G[0] = sys.A.T
-    if shift < rows:
+    if shift < b:
         G[shift] += NuT
     c[0, :, 0] = u @ sys.B.T
-    eye = np.zeros((rows, 1, n, n))
+    eye = np.zeros((b, 1, n, n))
     eye[0, 0] = np.eye(n)
     G0, c0 = G[:, :L], c[:, :L]
     Gm = G[:g, L + 1:], c[:, L + 1:]
@@ -463,7 +426,7 @@ def _reduce(Y: np.ndarray, out: np.ndarray, T: np.ndarray, r: np.ndarray) -> boo
     with out unfinished, when a map or a product is not finite: 0 @ inf is
     NaN where stepping keeps a zero state zero, so the caller steps instead.
     """
-    if not (np.isfinite(T).all() and np.isfinite(r).all()):
+    if not _finite(T, r):
         return False
     L = T.shape[1]
     if L > 1 and not _reduce(Y, out[:, 1::2], *_compose((T[:, :L - 1:2], r[:, :L - 1:2]),
@@ -509,32 +472,37 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
 
     For a stretch of L steps whose maps have b bands of n x n blocks:
     - stepping takes 4 (m + 1) rows n^2 and 20 calls per step;
-    - a steady run's map takes 3 (2b - 1) n^3 to form, b (b + 1) n^3 / 2 per
-      squaring, one per doubling level within a block, (rows b - b (b - 1) / 2)
-      n^2 per step to apply, and 20 calls plus 6 (b + 1) per level; b is
-      rows when its input drives the cascade's orders, else 1;
+    - forming one step map (_step_maps) takes 3 (g b - g + 1) n^3 for
+      g = min(b, 2) generator bands;
+    - a steady run forms one map, with b = rows when its input drives the
+      cascade's orders, else 1, and takes b (b + 1) n^3 / 2 per squaring, one
+      per doubling level within a block, (rows b - b (b - 1) / 2) n^2 per step
+      to apply, and 20 calls plus 6 (b + 1) per level;
     - a forced stretch within a block and a span (the span steps from a
-      multiple of span), reduced, takes 3 (g b - g + 1) n^3 per step to
-      form its maps from g generator bands (2 for a driven cascade,
-      else 1), about one composition (b (b + 1) n^3 / 2 for the band, as much
-      n^2 for the shift) and one apply (b (b + 1) n^2 / 2) per step, and
-      40 calls plus 6 (b + 1) per round, of which there are log2 L + 1; b is
-      rows.
+      multiple of span), reduced, forms one map per step with b = rows, and
+      takes about one composition (b (b + 1) n^3 / 2 for the band, as much
+      n^2 for the shift) and one apply (b (b + 1) n^2 / 2) per step, and 40
+      calls plus 6 (b + 1) per round, of which there are log2 L + 1.
     A steady run takes its map when that is cheaper than stepping it, and
     every other stretch within a block is reduced when that is cheaper.
     Stepping costs calls and the others flops, so the reduction takes small
     states and long stretches, and stepping the rest.
     """
     n, m = sys.n, sys.m
+
+    def form(b):
+        g = np.minimum(b, 2)
+        return 3 * (g * b - g + 1) * n ** 3
+
     per_step = 4 * (m + 1) * rows * n * n + 20 * CALL
     via = np.full(steady.size, STEP, dtype=np.int8)
     first, last = _stretches(steady)
     L = last - first
     drives = sys.N.reshape(m, -1).any(axis=1)
-    coupled = (U[first][:, drives] != 0).any(axis=1) & (shift == 1)
-    b = np.where(coupled, rows, 1)
+    # the full system has one row, so its maps have one band either way
+    b = np.where((U[first][:, drives] != 0).any(axis=1), rows, 1)
     levels = np.floor(np.log2(np.maximum(np.minimum(L, block) - 1, 1)))
-    by_map = (n ** 3 * (3 * (2 * b - 1) + levels * b * (b + 1) / 2)
+    by_map = (form(b) + n ** 3 * levels * b * (b + 1) / 2
               + L * n * n * (rows * b - b * (b - 1) / 2)
               + CALL * (20 + 6 * (b + 1) * levels))
     cheaper = by_map < L * per_step
@@ -542,8 +510,8 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
         via[a:z] = MAP
     first, last = _stretches(via == STEP, block, span)
     L = last - first
-    b, g = rows, 2 if 0 < shift < rows else 1
-    by_reduce = (L * n * n * (3 * (g * b - g + 1) * n + b * (b + 1) / 2 * (n + 2))
+    b = rows
+    by_reduce = (L * (form(b) + n * n * b * (b + 1) / 2 * (n + 2))
                  + CALL * (40 + 6 * (b + 1) * (np.ceil(np.log2(L)) + 1)))
     cheaper = by_reduce < L * per_step
     for a, z in zip(first[cheaper], last[cheaper]):
@@ -558,10 +526,12 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     shift = 0 is the full system (one row); shift = 1 is the cascade, where
     row k - 1 drives row k through the N_j (see _weights). A step whose node,
     midpoint and next-node samples are one vector u belongs to a run. Each
-    stretch of steps within a block is filled by a run map (_RunMap.fill),
-    by the pairwise reduction of its step maps (_reduce) or by RK4 steps, as
-    _mapped decides; a reduced stretch also ends at each multiple of span,
-    which bounds its stack of maps (STACK).
+    stretch of steps within a block is filled by doubling with the powers of
+    its run's map (_fill), by the pairwise reduction of its step maps
+    (_reduce) or by RK4 steps, as _mapped decides; the first two fall back to
+    steps where a map or a product is not finite. The powers are held for
+    the current run's u. A reduced stretch also ends at each multiple of
+    span, which bounds its stack of maps (STACK).
     """
     require_explicit(sys)
     if u.m != sys.m:
@@ -595,7 +565,7 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     out[:, 0] = Y0 @ CT
     buf = np.empty((rows, block, n))
     R = _stage_rows(sys, rows)
-    Y, run_map = Y0, None
+    Y, u_run, powers = Y0, None, None
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, grid.nodes - 1, block):
             stop = min(start + block, grid.nodes - 1)
@@ -605,14 +575,14 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
             prev = Y
             for a, b in zip(bounds[:-1], bounds[1:]):
                 run = buf[:, a - start:b - start]
-                if via[a] == MAP:
-                    if run_map is None or (run_map.u != U[a]).any():
-                        run_map = None  # free the last run's powers first
-                        run_map = _RunMap(sys, U[a], h, rows, shift)
-                    Y = run_map.fill(Y, run)
-                elif via[a] == REDUCE and _reduce(
-                        Y[:, None, None], run[:, :, None],
-                        *_step_maps(sys, U[a:b + 1], Um[a:b], h, rows, shift)):
+                if via[a] == MAP and (u_run is None or (u_run != U[a]).any()):
+                    powers = None  # free the last run's powers first
+                    T, r = _step_maps(sys, U[a:a + 2], Um[a:a + 1], h, rows, shift)
+                    u_run, powers = U[a], [(T[:, 0], r[:, 0] if r.any() else None)]
+                if (via[a] == MAP and _fill(Y, run, powers)
+                        or via[a] == REDUCE and _reduce(
+                            Y[:, None, None], run[:, :, None],
+                            *_step_maps(sys, U[a:b + 1], Um[a:b], h, rows, shift))):
                     Y = run[:, -1].copy()
                 else:
                     Wn = _weights(U[a:b + 1], rows, shift)

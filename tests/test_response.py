@@ -329,6 +329,32 @@ class TestOdeDirect:
             assert np.all(np.isfinite(got))
             assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
+    def test_zero_mode_under_overflowing_run_map_powers_stays_zero(self, monkeypatch):
+        # The same two modes under zero input: every step is one run, whose
+        # map's powers overflow in the stiff mode from F^64 on, so the run is
+        # stepped and that mode stays zero.
+        fill, filled = response._fill, []
+
+        def spy(*args):
+            filled.append(fill(*args))
+            return filled[-1]
+
+        monkeypatch.setattr(response, "_fill", spy)
+        sys = BilinearSystem(A=np.diag([-1e4, -1.0]), N=[np.diag([0.0, 0.5])],
+                             B=[[0.0], [1.0]], C=[[1.0, 1.0]], x0=[0.0, 1.0])
+        slow = BilinearSystem(A=[[-1.0]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]],
+                              x0=[1.0])
+        grid = TimeGrid(0.0, 3.0, 1e-2)
+        u = zero_signal(grid)
+        for outputs in (lambda s: ode_direct(s, u, grid).values,
+                        lambda s: volterra_cascade(s, u, 3, grid).per_order):
+            filled.clear()
+            got = outputs(sys)
+            assert False in filled
+            want = outputs(slow)
+            assert np.all(np.isfinite(got))
+            assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
     @pytest.mark.parametrize("n, K", [(16, None), (8, 4)])
     def test_reduced_stretches_hold_bounded_stacks(self, n, K, monkeypatch):
         # Near the size where stepping wins, the maps of a whole block would

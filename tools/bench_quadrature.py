@@ -7,10 +7,10 @@ to a JSON file. The systems come from perfbench/inputs.py and the call's
 arguments from perfbench/workloads.py, so that directory must be on the path.
 A hit reuses a system whose transient growth is already stored, as every
 spectral request after the first does; a miss runs on a fresh copy of the
-system, as the one call of each `bivolt verify laplace` process does. Repeats
-go round-robin over the calls, so a drift in machine speed touches every call
-alike. BLAS runs on one thread, as in perfbench/run.py. Results are merged
-into the file under --label, so one file can hold the runs of two versions:
+system, as the one call of each `bivolt verify laplace` process does. BLAS
+runs on one thread, as in perfbench/run.py. Repeats go round-robin over the
+calls and results are merged into the file under --label (tools/harness.py),
+so one file can hold the runs of two versions:
 
     PYTHONPATH=src:perfbench python tools/bench_quadrature.py --label before
     PYTHONPATH=src:perfbench python tools/bench_quadrature.py --label after
@@ -25,13 +25,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
-import json
-import platform
-import time
-
-import numpy as np
 
 import bivolt as bv
+from harness import record, round_robin
 from inputs import MILD, SIZES, SPECTRAL, make_system
 from workloads import QUAD_PANELS, QUAD_S, QUAD_T
 
@@ -66,33 +62,10 @@ def main(argv=None) -> int:
             cases[f"hit/{kind}/n={n}"] = (lambda s=sys_: s, lambda s, kind=kind: quad(s, kind))
         cases[f"miss/regular/n={n}"] = (lambda s=sys_: fresh(s),
                                         lambda s: quad(s, "regular"))
-    times = {key: [] for key in cases}
-    for prepare, call in cases.values():  # warm-up; stores the growth of the hits
-        call(prepare())
-    for _ in range(args.repeats):
-        for key, (prepare, call) in cases.items():
-            sys_ = prepare()
-            t0 = time.perf_counter()
-            call(sys_)
-            times[key].append(time.perf_counter() - t0)
-
-    run = {"T": QUAD_T, "panels": args.panels, "s": [str(z) for z in QUAD_S],
-           "channels": list(CHANNELS), "seed": SEED, "repeats": args.repeats,
-           "machine": platform.machine(), "python": platform.python_version(),
-           "numpy": np.__version__,
-           "ms": {key: dict(zip(("q1", "median", "q3"),
-                                (round(1e3 * q, 3) for q in np.percentile(t, [25, 50, 75]))))
-                  for key, t in times.items()}}
-    results = {}
-    if os.path.exists(args.out):
-        with open(args.out) as f:
-            results = json.load(f)
-    results[args.label] = run
-    with open(args.out, "w") as f:
-        json.dump(results, f, indent=1, sort_keys=True)
-        f.write("\n")
-    for key, t in run["ms"].items():
-        print(f"{key:24s} {t['median']:9.3f} ms")
+    times = round_robin(cases, args.repeats)  # the warm-up stores the growth of the hits
+    record(args.out, args.label,
+           {"T": QUAD_T, "panels": args.panels, "s": [str(z) for z in QUAD_S],
+            "channels": list(CHANNELS), "seed": SEED}, times)
     return 0
 
 
