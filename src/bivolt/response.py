@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _affine_flow, expm
+from .linalg import STACK, _affine_flow, expm
 from .system import BilinearSystem, effective_matrices, require_explicit
 
 __all__ = [
@@ -440,10 +440,10 @@ def _reduce(Y: np.ndarray, out: np.ndarray, T: np.ndarray, r: np.ndarray) -> boo
 # How a step is taken: one RK4 step, a run map, or the pairwise reduction.
 STEP, MAP, REDUCE = 0, 1, 2
 
-# Doubles in one stacked array of step maps (rows, L, n, n): a reduced stretch
-# holds about ten such arrays at once, so it is at most STACK // (rows n^2)
-# steps long, and its maps take a few MB at most whatever n and K are.
-STACK = 2 ** 14
+# linalg.STACK bounds the doubles in one stacked array of step maps
+# (rows, L, n, n): a reduced stretch holds about ten such arrays at once, so
+# it is at most STACK // (rows n^2) steps long, and its maps take a few MB at
+# most whatever n and K are.
 
 # Cost of one numpy call on the small operands of an RK4 step, in
 # multiply-adds of stacked small products. Measured on x86-64 with one BLAS

@@ -41,9 +41,10 @@ class BilinearSystem:
 
     ``N`` is stored as an (m, n, n) stack; a single 2-D array is promoted to
     m = 1. ``x0`` defaults to zeros. Construction copies the arrays and makes
-    the copies read-only, which keeps both cached quantities valid: the
-    spectral abscissa and the quadrature growth per (T, panels). It only
-    coerces shapes, so call :func:`validate` for the invariant violations.
+    the copies read-only, which keeps the cached quantities valid: the
+    spectral abscissa, the quadrature growth per (T, panels) and the 2-norms
+    of C and the N_j. It only coerces shapes, so call :func:`validate` for
+    the invariant violations.
     """
 
     A: np.ndarray
@@ -91,6 +92,11 @@ class BilinearSystem:
     def _quadrature_growth(self) -> dict[tuple[float, int], float]:
         """laplace_quadrature's transient growth per (T, panels); A is read-only."""
         return {}
+
+    @cached_property
+    def _norms2(self) -> tuple[float, np.ndarray]:
+        """2-norms of C and of each N_j, for the quadrature's tail bound; both are read-only."""
+        return np.linalg.norm(self.C, 2), np.linalg.norm(self.N, 2, axis=(1, 2))
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,20 @@ laplace_quadrature integrates kernel * exp(-sum s_i t_i) with composite
 Gauss-Legendre panels and reports an analytic truncation-tail bound next to a
 half-resolution discretization estimate, so agreement with the closed-form
 transfer functions is a falsifiable inequality. Its node exponentials,
-shifted by the spectral abscissa, come from six expm calls (the first
-panel's five nodes and one panel width), which the coarse run shares when the
-panel count is even. They are applied to the chain's vectors and never summed
-into matrices: inside system._chain, the product kernels and transfer
-functions also form, each panel costs one product of five vectors by the
-panel step. The transient growth in the tail bound is sampled from the fine
-run's matrices, once per system and (T, panels), and kept on the system.
+shifted by the spectral abscissa, come from one stacked expm call over six
+times (the first panel's five nodes and one panel width), which the coarse
+run shares when the panel count is even. They are applied to the chain's
+vectors and never summed into matrices: inside system._chain, the product
+kernels and transfer functions also form, each panel costs one product of
+five vectors by the panel step. The transient growth in the tail bound is
+sampled from the fine run's matrices, once per system and (T, panels), and
+kept on the system.
 aux_output_2d convolves the boundary-adjusted order-2 kernels with an input
-signal on an aligned lattice, one body for both kinds; eps_sweep is a
-convergence probe. symmetry_probe checks eval_symmetric against the
-symmetrisation of the triangular kernel, and phi1_bounds_probe checks the
-bounds of phi1.
+signal on an aligned lattice, one body for both kinds, with one stacked
+expm per lattice axis; eps_sweep is a convergence probe. symmetry_probe
+checks eval_symmetric against the symmetrisation of the triangular kernel,
+and phi1_bounds_probe checks the bounds of phi1 on all its samples with one
+stacked affine flow.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import eval_symmetric, eval_triangular
-from .linalg import expm, phi1_apply
+from .linalg import _affine_flow, expm
 from .response import SampledSignal, impulse_response, nascent_response
 from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
 from .transfer import _freq_tuple, _kind_rules
@@ -88,11 +90,13 @@ def _tail_bound(sys: BilinearSystem, chs, rates, growth: float):
     """Tail past T as a function of T.
 
     It is 2 ||C|| ||b|| prod ||N|| growth^k sum_i e^{-r_i T} / prod_i r_i; the
-    2-norms and the factor that does not depend on T are formed once.
+    factor that does not depend on T is formed once, from the 2-norms of C
+    and the N_j that the system keeps.
     """
-    scale = np.linalg.norm(sys.C, 2) * np.linalg.norm(sys.B[:, chs[0] - 1])
+    norm_c, norms_n = sys._norms2
+    scale = norm_c * np.linalg.norm(sys.B[:, chs[0] - 1])
     for j in chs[1:]:
-        scale *= np.linalg.norm(sys.N[j - 1], 2)
+        scale *= norms_n[j - 1]
     factor, rate_prod = 2.0 * scale * growth ** len(rates), math.prod(rates)
     return lambda T: factor * (sum(math.exp(-r * T) for r in rates) / rate_prod)
 
@@ -195,11 +199,12 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
     formed as e^{(A - alpha I) t} e^{-(z - alpha) t}, so it overflows neither
     for an unstable A inside the region of convergence nor for a strongly
     stable A on a long horizon. Panel p's exponentials are e^{(A - alpha I) w},
-    w = T / panels, times panel p - 1's. A run makes six expm calls (the first
-    panel's five nodes and the step) and applies them to the chain's vectors
-    panel by panel; it raises FloatingPointError naming the panel where a
-    vector is not finite, and never returns a non-finite value. The coarse
-    run (panels // 2, or 2 for one panel) gives the discretization estimate.
+    w = T / panels, times panel p - 1's. A run makes one expm call over six
+    times (the first panel's five nodes and the step) and applies the
+    exponentials to the chain's vectors panel by panel; it raises
+    FloatingPointError naming the panel where a vector is not finite, and
+    never returns a non-finite value. The coarse run (panels // 2, or 2 for
+    one panel) gives the discretization estimate.
     For an even panel count its nodes and step are twice the fine run's, so
     it applies the fine exponentials twice and makes no expm call of its own.
     The growth max ||e^{(A - alpha I) t}||_2 of the tail bound depends on A,
@@ -228,7 +233,8 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
         return ts.reshape(P, 5), wts.reshape(P, 5)
 
     def exponentials(P: int):
-        return np.stack([expm(shifted, t) for t in nodes(P)[0][0]]), expm(shifted, T / P)
+        exps = expm(shifted, np.append(nodes(P)[0][0], T / P))
+        return exps[:5], exps[5]
 
     def run(P: int, first, step, twice: bool = False):
         ts, wts = nodes(P)
@@ -263,9 +269,9 @@ def suggest_truncation(sys: BilinearSystem, channels, kind: str, s,
     """Truncation horizon whose analytic tail bound sits at or below tol.
 
     Bisects the same tail formula laplace_quadrature reports, with the
-    transient growth constant sampled on a spectral-abscissa time scale and a
-    factor-2 safety margin; the definitive bound is still the one reported by
-    the quadrature run itself.
+    transient growth constant sampled at 33 times on a spectral-abscissa time
+    scale, by one stacked expm, and a factor-2 safety margin; the definitive
+    bound is still the one reported by the quadrature run itself.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
@@ -275,8 +281,8 @@ def suggest_truncation(sys: BilinearSystem, channels, kind: str, s,
     abscissa = sys.spectral_abscissa
     horizon = 8.0 / margin
     shifted = sys.A - abscissa * np.eye(sys.n)
-    growth = 2.0 * max(np.linalg.norm(expm(shifted, t), 2)
-                       for t in np.linspace(0.0, horizon, 33))
+    samples = expm(shifted, np.linspace(0.0, horizon, 33))
+    growth = 2.0 * np.linalg.norm(samples, 2, axis=(1, 2)).max()
     tail = _tail_bound(sys, chs, [z.real - abscissa for z in sig], growth)
     lo, hi = 1e-3, 1e-3
     while tail(hi) > tol:
@@ -352,10 +358,10 @@ def aux_output_2d(sys: BilinearSystem, u: SampledSignal, kind: str,
     slot = np.subtract.outer(q1, (1 - reg) * q2)
     arg = np.add.outer(q1, reg * q2)
 
-    b = sys.B[:, 0]
-    rows = np.stack([(sys.C[0] @ expm(sys.A, t)) @ sys.N[0] for t in tau2])
+    # Row by row, as (1, n) products: one (q, n) @ (n, n) product rounds differently.
+    rows = ((sys.C[0] @ expm(sys.A, tau2))[:, None, :] @ sys.N[0])[:, 0]
     lags = np.arange(max(slot.min(), 0), max(slot.max(), 0) + 1)
-    cols = np.stack([expm(sys.A, d * h) @ b for d in lags])
+    cols = expm(sys.A, lags * h) @ sys.B[:, 0]
     vals = (cols @ rows.T)[np.clip(slot - lags[0], 0, None), np.arange(q2.size)]
     # The face rule: zero outside the domain, half where the first slot is zero.
     vals[(slot < 0) | (tau2 <= 0.0)] = 0.0
@@ -455,10 +461,10 @@ def phi1_bounds_probe(samples: int, bounds_range=(-5.0, 5.0),
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     ns = rng.uniform(lo, hi, size=int(samples))
+    # phi1(n) for every sample from one stacked affine flow of the 1 x 1 matrices [[n]].
+    vals = _affine_flow(ns[:, None, None], np.ones((ns.size, 1)), 0.0)[:, 0]
     violations = 0
-    one = np.array([1.0])
-    for n in ns:
-        val = float(phi1_apply(np.array([[n]]), one)[0])
+    for n, val in zip(ns, vals):
         en = math.exp(n)
         lo_b, hi_b = min(1.0, en), max(1.0, en)
         tol = 1e-12 * max(1.0, hi_b)

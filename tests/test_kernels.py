@@ -221,3 +221,43 @@ class TestMimoOperatorOrder:
                     @ expm(sys.A, t1) @ sys.B[:, j1 - 1])
         got = eval_regular(sys, [j1, j2, j3], [t1, t2, t3])
         assert_allclose(got, expected, rtol=1e-12)
+
+
+class TestChainsOfScalarExponentials:
+    """Each kernel equals, bit for bit, its chain of scalar expm calls."""
+
+    @staticmethod
+    def chain(sys, chs, slots):
+        v = expm(sys.A, slots[0]) @ sys.B[:, chs[0] - 1]
+        for j, t in zip(chs[1:], slots[1:]):
+            v = expm(sys.A, t) @ (sys.N[j - 1] @ v)
+        return sys.C @ v
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(46)
+        # times up to 12 give slots that need no squaring and slots that need several
+        return make_stable_system(rng, n=4, m=2, p=2), [1, 2, 2, 1], [12.0, 7.5, 0.8, 0.3]
+
+    def test_triangular(self, case):
+        sys, chs, ts = case
+        slots = [a - b for a, b in zip(ts, ts[1:] + [0.0])]
+        assert np.array_equal(eval_triangular(sys, chs, ts), self.chain(sys, chs, slots))
+
+    def test_regular(self, case):
+        sys, chs, ts = case
+        assert np.array_equal(eval_regular(sys, chs, ts), self.chain(sys, chs, ts))
+
+    def test_symmetric(self, case):
+        sys, chs, ts = case
+        order = [2, 0, 3, 1]
+        got = eval_symmetric(sys, [chs[i] for i in order], [ts[i] for i in order])
+        slots = [a - b for a, b in zip(ts, ts[1:] + [0.0])]
+        assert np.array_equal(got, (1.0 / math.factorial(4)) * self.chain(sys, chs, slots))
+
+    def test_tied_times_keep_the_face_factor(self, case):
+        sys, chs, _ = case
+        ts = [2.0, 2.0, 0.5, 0.5]
+        slots = [0.0, 1.5, 0.0, 0.5]
+        want = (1.0 / math.factorial(3)) * self.chain(sys, chs, slots)
+        assert np.array_equal(eval_triangular(sys, chs, ts), want)

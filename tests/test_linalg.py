@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bivolt.linalg import (PoleHitError, SingularMatrixError, _affine_flow, expm,
-                           phi1_apply, resolvent_apply, solve)
+from bivolt.linalg import (_THETA13, PoleHitError, SingularMatrixError, _affine_flow,
+                           expm, phi1_apply, resolvent_apply, resolvents, solve)
 
 
 def series_phi1(x, terms=40):
@@ -90,6 +90,65 @@ class TestExpm:
             expm(np.array([[np.nan]]))
         with pytest.raises(ValueError):
             expm(np.eye(2), np.inf)
+
+
+class TestStackedExpm:
+    """A stack is bit-identical, entry by entry, to the scalar calls."""
+
+    # n = 100 takes the path that forms a large stack one matrix at a time
+    @pytest.mark.parametrize("n, dtype", [(4, float), (4, complex), (100, float)])
+    def test_times_match_scalar_calls(self, n, dtype):
+        rng = np.random.default_rng(21)
+        A = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            A += 1j * rng.standard_normal((n, n))
+        A /= np.linalg.norm(A, 1)
+        # ||A t||_1 = |t|: no squaring up to _THETA13, then one to six
+        ts = np.array([2.0, 0.0, -0.3, 5.0, 6.0, 11.0, -40.0, 300.0, 0.0, 1e-3])
+        got = expm(A, ts)
+        assert got.shape == (ts.size, n, n) and got.dtype == dtype
+        for t, E in zip(ts, got):
+            assert np.array_equal(E, expm(A, t))
+        assert np.array_equal(got[1], np.eye(n))
+
+    def test_matrices_match_scalar_calls(self):
+        rng = np.random.default_rng(22)
+        Ms = rng.standard_normal((2, 3, 3, 3)) * np.array([0.1, 3.0, 40.0])[:, None, None]
+        got = expm(Ms, 0.7)
+        assert got.shape == Ms.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], expm(Ms[idx], 0.7))
+        # matrix and time stacks broadcast against each other
+        ts = np.array([0.5, 0.0, 2.0])
+        got = expm(Ms, ts)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], expm(Ms[idx], ts[idx[1]]))
+
+    def test_empty_stacks(self):
+        assert expm(np.eye(3), []).shape == (0, 3, 3)
+        assert expm(np.eye(100), []).shape == (0, 100, 100)
+        assert expm(np.zeros((2, 0, 0)), 1.0).shape == (2, 0, 0)
+
+    def test_stacked_overflow_names_time(self):
+        with pytest.raises(FloatingPointError, match=r"t = 800\.0 at stack index 2"):
+            expm(np.array([[1.0]]), [1.0, 700.0, 800.0, 900.0])
+        with pytest.raises(FloatingPointError, match=r"t = 10\.0 at stack index 1"):
+            expm(np.array([[1e308]]), [1.0, 10.0])
+        with pytest.raises(FloatingPointError, match=r"t = 800\.0 at stack index 1"):
+            expm(np.eye(100), [1.0, 800.0])
+
+    def test_stacked_bad_time(self):
+        with pytest.raises(ValueError, match="finite"):
+            expm(np.eye(2), [1.0, np.nan])
+
+    def test_stacked_affine_flow_matches_scalar_calls(self):
+        rng = np.random.default_rng(23)
+        M = rng.standard_normal((6, 3, 3)) * rng.uniform(0.1, 20.0, (6, 1, 1))
+        b, x0 = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        got = _affine_flow(M, b, x0)
+        assert any(np.linalg.norm(Mi, 1) > _THETA13 for Mi in M)
+        for i in range(6):
+            assert np.array_equal(got[i], _affine_flow(M[i], b[i], x0[i]))
 
 
 class TestPhi1:
@@ -197,6 +256,46 @@ class TestResolvent:
         A = [[-1.0, 5.0, 0.0], [0.0, -2.0, 3.0], [0.0, 0.0, -0.5]]
         with pytest.raises(PoleHitError):
             resolvent_apply(A, -2.0 + d, [1.0, 1.0, 1.0])
+
+
+class TestResolvents:
+    A = np.array([[-1.0, 5.0, 0.0], [0.0, -2.0, 3.0], [0.0, 0.0, -0.5]])
+
+    def test_stack_matches_resolvent_apply(self):
+        rng = np.random.default_rng(24)
+        A = rng.standard_normal((5, 5))
+        ss = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
+        v = rng.standard_normal(5)
+        got = resolvents(A, ss)
+        assert got.shape == (4, 5, 5)
+        for z, R in zip(ss, got):
+            assert np.array_equal(R @ v, resolvent_apply(A, z, v))
+        assert resolvents(A, ss[0]).shape == (5, 5)
+
+    def test_first_refused_shift_is_reported(self):
+        # -2 + 1e-15 fails the condition test; -2 is an exact zero pivot, so
+        # the stacked inverse fails as a whole and each matrix is tried alone
+        for ss, want in [([1.0, -2.0 + 1e-15, -2.0], -2.0 + 1e-15),
+                         ([1.0, -2.0, -2.0 + 1e-15], -2.0),
+                         ([0.5j, 1.0, -0.5 + 1e-16], -0.5 + 1e-16)]:
+            with pytest.raises(PoleHitError) as exc:
+                resolvents(self.A, ss)
+            assert exc.value.s == want
+
+    def test_pole_in_a_later_block(self):
+        # at n = 100 each shift is its own block
+        A = -np.diag(np.arange(1.0, 101.0))
+        with pytest.raises(PoleHitError) as exc:
+            resolvents(A, [0.5, 1.5j, -3.0, -4.0])
+        assert exc.value.s == -3.0
+        got = resolvents(A, [0.5, 1.5j])
+        assert np.array_equal(got[1], resolvents(A, 1.5j))
+
+    def test_bad_shifts(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            resolvents(self.A, [1.0, np.inf])
+        with pytest.raises(ValueError, match="1-D"):
+            resolvents(self.A, [[1.0]])
 
 
 class TestLU:

@@ -68,6 +68,12 @@ class TestTriangularTF:
             eval_tf_triangular(gain2_system, [1, 1], [2.0, -3.0])
         assert exc.value.s == pytest.approx(-1.0 + 0.0j)
 
+    def test_pole_at_second_of_three_partial_sums(self, gain2_system):
+        # partial sums (0.5, -1, 2): only the second hits the eigenvalue at -1
+        with pytest.raises(PoleHitError) as exc:
+            eval_tf_triangular(gain2_system, [1, 1, 1], [0.5, -1.5, 3.0])
+        assert exc.value.s == -1.0 + 0.0j
+
     def test_mimo_operator_order(self):
         # b_{j1} enters at s_1, N_{jk} sits next to the outermost resolvent
         rng = np.random.default_rng(44)
@@ -112,6 +118,12 @@ class TestSymmetricTF:
             acc += eval_tf_triangular(sys, [chs[i] for i in perm],
                                       [s[i] for i in perm]).value
         assert_allclose(got, acc / math.factorial(k), rtol=1e-12)
+
+    def test_pole_at_one_subset_sum(self, gain2_system):
+        # no argument and no triple sum is -1; the pair s_1 + s_2 is
+        with pytest.raises(PoleHitError) as exc:
+            eval_tf_symmetric(gain2_system, [1, 1, 1], [0.5, -1.5, 2.0])
+        assert exc.value.s == -1.0 + 0.0j
 
     def test_permutation_cap(self, gain2_system):
         with pytest.raises(ValueError):
@@ -182,3 +194,49 @@ class TestOutputTransform:
         got = output_transform(gain2_system, [1, 1], [1.0, 2.0], "symmetric", U)
         tv = eval_tf_symmetric(gain2_system, [1, 1], [1.0, 2.0]).value
         assert_allclose(got, tv * U(1.0) * U(2.0), rtol=1e-13)
+
+
+class TestChainsOfScalarSolves:
+    """Each evaluator equals, bit for bit, its chain of scalar resolvent_apply calls."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(45)
+        sys = make_stable_system(rng, n=5, m=2, p=2)
+        s = rng.uniform(0.3, 1.5, 4) + 1j * rng.uniform(-2.0, 2.0, 4)
+        return sys, [2, 1, 1, 2], s
+
+    @staticmethod
+    def chain(sys, chs, sigmas):
+        v = resolvent_apply(sys.A, sigmas[0], sys.B[:, chs[0] - 1])
+        for j, z in zip(chs[1:], sigmas[1:]):
+            v = resolvent_apply(sys.A, z, sys.N[j - 1] @ v)
+        return sys.C @ v
+
+    def test_regular(self, case):
+        sys, chs, s = case
+        got = eval_tf_regular(sys, chs, s).value
+        assert np.array_equal(got, self.chain(sys, chs, [complex(z) for z in s]))
+
+    def test_triangular(self, case):
+        sys, chs, s = case
+        got = eval_tf_triangular(sys, chs, s).value
+        sums = list(itertools.accumulate(complex(z) for z in s))
+        assert np.array_equal(got, self.chain(sys, chs, sums))
+
+    def test_symmetric(self, case):
+        sys, chs, s = case
+        ss, k = [complex(z) for z in s], len(s)
+        F = {}
+        for size in range(1, k + 1):
+            for S in itertools.combinations(range(k), size):
+                sigma = 0j
+                for i in S:
+                    sigma += ss[i]
+                if size == 1:
+                    v = sys.B[:, chs[S[0]] - 1].astype(complex)
+                else:
+                    v = sum(sys.N[chs[i] - 1] @ F[tuple(x for x in S if x != i)] for i in S)
+                F[S] = resolvent_apply(sys.A, sigma, v)
+        got = eval_tf_symmetric(sys, chs, s).value
+        assert np.array_equal(got, sys.C @ F[tuple(range(k))] / math.factorial(k))
