@@ -7,10 +7,8 @@ the interior limit scaled by 1/(k+1-n)! with n the dimension of the face the
 time tuple occupies. The interior value is the chain
 C e^{A tau_k} N_{j_k} ... N_{j_2} e^{A tau_1} b_{j_1} over the exponent slots
 tau_i, formed by system._chain, which transfer functions and the Laplace
-quadrature share. Its k exponentials come from one stacked expm call over
-the slots, each bit-identical to the exponential at that slot alone.
-Channel indices are 1-based (j_i in 1..m), matching the usual numbering of
-system inputs.
+quadrature share. Channel indices are 1-based (j_i in 1..m), matching the
+usual numbering of system inputs.
 """
 
 from __future__ import annotations
@@ -101,12 +99,6 @@ def classify_regular(times, tol: float = DEFAULT_TIE_TOL) -> RegionClass:
     return _face(*_slots(_times_tuple(times), False), tol)
 
 
-def _exp_chain(sys: BilinearSystem, chs: tuple[int, ...], slots) -> np.ndarray:
-    """The chain with X_i = e^{A tau_i}, all k exponentials from one stacked expm."""
-    exps = expm(sys.A, slots)
-    return _chain(sys, chs, lambda i, v: exps[i] @ v)
-
-
 def _eval_adjusted(sys: BilinearSystem, channels, times, tol: float,
                    triangular: bool) -> np.ndarray:
     """Adjusted kernel value of either kind: the face factor times the chain."""
@@ -116,7 +108,7 @@ def _eval_adjusted(sys: BilinearSystem, channels, times, tol: float,
     region = _face(slots, scales, tol)
     if region.kind == "zero":
         return np.zeros(sys.p)
-    return region.factor * _exp_chain(sys, chs, slots)
+    return region.factor * _chain(sys, chs, lambda i, v: expm(sys.A, slots[i]) @ v)
 
 
 def eval_triangular(sys: BilinearSystem, channels, times,
@@ -149,7 +141,7 @@ def eval_symmetric(sys: BilinearSystem, channels, times,
     sorted_chs = tuple(chs[i] for i in order)
     slots = _slots(sorted_ts, True)[0]
     scale = 1.0 / math.factorial(len(ts))
-    return scale * _exp_chain(sys, sorted_chs, slots)
+    return scale * _chain(sys, sorted_chs, lambda i, v: expm(sys.A, slots[i]) @ v)
 
 
 def triangular_coords_from_regular(times) -> tuple[float, ...]:

@@ -8,13 +8,15 @@ an array of times, or both, broadcast against each other. A stack gets a
 squaring count per matrix from its own 1-norm, one stacked Pade evaluation
 and solve per block of at most STACK doubles (one matrix at a time from
 n = 91), and squarings of only the entries that still need them, so each
-entry is bit-identical to the exponential of its matrix and time alone. The affine flow e^M x0 + phi1(M) b is one
-exponential of [[M, b], [0, 0]] applied to [x0; 1], for one M or a stack,
-and phi1_apply is that flow from x0 = 0. Linear solves factorise once with
-LAPACK and refuse a matrix whose condition number reaches 1/PIVOT_RTOL, so
-a frequency on the spectrum or a singular E is reported instead of
-surfacing as garbage downstream. resolvents forms the checked (s I - A)^{-1}
-for a whole array of shifts with stacked inverses, in the same blocks.
+entry is bit-identical to the exponential of its matrix and time alone.
+The affine flow e^M x0 + phi1(M) b is one exponential of [[M, b], [0, 0]]
+applied to [x0; 1], for one M or a stack, and phi1_apply is that flow from
+x0 = 0. Linear solves factorise once with LAPACK and refuse a matrix whose
+condition number reaches 1/PIVOT_RTOL, so a frequency on the spectrum or a
+singular E is reported instead of surfacing as garbage downstream.
+resolvents forms the checked (s I - A)^{-1} for one shift or a whole array
+of shifts with stacked inverses, in the same blocks, and resolvent_apply
+applies them: to one right-hand side, or block by block to one per shift.
 """
 
 from __future__ import annotations
@@ -47,12 +49,18 @@ _THETA13 = 5.371920351148152
 # solve refuses a matrix whose condition number reaches 1/PIVOT_RTOL.
 PIVOT_RTOL = 1e-12
 
-# Doubles in one stacked array. expm and resolvents work on a stack in blocks
-# of at most STACK doubles per array, so that a block's temporaries stay in
-# cache: at n = 100 a block is one matrix, and 32 Pade approximants in one
+# Doubles in one stacked array. expm, resolvents and resolvent_apply work on a
+# stack in blocks of at most STACK doubles per array (_block), so that a
+# block's temporaries stay in cache: at n = 100 a block is one matrix, and 32 Pade approximants in one
 # block took 1.7x as long per matrix (one BLAS thread), while at n = 4 to 20
-# larger blocks are faster. response bounds its stacks of step maps by it too.
+# larger blocks are faster. response bounds its stacks of step maps by it, and
+# aux_output_2d its stacks of exponentials.
 STACK = 2 ** 14
+
+
+def _block(n: int) -> int:
+    """Number of n x n matrices in one block of at most STACK doubles, at least one."""
+    return max(1, STACK // max(n * n, 1))
 
 
 class SingularMatrixError(ValueError):
@@ -169,8 +177,8 @@ def _expm_stack(M: np.ndarray, t: np.ndarray) -> np.ndarray:
     R = np.empty(shape + (n, n), dtype=np.result_type(M, t))
     if not R.size:
         return R
-    block = STACK // (n * n)
-    if block < 2:
+    block = _block(n)
+    if block == 1:
         Ms, ts = np.broadcast_to(M, R.shape), np.broadcast_to(t, shape)
         for i, idx in enumerate(np.ndindex(shape)):
             R[idx] = _expm_one(Ms[idx], ts[idx].item(), i)
@@ -279,50 +287,75 @@ def solve(K, B) -> np.ndarray:
     return _inverses(M[None])[0] @ np.asarray(B)
 
 
-def resolvents(A, s) -> np.ndarray:
-    """(s I - A)^{-1} for one shift s, or the (q, n, n) stack of them for q shifts.
-
-    The matrices s_i I - A are inverted by stacked LAPACK calls, in blocks
-    of at most STACK doubles (one matrix at a time from n = 91), and each is
-    refused as solve refuses a matrix; PoleHitError carries the first
-    refused s_i.
-    """
-    Amat = _square_array(A, "resolvent matrix")
+def _shifts(s) -> np.ndarray:
+    """s as one complex shift (0-d) or a 1-D array of them, all finite."""
     ss = np.asarray(s, dtype=complex)
     if ss.ndim > 1:
         raise ValueError(f"shifts must be one value or a 1-D array, got shape {ss.shape}")
     if not np.isfinite(ss).all():
         raise ValueError("resolvent shift has non-finite components")
+    return ss
+
+
+def _checked_resolvents(K: np.ndarray, shifts) -> np.ndarray:
+    """Inverses of the stack K[i] = s_i I - A, each checked as solve checks a matrix.
+
+    Raises PoleHitError carrying the first refused s_i.
+    """
+    try:
+        return _inverses(K)
+    except SingularMatrixError as exc:
+        raise PoleHitError(complex(shifts[exc.index])) from exc
+
+
+def resolvents(A, s) -> np.ndarray:
+    """(s I - A)^{-1} for one shift s, or the (q, n, n) stack of them for q shifts.
+
+    The matrices s_i I - A are inverted by stacked LAPACK calls, in blocks
+    of at most STACK doubles (one matrix at a time from n = 91, where three
+    stacked inverses took 1.04-1.13x as long as three single ones), and each
+    is refused as solve refuses a matrix; PoleHitError carries the first
+    refused s_i.
+    """
+    Amat = _square_array(A, "resolvent matrix")
+    ss = _shifts(s)
     shifts, n = ss.reshape(-1), Amat.shape[0]
-
-    def inverses(i: int, j: int) -> np.ndarray:
-        K = shifts[i:j, None, None] * np.eye(n) - Amat
-        try:
-            return _inverses(K)
-        except SingularMatrixError as exc:
-            raise PoleHitError(complex(shifts[i + exc.index])) from exc
-
-    block = max(1, STACK // max(n * n, 1))
-    if len(shifts) <= block:
-        return inverses(0, len(shifts)).reshape(ss.shape + Amat.shape)
+    step = _block(n)
     out = np.empty((len(shifts), n, n), dtype=complex)
-    for i in range(0, len(shifts), block):
-        out[i:i + block] = inverses(i, i + block)
-    return out
+    for i in range(0, len(shifts), step):
+        part = shifts[i:i + step]
+        out[i:i + step] = _checked_resolvents(part[:, None, None] * np.eye(n) - Amat, part)
+    return out.reshape(ss.shape + (n, n))
 
 
 def resolvent_apply(A, s, V) -> np.ndarray:
     """Solve (s I - A) X = V; raises :class:`PoleHitError` when s sits on the spectrum.
 
-    The checked inverse is resolvents' for one shift, formed without its
-    stacking, which a single call does not need.
+    s is one shift, with V of shape (n,) or (n, r), or a 1-D array of q
+    shifts, with V stacked as (q, n) or (q, n, r): then X[i] solves
+    (s_i I - A) X[i] = V[i]. A stack's inverses are formed and applied in
+    resolvents' blocks, so that a long array of shifts never holds all its
+    inverses at once; PoleHitError carries the first refused shift. One
+    shift skips the stacking: through resolvents, a call took 1.21x as long
+    at n = 4 and 20 (one BLAS thread).
     """
     Amat = _square_array(A, "resolvent matrix")
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise ValueError("resolvent shift has non-finite components")
-    try:
-        inverse = _inverses((s * np.eye(Amat.shape[0]) - Amat)[None])[0]
-    except SingularMatrixError as exc:
-        raise PoleHitError(s) from exc
-    return inverse @ np.asarray(V, dtype=complex)
+    X = np.asarray(V, dtype=complex)
+    n = Amat.shape[0]
+    if np.ndim(s) == 0:
+        s = complex(s)
+        if not cmath.isfinite(s):
+            raise ValueError("resolvent shift has non-finite components")
+        return _checked_resolvents((s * np.eye(n) - Amat)[None], [s])[0] @ X
+    ss = _shifts(s)
+    if X.ndim not in (2, 3) or len(X) != len(ss):
+        raise ValueError(f"V must be a stack (q, n) or (q, n, r) for q = {len(ss)} "
+                         f"shifts, got shape {X.shape}")
+    Y = X[:, :, None] if X.ndim == 2 else X
+    out = np.empty(Y.shape, dtype=complex)
+    step = _block(n)
+    for i in range(0, len(ss), step):
+        part = ss[i:i + step]
+        out[i:i + step] = (_checked_resolvents(part[:, None, None] * np.eye(n) - Amat, part)
+                           @ Y[i:i + step])
+    return out[:, :, 0] if X.ndim == 2 else out

@@ -4,14 +4,16 @@ Regular transfer functions chain single-frequency resolvents and triangular
 ones chain resolvents at the partial sums s_1 + ... + s_i. The chain is
 system._chain, the product a kernel forms with e^{A tau_i} where these take
 (sigma_i I - A)^{-1}: the Laplace transform of a kernel is a transfer
-function. An evaluation forms its k resolvents by one stacked, checked
-inverse (linalg.resolvents) before the chain applies them. The symmetric one
-averages the triangular value over all argument permutations. That average
-is not formed permutation by permutation: the triangular chains share their
-partial results, which depend only on the set of arguments used so far, so
-one resolvent per nonempty subset (2^k - 1 in all) gives it, formed by one
-stacked solve per subset size (k in all). Frequency tuples are sequences of
-complex numbers; channels are 1-based.
+function. A regular or triangular evaluation forms its k resolvents by
+stacked, checked inverses (linalg.resolvents) before the chain applies them;
+from n = 91, where one matrix fills a stacking block, each is solved when
+the chain reaches it. The symmetric one averages the triangular value over
+all argument permutations. That average is not formed permutation by
+permutation: the triangular chains share their partial results, which
+depend only on the set of arguments used so far, so one resolvent solve per
+nonempty subset (2^k - 1 in all) gives it, made as one stacked
+resolvent_apply call per subset size (k in all). Frequency tuples are
+sequences of complex numbers; channels are 1-based.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import resolvents
+from .linalg import _block, resolvent_apply, resolvents
 from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
 
 __all__ = [
@@ -78,7 +80,15 @@ def _subset_sums(ss: tuple[complex, ...]) -> list[complex]:
 
 
 def _resolvent_chain(sys: BilinearSystem, chs: tuple[int, ...], sigmas) -> np.ndarray:
-    """The chain with X_i = (sigma_i I - A)^{-1}, all k from one stacked solve."""
+    """The chain with X_i = (sigma_i I - A)^{-1}, all k formed first by resolvents.
+
+    Where one matrix fills a stacking block (n >= 91) each resolvent is
+    solved when the chain reaches it instead: forming all k first and then
+    applying them took 1.15x as long at n = 100 and k = 3, as the first ones
+    leave the cache before the chain uses them.
+    """
+    if _block(sys.n) == 1:
+        return _chain(sys, chs, lambda i, v: resolvent_apply(sys.A, sigmas[i], v))
     inverses = resolvents(sys.A, sigmas)
     return _chain(sys, chs, lambda i, v: inverses[i] @ v)
 
@@ -104,11 +114,11 @@ def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
     triangular chains that use the arguments of a set S first, in any order,
     is F(S) = R(sigma_S) sum_{i in S} N_{j_i} F(S \\ {i}), with
     F({i}) = R(s_i) b_{j_i}, R(z) = (z I - A)^{-1} and sigma_S the sum of the
-    s_i in S; the value is C F(all) / k!. That is 2^k - 1 resolvents in
-    place of k k! (the Held-Karp subset recursion). F(S) needs only the sets
-    one smaller, so the resolvents of all sets of one size come from one
-    stacked solve: k solves in all. A pole at several subset sums is reported
-    at one of the smallest sets. Refuses k > 8.
+    s_i in S; the value is C F(all) / k!. That is 2^k - 1 resolvent solves
+    in place of k k! (the Held-Karp subset recursion). F(S) needs only the
+    sets one smaller, so the solves of all sets of one size are one stacked
+    resolvent_apply call: k calls in all. A pole at several subset sums is
+    reported at one of the smallest sets. Refuses k > 8.
     """
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
@@ -117,13 +127,15 @@ def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
     F = [None] * len(sums)
     for size in range(1, k + 1):
         sets = [S for S in range(1, len(sums)) if bin(S).count("1") == size]
-        for S, R in zip(sets, resolvents(sys.A, [sums[S] for S in sets])):
+        V = []
+        for S in sets:
             members = [i for i in range(k) if S >> i & 1]
             if size == 1:
-                v = sys.B[:, chs[members[0]] - 1].astype(complex)
+                V.append(sys.B[:, chs[members[0]] - 1])
             else:
-                v = sum(sys.N[chs[i] - 1] @ F[S ^ (1 << i)] for i in members)
-            F[S] = R @ v
+                V.append(sum(sys.N[chs[i] - 1] @ F[S ^ (1 << i)] for i in members))
+        for S, x in zip(sets, resolvent_apply(sys.A, [sums[S] for S in sets], np.stack(V))):
+            F[S] = x
     return TransferValue(sys.C @ F[-1] / math.factorial(k), "symmetric", chs)
 
 

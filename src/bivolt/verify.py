@@ -13,11 +13,11 @@ five vectors by the panel step. The transient growth in the tail bound is
 sampled from the fine run's matrices, once per system and (T, panels), and
 kept on the system.
 aux_output_2d convolves the boundary-adjusted order-2 kernels with an input
-signal on an aligned lattice, one body for both kinds, with one stacked
-expm per lattice axis; eps_sweep is a convergence probe. symmetry_probe
-checks eval_symmetric against the symmetrisation of the triangular kernel,
-and phi1_bounds_probe checks the bounds of phi1 on all its samples with one
-stacked affine flow.
+signal on an aligned lattice, one body for both kinds, with stacked expm
+calls of at most STACK doubles along each lattice axis; eps_sweep is a
+convergence probe. symmetry_probe checks eval_symmetric against the
+symmetrisation of the triangular kernel, and phi1_bounds_probe checks the
+bounds of phi1 on all its samples with one stacked affine flow.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import eval_symmetric, eval_triangular
-from .linalg import _affine_flow, expm
+from .linalg import _affine_flow, _block, expm
 from .response import SampledSignal, impulse_response, nascent_response
 from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
 from .transfer import _freq_tuple, _kind_rules
@@ -358,10 +358,14 @@ def aux_output_2d(sys: BilinearSystem, u: SampledSignal, kind: str,
     slot = np.subtract.outer(q1, (1 - reg) * q2)
     arg = np.add.outer(q1, reg * q2)
 
-    # Row by row, as (1, n) products: one (q, n) @ (n, n) product rounds differently.
-    rows = ((sys.C[0] @ expm(sys.A, tau2))[:, None, :] @ sys.N[0])[:, 0]
+    # The exponentials come in stacks of at most STACK doubles; rows are formed
+    # as (1, n) products, since one (q, n) @ (n, n) product rounds differently.
+    per = _block(sys.n)
+    rows = np.concatenate([((sys.C[0] @ expm(sys.A, t))[:, None, :] @ sys.N[0])[:, 0]
+                           for t in np.split(tau2, range(per, tau2.size, per))])
     lags = np.arange(max(slot.min(), 0), max(slot.max(), 0) + 1)
-    cols = expm(sys.A, lags * h) @ sys.B[:, 0]
+    cols = np.concatenate([expm(sys.A, t) @ sys.B[:, 0]
+                           for t in np.split(lags * h, range(per, lags.size, per))])
     vals = (cols @ rows.T)[np.clip(slot - lags[0], 0, None), np.arange(q2.size)]
     # The face rule: zero outside the domain, half where the first slot is zero.
     vals[(slot < 0) | (tau2 <= 0.0)] = 0.0

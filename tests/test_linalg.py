@@ -261,16 +261,26 @@ class TestResolvent:
 class TestResolvents:
     A = np.array([[-1.0, 5.0, 0.0], [0.0, -2.0, 3.0], [0.0, 0.0, -0.5]])
 
-    def test_stack_matches_resolvent_apply(self):
+    def test_stack_matches_one_matrix_solves(self):
         rng = np.random.default_rng(24)
         A = rng.standard_normal((5, 5))
         ss = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
-        v = rng.standard_normal(5)
+        v, V, W = (rng.standard_normal(5), rng.standard_normal((4, 5)),
+                   rng.standard_normal((4, 5, 2)))
         got = resolvents(A, ss)
         assert got.shape == (4, 5, 5)
-        for z, R in zip(ss, got):
-            assert np.array_equal(R @ v, resolvent_apply(A, z, v))
+        X, Y = resolvent_apply(A, ss, V), resolvent_apply(A, ss, W)
+        assert X.shape == (4, 5) and Y.shape == (4, 5, 2)
+        for i, z in enumerate(ss):
+            assert np.array_equal(got[i] @ v, solve(z * np.eye(5) - A, v.astype(complex)))
+            assert np.array_equal(X[i], resolvent_apply(A, z, V[i]))
+            assert np.array_equal(Y[i], resolvent_apply(A, z, W[i]))
         assert resolvents(A, ss[0]).shape == (5, 5)
+
+    def test_stacked_solve_reports_first_refused_shift(self):
+        with pytest.raises(PoleHitError) as exc:
+            resolvent_apply(self.A, [1.0, -0.5 + 1e-16, -2.0], np.ones((3, 3)))
+        assert exc.value.s == -0.5 + 1e-16
 
     def test_first_refused_shift_is_reported(self):
         # -2 + 1e-15 fails the condition test; -2 is an exact zero pivot, so
@@ -283,19 +293,22 @@ class TestResolvents:
             assert exc.value.s == want
 
     def test_pole_in_a_later_block(self):
-        # at n = 100 each shift is its own block
+        # at n = 100 a stacked resolvent_apply takes each shift as its own block
         A = -np.diag(np.arange(1.0, 101.0))
+        V = np.ones((4, 100))
         with pytest.raises(PoleHitError) as exc:
-            resolvents(A, [0.5, 1.5j, -3.0, -4.0])
+            resolvent_apply(A, [0.5, 1.5j, -3.0, -4.0], V)
         assert exc.value.s == -3.0
-        got = resolvents(A, [0.5, 1.5j])
-        assert np.array_equal(got[1], resolvents(A, 1.5j))
+        got = resolvent_apply(A, [0.5, 1.5j], V[:2])
+        assert np.array_equal(got[1], resolvent_apply(A, 1.5j, V[1]))
 
     def test_bad_shifts(self):
         with pytest.raises(ValueError, match="non-finite"):
             resolvents(self.A, [1.0, np.inf])
         with pytest.raises(ValueError, match="1-D"):
             resolvents(self.A, [[1.0]])
+        with pytest.raises(ValueError, match="stack"):
+            resolvent_apply(self.A, [1.0, 2.0], np.ones(3))
 
 
 class TestLU:

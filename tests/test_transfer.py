@@ -199,10 +199,12 @@ class TestOutputTransform:
 class TestChainsOfScalarSolves:
     """Each evaluator equals, bit for bit, its chain of scalar resolvent_apply calls."""
 
-    @pytest.fixture
-    def case(self):
+    # at n = 100 one matrix fills a stacking block, and the chains solve
+    # position by position
+    @pytest.fixture(params=[5, 100])
+    def case(self, request):
         rng = np.random.default_rng(45)
-        sys = make_stable_system(rng, n=5, m=2, p=2)
+        sys = make_stable_system(rng, n=request.param, m=2, p=2)
         s = rng.uniform(0.3, 1.5, 4) + 1j * rng.uniform(-2.0, 2.0, 4)
         return sys, [2, 1, 1, 2], s
 
