@@ -17,21 +17,27 @@ input is one such u. Any step is an affine map, linear on [1, state] with
 B u entering through a virtual order-0 row, formed from its node, midpoint
 and next-node samples by three stacked products (_step_maps): one n x n
 block for the full system, and for the cascade a band of blocks,
-lower-triangular Toeplitz over the orders. A run has one such map F and is
-filled by doubling with the powers F, F^2, F^4, ... (squared when first
-needed, dropped when the next run brings another u): L steps within one
-buffer block cost about log2 L band products over their state rows, not L
-Python steps. Other steps are forced: a forced stretch within a block, cut
-so that one stack holds at most STACK doubles of maps, can form all its maps
-as one stack and fill its states by pairwise reduction. Neighbouring maps
-are composed, the states at even steps come from those by recursion, and
-the odd ones follow in one stacked apply: about L small products in log2 L
-rounds. Where a map, a power or a product is not finite, the run or
-stretch is stepped instead. Each stretch takes the cheapest of stepping, its run map and the
-reduction, counted in multiply-adds plus a fixed cost per numpy call
-(_mapped): stepping costs calls and the reduction flops, so the reduction
-takes small n. States go through a fixed block buffer that is checked for
-overflow and projected through C once per block, so memory does not grow
+lower-triangular Toeplitz over the orders. A run has one such map F, and its
+powers F, F^2, F^4, ... are squared when first needed and dropped when the
+next run brings another u. A run is filled by doubling with them, over its
+state rows (L steps within one buffer block cost about log2 L band products,
+not L Python steps), or over its outputs alone: the powers projected through
+C double the same way, once per run, into an array of the outputs of F^j
+for every j of a chunk, and each chunk of the run is then one product of
+its first state by that array. The projection pays where p is small against
+n, and takes a run only where an a-priori bound on its states is finite, so
+that an overflowing state is still formed and named. Other steps are
+forced: a forced stretch within a block, cut so that one stack holds at most
+STACK doubles of maps, can form all its maps as one stack and fill its
+states by pairwise reduction. Neighbouring maps are composed, the states at
+even steps come from those by recursion, and the odd ones follow in one
+stacked apply: about L small products in log2 L rounds. Where a map, a
+power or a product is not finite, the run or stretch is stepped instead.
+Each stretch takes the cheapest of stepping, its run map over states or
+outputs and the reduction, counted in multiply-adds plus a fixed cost per
+numpy call (_mapped): stepping costs calls and the reduction flops, so the
+reduction takes small n. Formed states go through a fixed block buffer that
+is checked for overflow and projected through C, so memory does not grow
 with the grid beyond the outputs themselves.
 """
 
@@ -107,7 +113,7 @@ class SampledSignal:
             raise ValueError(
                 f"signal has {vals.shape[0]} sample rows for a grid of "
                 f"{self.grid.nodes} nodes")
-        if vals.size and not np.all(np.isfinite(vals)):
+        if vals.size and not np.isfinite(vals).all():
             raise ValueError("signal has non-finite samples")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -354,10 +360,23 @@ def _finite(T: np.ndarray, r) -> bool:
     return bool(np.isfinite(T).all() and (r is None or np.isfinite(r).all()))
 
 
+def _square_to(powers: list, count: int) -> bool:
+    """Extend the powers [F, F^2, F^4, ...] of one run map to count entries,
+    each squared from the last; False where one is not finite."""
+    # F was checked before any square of it was kept
+    if len(powers) == 1 and not _finite(*powers[0]):
+        return False
+    while len(powers) < count:
+        square = _compose(powers[-1], powers[-1])
+        if not _finite(*square):
+            return False
+        powers.append(square)
+    return True
+
+
 def _fill(Y: np.ndarray, run: np.ndarray, powers: list) -> bool:
     """Write F(Y), F^2(Y), ..., F^steps(Y) into run (rows, steps, n), from the
-    powers [F, F^2, F^4, ...] of one run map; a power is squared from the last
-    when first needed and appended to the list.
+    powers [F, F^2, F^4, ...] of one run map (_square_to).
 
     Steps [0, P) mapped by F^P give steps [P, 2P), one band product over all
     their states, for P = 1, 2, 4, ... Returns False, with run untouched, when
@@ -365,19 +384,90 @@ def _fill(Y: np.ndarray, run: np.ndarray, powers: list) -> bool:
     """
     steps = run.shape[1]
     levels = (steps - 1).bit_length()
-    # F was checked before any square of it was kept
-    if len(powers) == 1 and not _finite(*powers[0]):
+    if not _square_to(powers, levels):
         return False
-    while len(powers) < levels:
-        square = _compose(powers[-1], powers[-1])
-        if not _finite(*square):
-            return False
-        powers.append(square)
     _band_apply(Y[:, None], *powers[0], out=run[:, :1])
     for i in range(levels):
         P = 1 << i
         _band_apply(run[:, :min(P, steps - P)], *powers[i], out=run[:, P:2 * P])
     return True
+
+
+def _norm1(T: np.ndarray, r) -> float:
+    """1-norm of a band map (T, r) in the augmented form [[T, 0], [r, 1]] over
+    all its state rows: the largest factor by which it can raise max |y|, or
+    1 for the row that carries the constant."""
+    cols = np.cumsum(np.abs(T).sum(axis=1), axis=0)
+    if r is not None:
+        cols = cols[np.minimum(np.arange(len(r)), len(T) - 1)] + np.abs(r[:, 0])
+    return max(float(cols.max()), 1.0)
+
+
+def _projection(powers: list, CT: np.ndarray, steps: int):
+    """The outputs of F, F^2, ..., F^steps of one run map, for any state:
+    (Z, rho, grow) with Z (b, n, steps p) and rho (rows, steps p) or None,
+    so that the outputs from the state rows Y are Y Z + rho, band by band
+    (_band_apply), step j in columns [j p, (j + 1) p).
+
+    Powers of one map commute, so the projected powers double as _fill's
+    states do: Z_{j+P} = T^(P) Z_j and rho_{j+P} = r^(P) Z_j + rho_j. The
+    powers go up to F^P for the largest P <= steps, which maps a state over
+    a whole chunk. grow, the 1-norm (_norm1) of F times those of all these
+    powers, bounds max |y| over the chunk from Y, and the state after it, by
+    max(max |Y|, 1) grow. Returns None where a power or a projection is not
+    finite.
+    """
+    if not _square_to(powers, steps.bit_length()):
+        return None
+    (T, r), p = powers[0], CT.shape[1]
+    Z = np.empty(T.shape[:2] + (steps * p,))
+    np.matmul(T, CT, out=Z[..., :p])
+    rho = None if r is None else np.empty((len(r), steps * p))
+    if r is not None:
+        np.matmul(r[:, 0], CT, out=rho[:, :p])
+    for i in range((steps - 1).bit_length()):
+        P, Q = (1 << i) * p, min(1 << i, steps - (1 << i)) * p
+        Ti, ri = powers[i]
+        if r is not None:
+            _band_apply(ri[:, 0], Z[..., :Q], rho[:, :Q], out=rho[:, P:P + Q])
+        _band_apply(Ti, Z[..., :Q], out=Z[..., P:P + Q])
+    if not _finite(Z, rho):
+        return None
+    grow = _norm1(T, r) * math.prod(_norm1(*F) for F in powers[:steps.bit_length()])
+    return Z, rho, grow
+
+
+_HUGE = np.finfo(float).max
+
+
+def _project(Y: np.ndarray, out: np.ndarray, powers: list, projection, h: float):
+    """Write the outputs of F(Y), ..., F^L(Y) into out (rows, L, p), a slice
+    of steps of the output array, from the run map's projection: one product
+    per chunk of its length. The state after a chunk is Y mapped by the
+    powers of its length's binary digits.
+
+    Returns the steps written and the state after them. A chunk is written
+    only where the bound max(max |Y|, 1) grow 12 / h on its states and stage
+    sums (see _check) is finite, so that a state that would overflow is
+    formed by the caller and named by its check.
+    """
+    Z, rho, grow = projection
+    rows, L, p = out.shape
+    c = Z.shape[-1] // p
+    flat = out.reshape(rows, L * p)  # a view: a slice of steps keeps (L, p) contiguous
+    # the bound is finite while max |Y| <= limit, and limit >= 1
+    limit = _HUGE / (grow * (12.0 / h))
+    for done in range(0, L, c):
+        if not (limit >= 1.0 and np.abs(Y).max() <= limit):
+            return done, Y
+        steps = min(c, L - done)
+        _band_apply(Y, Z[..., :steps * p], None if rho is None else rho[:, :steps * p],
+                    out=flat[:, done * p:(done + steps) * p])
+        for i in range(steps.bit_length()):
+            if steps >> i & 1:
+                T, r = powers[i]
+                Y = _band_apply(Y, T, None if r is None else r[:, 0])
+    return L, Y
 
 
 def _step_maps(sys: BilinearSystem, Un: np.ndarray, Um: np.ndarray, h: float,
@@ -437,13 +527,15 @@ def _reduce(Y: np.ndarray, out: np.ndarray, T: np.ndarray, r: np.ndarray) -> boo
     return True
 
 
-# How a step is taken: one RK4 step, a run map, or the pairwise reduction.
-STEP, MAP, REDUCE = 0, 1, 2
+# How a step is taken: one RK4 step, a run map over the states, the pairwise
+# reduction, or a run map over the outputs alone.
+STEP, MAP, REDUCE, PROJECT = 0, 1, 2, 3
 
 # linalg.STACK bounds the doubles in one stacked array of step maps
 # (rows, L, n, n): a reduced stretch holds about ten such arrays at once, so
 # it is at most STACK // (rows n^2) steps long, and its maps take a few MB at
-# most whatever n and K are.
+# most whatever n and K are. A run's projection (b, n, steps p) is bounded
+# the same way, and longer stretches of the run are written in chunks.
 
 # Cost of one numpy call on the small operands of an RK4 step, in
 # multiply-adds of stacked small products. Measured on x86-64 with one BLAS
@@ -451,6 +543,13 @@ STEP, MAP, REDUCE = 0, 1, 2
 # takes 16-30 us, and the reduction at n = 20 runs its 4 n^3 multiply-adds per
 # step at about 0.8 ns each.
 CALL = 1000
+
+
+def _chunk(width: int, L: int) -> int:
+    """Steps of a run's projection whose arrays hold width doubles per step
+    (_projection): the largest power of two at which each holds at most
+    STACK doubles, and at most L."""
+    return min(1 << (max(STACK // width, 1).bit_length() - 1), L)
 
 
 def _stretches(mask: np.ndarray, *cuts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -467,8 +566,8 @@ def _stretches(mask: np.ndarray, *cuts: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
             rows: int, shift: int, block: int, span: int) -> np.ndarray:
-    """How each step is taken: MAP, REDUCE or STEP, by the cheapest count of
-    multiply-adds, with CALL for each numpy call.
+    """How each step is taken: MAP, PROJECT, REDUCE or STEP, by the cheapest
+    count of multiply-adds, with CALL for each numpy call.
 
     For a stretch of L steps whose maps have b bands of n x n blocks:
     - stepping takes 4 (m + 1) rows n^2 and 20 calls per step;
@@ -477,37 +576,54 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
     - a steady run forms one map, with b = rows when its input drives the
       cascade's orders, else 1, and takes b (b + 1) n^3 / 2 per squaring, one
       per doubling level within a block, (rows b - b (b - 1) / 2) n^2 per step
-      to apply, and 20 calls plus 6 (b + 1) per level;
+      to apply, and 20 calls plus 6 (b + 1) per level, then 20 plus
+      2 (b + 1) per level for each further block;
+    - a steady run over its outputs squares to its chunk of c steps (_chunk),
+      projects c powers through C (b (b + 1) (n + rows) n p c / 2) and takes
+      (rows b - b (b - 1) / 2) n p per step for the outputs, 20 calls plus
+      8 (b + 1) + 6 per power (a squaring, its norm and its projection), and
+      per chunk one state apply and 10 + 4 b calls;
     - a forced stretch within a block and a span (the span steps from a
       multiple of span), reduced, forms one map per step with b = rows, and
       takes about one composition (b (b + 1) n^3 / 2 for the band, as much
       n^2 for the shift) and one apply (b (b + 1) n^2 / 2) per step, and 40
       calls plus 6 (b + 1) per round, of which there are log2 L + 1.
-    A steady run takes its map when that is cheaper than stepping it, and
-    every other stretch within a block is reduced when that is cheaper.
-    Stepping costs calls and the others flops, so the reduction takes small
-    states and long stretches, and stepping the rest.
+    Formed states are projected through C in one product per block, which is
+    not counted, so the projection wins only where its outputs and its calls
+    per chunk cost less than the state products it saves: it loses where p
+    nears n. A steady run takes the cheaper of its two fills when that is
+    cheaper than stepping it, and every other stretch within a block is
+    reduced when that is cheaper. Stepping costs calls and the others flops,
+    so the reduction takes small states and long stretches, the projection
+    long runs of few outputs, and stepping the rest.
     """
-    n, m = sys.n, sys.m
+    n, m, p = sys.n, sys.m, sys.p
 
     def form(b):
-        g = np.minimum(b, 2)
+        g = min(b, 2)
         return 3 * (g * b - g + 1) * n ** 3
 
     per_step = 4 * (m + 1) * rows * n * n + 20 * CALL
     via = np.full(steady.size, STEP, dtype=np.int8)
     first, last = _stretches(steady)
-    L = last - first
     drives = sys.N.reshape(m, -1).any(axis=1)
-    # the full system has one row, so its maps have one band either way
-    b = np.where((U[first][:, drives] != 0).any(axis=1), rows, 1)
-    levels = np.floor(np.log2(np.maximum(np.minimum(L, block) - 1, 1)))
-    by_map = (form(b) + n ** 3 * levels * b * (b + 1) / 2
-              + L * n * n * (rows * b - b * (b - 1) / 2)
-              + CALL * (20 + 6 * (b + 1) * levels))
-    cheaper = by_map < L * per_step
-    for a, z in zip(first[cheaper], last[cheaper]):
-        via[a:z] = MAP
+    driven = (U[first][:, drives] != 0).any(axis=1)
+    # runs are few: scalar sums cost less than numpy calls on short arrays
+    for a, z, d in zip(first.tolist(), last.tolist(), driven.tolist()):
+        # the full system has one row, so its maps have one band either way
+        L, b = z - a, rows if d else 1
+        band, pairs = rows * b - b * (b - 1) // 2, b * (b + 1) // 2
+        levels = max(min(L, block) - 1, 1).bit_length() - 1
+        by_map = (form(b) + n ** 3 * levels * pairs + L * n * n * band
+                  + CALL * (20 + 6 * (b + 1) * levels
+                            + (math.ceil(L / block) - 1) * (20 + 2 * (b + 1) * levels)))
+        c = _chunk(max(b * n, rows) * p, L)
+        count = c.bit_length()
+        by_project = (form(b) + n ** 3 * (count - 1) * pairs + c * n * p * (n + rows) * pairs
+                      + L * n * p * band + math.ceil(L / c) * (n * n * band + CALL * (10 + 4 * b))
+                      + CALL * (20 + (8 * (b + 1) + 6) * count))
+        if min(by_map, by_project) < L * per_step:
+            via[a:z] = PROJECT if by_project < by_map else MAP
     first, last = _stretches(via == STEP, block, span)
     L = last - first
     b = rows
@@ -519,6 +635,28 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
     return via
 
 
+def _check(states: np.ndarray, prev: np.ndarray, first: int, grid: TimeGrid) -> None:
+    """Raise at the first of the steps first + 1, ... whose state in states
+    (rows, L, n), from prev (rows, n), is not finite or has a stage sum that is
+    not.
+
+    A step stands while its state and its stage sum k1 + 2 k2 + 2 k3 + k4 =
+    6 (y_k - y_{k-1}) / h are finite: a forced step forms that sum, and mapped
+    steps are held to the same test. It is bounded by 12 / h times the
+    largest entry, so the per-step test runs only where that bound overflows.
+    """
+    h = grid.dt
+    size = np.maximum(states.max(), -states.min())
+    if not np.isfinite(size * (12.0 / h)):
+        path = np.concatenate([prev[:, None], states], axis=1)
+        finite = np.isfinite(np.diff(path, axis=1) * (6.0 / h)).all(axis=(0, 2))
+        if not finite.all():
+            node = first + 1 + int(np.argmin(finite))
+            raise FloatingPointError(
+                f"RK4 state became non-finite at step {node} "
+                f"(t = {grid.t0 + h * node:.6g}, dt = {h:.6g})")
+
+
 def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
          Y0: np.ndarray, shift: int) -> np.ndarray:
     """RK4 for the rows of the state Y (rows, n); outputs (rows, nodes, p).
@@ -527,11 +665,17 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     row k - 1 drives row k through the N_j (see _weights). A step whose node,
     midpoint and next-node samples are one vector u belongs to a run. Each
     stretch of steps within a block is filled by doubling with the powers of
-    its run's map (_fill), by the pairwise reduction of its step maps
-    (_reduce) or by RK4 steps, as _mapped decides; the first two fall back to
-    steps where a map or a product is not finite. The powers are held for
-    the current run's u. A reduced stretch also ends at each multiple of
-    span, which bounds its stack of maps (STACK).
+    its run's map over the states (_fill), by the pairwise reduction of its
+    step maps (_reduce) or by RK4 steps, or its run is filled over the
+    outputs alone (_projection, _project), as _mapped decides. A projected
+    run needs no buffer, so it goes on across blocks to its end, and the
+    next block starts there. The fills fall back to steps where a map or a
+    product is not finite, and the projection to the state fill where its
+    bound on the states is not. The powers and the projection are formed
+    once and held for the current run's u. A reduced stretch also ends at
+    each multiple of span, which bounds its stack of maps (STACK). Formed
+    states are checked (_check) and projected through C once per stretch of
+    them between projected runs.
     """
     require_explicit(sys)
     if u.m != sys.m:
@@ -550,7 +694,7 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     block = min(max(BLOCK_ROWS // rows, 1), grid.nodes - 1)
     span = min(max(STACK // (rows * n * n), 1), block)
     # Two runs never touch: the step across a change of level is forced.
-    steady = np.all((U[:-1] == Um) & (Um == U[1:]), axis=1)
+    steady = ((U[:-1] == Um) & (Um == U[1:])).all(axis=1)
     via = _mapped(sys, U, steady, rows, shift, block, span)
     # steps where a stretch taken one way begins, and multiples of span
     # within reduced stretches (a mask: np.union1d imports numpy.ma on first
@@ -565,22 +709,48 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     out[:, 0] = Y0 @ CT
     buf = np.empty((rows, block, n))
     R = _stage_rows(sys, rows)
-    Y, u_run, powers = Y0, None, None
+    Y, u_run, powers, projection = Y0, None, None, None
+
+    def settle(first, last, prev):
+        # check and project the states of steps first + 1 .. last, from prev
+        states = buf[:, first - start:last - start]
+        _check(states, prev, first, grid)
+        out[:, first + 1:last + 1] = states @ CT
+
+    start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, grid.nodes - 1, block):
+        while start < grid.nodes - 1:
             stop = min(start + block, grid.nodes - 1)
             cuts = edges[np.searchsorted(edges, start, "right"):
                          np.searchsorted(edges, stop)]
             bounds = [start, *cuts.tolist(), stop]
-            prev = Y
+            # buf holds the states of steps first + 1, ... from prev, unsettled
+            first, prev = start, Y
             for a, b in zip(bounds[:-1], bounds[1:]):
-                run = buf[:, a - start:b - start]
-                if via[a] == MAP and (u_run is None or (u_run != U[a]).any()):
-                    powers = None  # free the last run's powers first
+                how = via[a]
+                if how in (MAP, PROJECT) and (u_run is None or (u_run != U[a]).any()):
+                    powers = projection = None  # free the last run's arrays first
                     T, r = _step_maps(sys, U[a:a + 2], Um[a:a + 1], h, rows, shift)
                     u_run, powers = U[a], [(T[:, 0], r[:, 0] if r.any() else None)]
-                if (via[a] == MAP and _fill(Y, run, powers)
-                        or via[a] == REDUCE and _reduce(
+                if how == PROJECT:
+                    # the outputs need no buffer: project to the run's end
+                    i = np.searchsorted(edges, a, "right")
+                    end = edges[i] if i < edges.size else grid.nodes - 1
+                    if projection is None:  # False once refused for this run
+                        width = max(len(powers[0][0]) * n, rows) * sys.p
+                        projection = _projection(powers, CT, _chunk(width, int(end - a))) or False
+                    if projection:
+                        if first < a:
+                            settle(first, a, prev)
+                        done, Y = _project(Y, out[:, a + 1:end + 1], powers, projection, h)
+                        first, prev = a + done, Y
+                        if first >= b:
+                            continue
+                        a = first
+                    how = MAP
+                run = buf[:, a - start:b - start]
+                if (how == MAP and _fill(Y, run, powers)
+                        or how == REDUCE and _reduce(
                             Y[:, None, None], run[:, :, None],
                             *_step_maps(sys, U[a:b + 1], Um[a:b], h, rows, shift))):
                     Y = run[:, -1].copy()
@@ -590,22 +760,9 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
                     for j in range(b - a):
                         Y = _rk4_step(Y, h, GT, R, Wn[j], Wm[j], Wn[j + 1])
                         run[:, j] = Y
-            states = buf[:, :stop - start]
-            # A step stands while its state and its stage sum
-            # k1 + 2 k2 + 2 k3 + k4 = 6 (y_k - y_{k-1}) / h are finite: a
-            # forced step forms that sum, and mapped steps are held to the
-            # same test. It is bounded by 12 / h times the largest entry, so
-            # the per-step test runs only where that bound overflows.
-            size = np.maximum(states.max(), -states.min())
-            if not np.isfinite(size * (12.0 / h)):
-                path = np.concatenate([prev[:, None], states], axis=1)
-                finite = np.isfinite(np.diff(path, axis=1) * (6.0 / h)).all(axis=(0, 2))
-                if not finite.all():
-                    node = start + 1 + int(np.argmin(finite))
-                    raise FloatingPointError(
-                        f"RK4 state became non-finite at step {node} "
-                        f"(t = {grid.t0 + h * node:.6g}, dt = {h:.6g})")
-            out[:, start + 1:stop + 1] = states @ CT
+            if first < stop:
+                settle(first, stop, prev)
+            start = max(first, stop)
     return out
 
 

@@ -160,12 +160,12 @@ def validate(sys: BilinearSystem) -> list[str]:
         violations.append(f"x0 has shape {sys.x0.shape}; expected ({n},)")
     for name in ("A", "N", "B", "C", "x0"):
         arr = getattr(sys, name)
-        if arr.size and not np.all(np.isfinite(arr)):
+        if arr.size and not np.isfinite(arr).all():
             violations.append(f"{name} has non-finite entries")
     if sys.E is not None:
         if sys.E.shape != (n, n):
             violations.append(f"E has shape {sys.E.shape}; expected ({n}, {n})")
-        elif not np.all(np.isfinite(sys.E)):
+        elif not np.isfinite(sys.E).all():
             violations.append("E has non-finite entries")
         else:
             try:
@@ -206,7 +206,7 @@ def effective_matrices(sys: BilinearSystem, mu) -> EffectiveExcitation:
     if weights.shape != (sys.m,):
         raise ValueError(
             f"mu has shape {weights.shape}; expected ({sys.m},)")
-    if not np.all(np.isfinite(weights)):
+    if not np.isfinite(weights).all():
         raise ValueError("mu has non-finite entries")
     Nhat = np.tensordot(weights, sys.N, axes=1)
     bhat = sys.B @ weights

@@ -133,7 +133,7 @@ def _sampled_growth(first: np.ndarray, step: np.ndarray, ts: np.ndarray) -> floa
         if p:
             with np.errstate(over="ignore", invalid="ignore"):
                 block = step @ block
-            if not np.all(np.isfinite(block)):
+            if not np.isfinite(block).all():
                 raise _overflow("e^((A - alpha I) t)", p, ts)
         exps = np.frexp(np.max(np.abs(block), axis=(1, 2)))[1]
         scaled = np.ldexp(block, -exps[:, None, None])
@@ -241,7 +241,7 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
         damped = wts * np.exp(-np.multiply.outer(rates, ts))
         with np.errstate(over="ignore", invalid="ignore"):
             out = _chain(sys, chs, _panel_sums(first, step, ts, damped, twice))
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise FloatingPointError("quadrature overflow: the chain product is not finite")
         return out
 
@@ -416,7 +416,7 @@ def eps_sweep(sys: BilinearSystem, mu, eps_list, probe_times) -> SweepReport:
             for t in probes)
     ratios = errors[:-1] / errors[1:] if len(eps) > 1 else np.empty(0)
     order = None
-    if len(eps) >= 2 and np.all(errors > 0):
+    if len(eps) >= 2 and (errors > 0).all():
         slope = np.polyfit(np.log(eps), np.log(errors), 1)[0]
         order = float(slope)
     return SweepReport(eps=eps, errors=errors, ratios=ratios, order=order)

@@ -355,6 +355,47 @@ class TestOdeDirect:
             assert np.all(np.isfinite(got))
             assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("x0, projected", [(1e300, False), (1e150, True)])
+    def test_overflow_in_a_projected_run_names_the_stepped_step(self, x0, projected,
+                                                                monkeypatch):
+        # A free run of A = 50 I whose map F ~ e^{0.05} has finite powers, but
+        # whose state x0 e^{50 t} and its stage sums pass the largest double
+        # mid-run: stepping names step 267 from 1e300 and step 7175 from
+        # 1e150. Outputs filled over a projection never form the states, so
+        # the bound on them must hand the run to the state fill before they
+        # overflow, and the check there must name the step that stepping
+        # names. With chunks of 2048 steps the bound is x0 e^{205} 12 / h:
+        # finite from 1e150, where two chunks are projected first, and not
+        # from 1e300.
+        project, written = response._project, []
+
+        def spy(*args):
+            done, Y = project(*args)
+            written.append(done)
+            return done, Y
+
+        monkeypatch.setattr(response, "_project", spy)
+        n = 8
+        sys = BilinearSystem(A=50.0 * np.eye(n), N=np.zeros((1, n, n)), B=np.ones((n, 1)),
+                             C=np.ones((1, n)) / n, x0=np.full(n, x0))
+        grid = TimeGrid(0.0, 8.0, 1e-3)
+        u = zero_signal(grid)
+        runs = (lambda: ode_direct(sys, u, grid), lambda: volterra_cascade(sys, u, 3, grid))
+
+        def messages():
+            got = []
+            for run in runs:
+                with pytest.raises(FloatingPointError) as err:
+                    run()
+                got.append(str(err.value))
+            return got
+
+        got = messages()
+        assert written and max(written) == (4096 if projected else 0)
+        monkeypatch.setattr(response, "_mapped",
+                            lambda sys, U, *args: np.full(len(U) - 1, response.STEP))
+        assert got == messages()
+
     @pytest.mark.parametrize("n, K", [(16, None), (8, 4)])
     def test_reduced_stretches_hold_bounded_stacks(self, n, K, monkeypatch):
         # Near the size where stepping wins, the maps of a whole block would
@@ -383,6 +424,29 @@ class TestOdeDirect:
             tracemalloc.stop()
         assert reduced and max(reduced) <= response.STACK
         assert peak < 4e6, peak
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_run_with_every_state_an_output_fills_its_states(self, n, monkeypatch):
+        # The pulse shape of the benchmark (eps = 1e-3, dt = eps / 20), cut to
+        # 5000 steps. With C = I the projection would form each output as the
+        # fill forms each state, in chunks of at most STACK // n^2 steps, so
+        # the cost model must fill the states; with one output row it projects.
+        project, projected = response._project, []
+
+        def spy(*args):
+            projected.append(args[1].shape)
+            return project(*args)
+
+        monkeypatch.setattr(response, "_project", spy)
+        made = make_stable_system(np.random.default_rng(n), n=n, m=2, with_x0=True)
+        grid = TimeGrid(0.0, 0.25, 1e-3 / 20)
+        u = delta_eps_signal(grid, 1e-3, [1.0, 0.5])
+        for C, expected in ((np.eye(n), False), (made.C, True)):
+            sys = BilinearSystem(A=made.A, N=made.N, B=made.B, C=C, x0=made.x0)
+            projected.clear()
+            ode_direct(sys, u, grid)
+            volterra_cascade(sys, u, 4, grid)
+            assert bool(projected) == expected
 
     def test_zero_state_under_overflowing_run_map_stays_zero(self):
         # the step input of the forced case above without B: the run map's

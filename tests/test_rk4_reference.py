@@ -17,6 +17,12 @@ step maps. Patched inputs put forced stretches of 1..41 steps between held
 levels. Each forced case runs twice: with the path the cost model picks,
 and with every forced stretch reduced, whatever its length. One long case
 reduces the benchmark's forced shape, 2500 steps on a stiff system.
+
+A run may be filled over its outputs alone, in chunks of a projection of
+its map's powers. Pulse and step cases run past three blocks on grids whose
+lengths are not powers of two, with the path the cost model picks and with
+every run projected: the free run after a pulse from x0 != 0, and a driven
+run with a shift B u under a step.
 """
 
 import numpy as np
@@ -24,9 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivolt import (BilinearSystem, SampledSignal, TimeGrid, ode_direct,
-                    response, signal_from_samples, sine_signal, volterra_cascade)
-from bivolt.response import BLOCK_ROWS, REDUCE, STEP
+from bivolt import (BilinearSystem, SampledSignal, TimeGrid, delta_eps_signal,
+                    ode_direct, response, signal_from_samples, sine_signal,
+                    step_signal, volterra_cascade)
+from bivolt.response import BLOCK_ROWS, MAP, PROJECT, REDUCE, STEP
 
 from conftest import make_stable_system
 
@@ -280,3 +287,53 @@ def test_forced_on_a_long_stiff_grid(monkeypatch):
     monkeypatch.setattr(response, "_rk4_step", refuse)
     assert_close_per_order([ode_direct(sys, u, grid).values], [want_direct])
     assert_close_per_order(volterra_cascade(sys, u, 4, grid).per_order, want_cascade)
+
+
+def project_every_run(monkeypatch):
+    """Fill every run over its outputs, whatever the cost model says; returns
+    the (steps written, steps asked) of each projected stretch."""
+    mapped, project, written = response._mapped, response._project, []
+
+    def projected(*args):
+        via = mapped(*args)
+        via[via == MAP] = PROJECT
+        return via
+
+    def spy(Y, out, *args):
+        done, Y = project(Y, out, *args)
+        written.append((done, out.shape[1]))
+        return done, Y
+
+    monkeypatch.setattr(response, "_mapped", projected)
+    monkeypatch.setattr(response, "_project", spy)
+    return written
+
+
+def run_input(kind, rng, grid, m):
+    """A pulse of 10..30 steps from t = 0, then zero input, or a step."""
+    mu = rng.standard_normal(m)
+    if kind == "step":
+        return step_signal(grid, mu)
+    return delta_eps_signal(grid, grid.dt * rng.integers(10, 31), mu)
+
+
+@pytest.mark.parametrize("kind", ["pulse", "step"])
+@pytest.mark.parametrize("K", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_projected_runs_match_reference_loop(kind, K, p):
+    rng = np.random.default_rng([p, K or 0, kind == "step"])
+    sys = make_stable_system(rng, n=6, m=2, p=p, with_x0=True)
+    block = BLOCK_ROWS // (K or 1)
+    grid = TimeGrid(0.0, (3 * block + int(rng.integers(3, 100))) * DT, DT)
+    u = run_input(kind, rng, grid, sys.m)
+    want = reference_rk4(sys, u, grid, K)
+    want = [want] if K is None else want.transpose(1, 0, 2)
+    for every in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            written = project_every_run(mp) if every else []
+            got = (ode_direct(sys, u, grid).values[None] if K is None
+                   else volterra_cascade(sys, u, K, grid).per_order)
+        assert_close_per_order(got, want)
+        if every:
+            # one stretch to the end of the grid, written in full
+            assert written[-1][0] == written[-1][1] > 2 * block
