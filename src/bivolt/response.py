@@ -8,10 +8,13 @@ M = (A + Nhat/eps) tau, b = bhat tau/eps, and eps -> 0 gives the impulse.
 
 Simulation uses classical fixed-step RK4 on a uniform grid with inputs
 interpolated linearly at half-steps (on the signal's own grid, the node
-samples and the averages of neighbours). Both engines share one integrator:
-each stage is one product of the state rows with the stacked
-G = [A; N_1..N_m] followed by a small input-dependent combination, the full
-system being one row and the cascade one row per order. A run is a stretch
+samples and the averages of neighbours). Both engines share one integrator
+over state rows, the full system being one row and the cascade one row per
+order. A stepped RK4 stage is two products into fixed buffers (_Stages): the
+stage input by the stacked G^T = [A; N_1..N_m]^T, and one input-weighted
+combination of the step's state and the products of its stages so far,
+which is the next stage's input or, written straight into the state buffer,
+the next state: eight numpy calls and a copy per step. A run is a stretch
 of steps whose node, midpoint and next-node samples are one vector u; zero
 input is one such u. Any step is an affine map, linear on [1, state] with
 B u entering through a virtual order-0 row, formed from its node, midpoint
@@ -35,14 +38,16 @@ stacked apply: about L small products in log2 L rounds. Where a map, a
 power or a product is not finite, the run or stretch is stepped instead.
 Each stretch takes the cheapest of stepping, its run map over states or
 outputs and the reduction, counted in multiply-adds plus a fixed cost per
-numpy call (_mapped): stepping costs calls and the reduction flops, so the
-reduction takes small n. Formed states go through a fixed block buffer that
+numpy call (_mapped): stepping costs calls and the reduction flops, so with
+m = 2 the reduction takes n up to about 13 for the full system and 6 for a
+K = 4 cascade. Formed states go through a fixed block buffer that
 is checked for overflow and projected through C, so memory does not grow
 with the grid beyond the outputs themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -290,43 +295,127 @@ def nascent_response(sys: BilinearSystem, mu, eps: float, t: float) -> np.ndarra
 BLOCK_ROWS = 1024
 
 
-def _weights(u: np.ndarray, rows: int, shift: int) -> np.ndarray:
-    """W(u) for each input sample u (..., m): an RK4 stage is dY = W(u) @ R.
+# The combinations of an RK4 step (_Stages), one (combination s, stage r,
+# factor a of h, input sample) per term h a W(u) R_{r+1}, counting s and r
+# from 0: combinations 0, 1 and 2 are the stage inputs z_{s+2} =
+# z_1 + h a W(u) R_{s+1}, and combination 3 is the next state. Samples 0, 1
+# and 2 are the node, midpoint and next-node inputs.
+_TABLEAU = ((0, 0, 1 / 2, 0), (1, 1, 1 / 2, 1), (2, 2, 1.0, 1),
+            (3, 0, 1 / 6, 0), (3, 1, 1 / 3, 1), (3, 2, 1 / 3, 1), (3, 3, 1 / 6, 2))
 
-    R stacks [0, b_1..b_m] over Y G^T, in n-wide blocks: with y_1..y_rows the
-    rows of Y and y_0 a virtual state whose N_j-images are the columns b_j of
-    B, block (i, j) is N_j y_i (N_0 = A). Row k of dY is
+
+@functools.lru_cache(maxsize=None)
+def _stage_terms(rows: int, m: int, shift: int) -> tuple:
+    """Where the terms of the stage weights of RK4 steps go (_Stages).
+
+    The weights of one step are four matrices, (rows, cols[s]) for stage s,
+    in one flat row of F doubles, and those of a chunk of steps (at most 64
+    steps and STACK doubles) are chunk such rows. Returns cols, the offsets
+    of the matrices in a row and chunk; a row's identity terms, and its A
+    terms over h; and step by step over a chunk, the flat positions of the
+    input terms, the flat positions in the chunk's samples (chunk, 3 m) that
+    they take, and their factors over h.
+    """
+    width = (rows + 1) * (m + 1)
+    cols = rows + width * np.arange(1, 5)
+    offsets = np.concatenate([[0], np.cumsum(rows * cols)])
+    F = offsets[-1]
+    chunk = max(1, min(64, int(STACK // F)))
+    # term, row k and input j on the axes; term (s, r) reads R_r from column
+    # (s - r) width of stage s's weights, and z_1 comes after R_1
+    s, r, a, sample = (np.array(c)[:, None, None] for c in zip(*_TABLEAU))
+    k, stage = np.arange(rows)[:, None], np.arange(4)[:, None]
+    row = np.zeros(F)
+    row[offsets[stage] + k.T * (cols[stage] + 1) + (stage + 1) * width] = 1.0
+    over_h = np.zeros(F)
+    over_h[offsets[s] + k * cols[s] + (s - r) * width + (k + 1) * (m + 1)] = a
+    # the input terms u_j N_j y_{k-shift} of row k, and B u into row 1
+    k, source = np.arange(rows + 1), np.arange(1, rows + 2) - shift
+    k[-1] = source[-1] = 0
+    j = np.arange(1, m + 1)
+    pos = offsets[s] + k[:, None] * cols[s] + (s - r) * width + source[:, None] * (m + 1) + j
+    steps = np.arange(chunk)[:, None]
+    put = (F * steps + pos.ravel()).ravel()
+    take = (3 * m * steps + np.broadcast_to(sample * m + j - 1, pos.shape).ravel()).ravel()
+    factor = np.tile(np.broadcast_to(a, pos.shape).ravel(), chunk)
+    for shared in (cols, offsets, row, over_h, put, take, factor):
+        shared.setflags(write=False)
+    return cols, offsets, chunk, row, over_h, put, take, factor
+
+
+class _Stages:
+    """Buffers and weights of RK4 steps of the state rows (rows, n).
+
+    X stacks the products R_4, ..., R_1 of a step's four stages over z_1,
+    its state, as rows of n. R_s is (rows + 1, (m + 1) n): row 0 holds the
+    virtual [0, b_1..b_m] and the rest z_s G^T, G = [A; N_1..N_m], so that
+    block (i, j) is N_j y_i (N_0 = A) with y_0 a virtual state whose
+    N_j-images are the columns b_j of B. Row k of W(u) R is
     A y_k + sum_j u_j N_j y_{k-shift}, and row 1 also takes
     B u = sum_j u_j N_j y_0, which for the cascade (shift = 1) is that sum.
+    A stage input, or the next state, is then one product of a weight matrix
+    (_TABLEAU, with the identity on z_1) by the last rows of X, the products
+    of the stages so far and z_1: z_1 comes last, so that the products sum
+    before it is added, as in the textbook step. W views the four weight
+    matrices of `chunk` steps, whose identity and A terms are fixed; fill
+    writes the input terms of each chunk.
     """
-    m = u.shape[-1]
-    W = np.zeros(u.shape[:-1] + (rows, rows + 1, m + 1))
-    k = np.arange(rows)
-    W[..., k, k + 1, 0] = 1.0
-    W[..., k, k + 1 - shift, 1:] = u[..., None, :]
-    W[..., 0, 0, 1:] = u
-    return W.reshape(u.shape[:-1] + (rows, -1))
+
+    def __init__(self, sys: BilinearSystem, rows: int, shift: int, h: float):
+        n, m = sys.n, sys.m
+        cols, offsets, self.chunk, row, over_h, self.put, self.take, factor = \
+            _stage_terms(rows, m, shift)
+        self.scale = h * factor
+        self.GT = np.concatenate([sys.A[None], sys.N]).reshape(-1, n).T
+        X = np.zeros((cols[-1], n))
+        R = X[:-rows].reshape(4, rows + 1, m + 1, n)[::-1]
+        R[:, 0, 1:] = sys.B.T
+        self.z, self.Z = X[-rows:], np.empty((3, rows, n))
+        self.X = [X[-c:] for c in cols]
+        self.R = [Rs[1:].reshape(rows, -1) for Rs in R]
+        self.fixed, self.ready = row + h * over_h, 0
+        self.weights = np.empty((self.chunk, offsets[-1]))
+        self.flat = self.weights.reshape(-1)
+        self.W = [self.weights[:, o:o + rows * c].reshape(-1, rows, c)
+                  for o, c in zip(offsets, cols)]
+
+    def fill(self, samples: np.ndarray) -> None:
+        """Write the weights of the first steps of the chunk, from their
+        samples (steps, 3 m): node, midpoint and next node."""
+        L = len(samples)
+        if self.ready < L:  # the fixed terms of steps not used before
+            self.weights[self.ready:L] = self.fixed
+            self.ready = L
+        e = L * (len(self.put) // self.chunk)
+        self.flat[self.put[:e]] = samples.ravel()[self.take[:e]] * self.scale[:e]
 
 
-def _rk4_step(Y, h, GT, R, W0, Wh, W1):
-    # R (rows + 1, (m + 1) n) comes from _stage_rows: row 0 holds the virtual
-    # [0, b_1..b_m], Y G^T goes into the rest. W0, Wh, W1: start, mid, end.
-    RY, R2 = R[1:], R.reshape(W0.shape[1], -1)
-    np.matmul(Y, GT, out=RY)
-    k1 = W0 @ R2
-    np.matmul(Y + (0.5 * h) * k1, GT, out=RY)
-    k2 = Wh @ R2
-    np.matmul(Y + (0.5 * h) * k2, GT, out=RY)
-    k3 = Wh @ R2
-    np.matmul(Y + h * k3, GT, out=RY)
-    k4 = W1 @ R2
-    return Y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_step(stages: _Stages, Y: np.ndarray, run: np.ndarray,
+              Un: np.ndarray, Um: np.ndarray) -> None:
+    """Write the states of RK4 steps from Y (rows, n) into run (rows, L, n),
+    for node samples Un (L + 1, m) and midpoint samples Um (L, m).
 
-
-def _stage_rows(sys: BilinearSystem, rows: int) -> np.ndarray:
-    R = np.zeros((rows + 1, (sys.m + 1) * sys.n))
-    R[0, sys.n:] = sys.B.T.ravel()
-    return R
+    Each stage is two products into fixed buffers: z_s G^T into R_s, and the
+    combination over z_1 and R_1..R_s into the next stage's input, or the
+    next state straight into run (_Stages).
+    """
+    mm, GT, z, (Z1, Z2, Z3) = np.matmul, stages.GT, stages.z, stages.Z
+    (R1, R2, R3, R4), (X1, X2, X3, X4) = stages.R, stages.X
+    samples = np.concatenate([Un[:-1], Um, Un[1:]], axis=1)
+    states = run.swapaxes(0, 1)
+    z[...] = Y
+    for first in range(0, len(samples), stages.chunk):
+        stages.fill(samples[first:first + stages.chunk])
+        for y, W1, W2, W3, W4 in zip(states[first:first + stages.chunk], *stages.W):
+            mm(z, GT, out=R1)
+            mm(W1, X1, out=Z1)
+            mm(Z1, GT, out=R2)
+            mm(W2, X2, out=Z2)
+            mm(Z2, GT, out=R3)
+            mm(W3, X3, out=Z3)
+            mm(Z3, GT, out=R4)
+            mm(W4, X4, out=y)
+            z[...] = y
 
 
 def _band_apply(X: np.ndarray, T: np.ndarray, r=None, out=None) -> np.ndarray:
@@ -539,9 +628,11 @@ STEP, MAP, REDUCE, PROJECT = 0, 1, 2, 3
 
 # Cost of one numpy call on the small operands of an RK4 step, in
 # multiply-adds of stacked small products. Measured on x86-64 with one BLAS
-# thread: a forced step at n = 4 (about 20 calls, a few hundred multiply-adds)
-# takes 16-30 us, and the reduction at n = 20 runs its 4 n^3 multiply-adds per
-# step at about 0.8 ns each.
+# thread: a stepped forced step at n = 4 (nine calls, a few hundred
+# multiply-adds) takes 10-16 us, 1.1-1.8 us a call, and the reduction at
+# n = 20 runs its 4 n^3 multiply-adds per step at about 0.8-0.9 ns each, so a
+# call is worth 1000-2000 of them. At 1000, stepping and the reduction break
+# even in the model where they do in time (_mapped).
 CALL = 1000
 
 
@@ -570,7 +661,10 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
     count of multiply-adds, with CALL for each numpy call.
 
     For a stretch of L steps whose maps have b bands of n x n blocks:
-    - stepping takes 4 (m + 1) rows n^2 and 20 calls per step;
+    - stepping takes 4 (m + 1) rows n^2 and 9 calls per step, eight
+      products and a copy (_rk4_step); its stage products run at a fraction
+      of the reduction's time per multiply-add, so the combinations'
+      rows n (4 rows + 10 (rows + 1) (m + 1)) are not counted;
     - forming one step map (_step_maps) takes 3 (g b - g + 1) n^3 for
       g = min(b, 2) generator bands;
     - a steady run forms one map, with b = rows when its input drives the
@@ -595,7 +689,10 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
     cheaper than stepping it, and every other stretch within a block is
     reduced when that is cheaper. Stepping costs calls and the others flops,
     so the reduction takes small states and long stretches, the projection
-    long runs of few outputs, and stepping the rest.
+    long runs of few outputs, and stepping the rest. For 2500 sine-forced
+    steps with m = 2, stepping and the reduction take the same time at about
+    n = 14 for the full system and n = 6 for a K = 4 cascade, and the model
+    steps from n = 14 and n = 6-8 on.
     """
     n, m, p = sys.n, sys.m, sys.p
 
@@ -603,7 +700,7 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
         g = min(b, 2)
         return 3 * (g * b - g + 1) * n ** 3
 
-    per_step = 4 * (m + 1) * rows * n * n + 20 * CALL
+    per_step = 4 * (m + 1) * rows * n * n + 9 * CALL
     via = np.full(steady.size, STEP, dtype=np.int8)
     first, last = _stretches(steady)
     drives = sys.N.reshape(m, -1).any(axis=1)
@@ -662,7 +759,7 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     """RK4 for the rows of the state Y (rows, n); outputs (rows, nodes, p).
 
     shift = 0 is the full system (one row); shift = 1 is the cascade, where
-    row k - 1 drives row k through the N_j (see _weights). A step whose node,
+    row k - 1 drives row k through the N_j (see _Stages). A step whose node,
     midpoint and next-node samples are one vector u belongs to a run. Each
     stretch of steps within a block is filled by doubling with the powers of
     its run's map over the states (_fill), by the pairwise reduction of its
@@ -703,13 +800,11 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     begins[1:] = via[1:] != via[:-1]
     begins[::span] |= via[::span] == REDUCE
     edges = np.flatnonzero(begins)
-    GT = np.concatenate([sys.A[None], sys.N]).reshape(-1, n).T
     CT = sys.C.T
     out = np.empty((rows, grid.nodes, sys.p))
     out[:, 0] = Y0 @ CT
     buf = np.empty((rows, block, n))
-    R = _stage_rows(sys, rows)
-    Y, u_run, powers, projection = Y0, None, None, None
+    Y, u_run, powers, projection, stages = Y0, None, None, None, None
 
     def settle(first, last, prev):
         # check and project the states of steps first + 1 .. last, from prev
@@ -749,17 +844,13 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
                         a = first
                     how = MAP
                 run = buf[:, a - start:b - start]
-                if (how == MAP and _fill(Y, run, powers)
+                if not (how == MAP and _fill(Y, run, powers)
                         or how == REDUCE and _reduce(
                             Y[:, None, None], run[:, :, None],
                             *_step_maps(sys, U[a:b + 1], Um[a:b], h, rows, shift))):
-                    Y = run[:, -1].copy()
-                else:
-                    Wn = _weights(U[a:b + 1], rows, shift)
-                    Wm = _weights(Um[a:b], rows, shift)
-                    for j in range(b - a):
-                        Y = _rk4_step(Y, h, GT, R, Wn[j], Wm[j], Wn[j + 1])
-                        run[:, j] = Y
+                    stages = stages or _Stages(sys, rows, shift, h)
+                    _rk4_step(stages, Y, run, U[a:b + 1], Um[a:b])
+                Y = run[:, -1].copy()
             if first < stop:
                 settle(first, stop, prev)
             start = max(first, stop)

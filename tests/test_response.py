@@ -398,17 +398,24 @@ class TestOdeDirect:
 
     @pytest.mark.parametrize("n, K", [(16, None), (8, 4)])
     def test_reduced_stretches_hold_bounded_stacks(self, n, K, monkeypatch):
-        # Near the size where stepping wins, the maps of a whole block would
-        # take 20 MB (n = 16) and 4.5 MB (n = 8, K = 4) of stacked arrays;
-        # each stretch is cut to STACK doubles per array instead.
+        # Just above the sizes where stepping wins, the maps of a whole block
+        # would take 20 MB (n = 16) and 4.5 MB (n = 8, K = 4) of stacked
+        # arrays; each stretch is cut to STACK doubles per array instead.
+        # Every forced stretch is reduced here, whatever the cost model picks.
         import tracemalloc
 
-        reduce_states, reduced = response._reduce, []
+        mapped, reduce_states, reduced = response._mapped, response._reduce, []
+
+        def reduce_forced(*args):
+            via = mapped(*args)
+            via[via == response.STEP] = response.REDUCE
+            return via
 
         def spy(*args):
             reduced.append(args[2].size)
             return reduce_states(*args)
 
+        monkeypatch.setattr(response, "_mapped", reduce_forced)
         monkeypatch.setattr(response, "_reduce", spy)
         sys = make_stable_system(np.random.default_rng(n), n=n, m=2, with_x0=True)
         grid = TimeGrid(0.0, 10.0, 4e-3)

@@ -14,9 +14,11 @@ edges, between zero runs.
 Sine and random inputs change on every step, so every step is forced; at
 these small n a forced stretch is filled by the pairwise reduction of its
 step maps. Patched inputs put forced stretches of 1..41 steps between held
-levels. Each forced case runs twice: with the path the cost model picks,
-and with every forced stretch reduced, whatever its length. One long case
-reduces the benchmark's forced shape, 2500 steps on a stiff system.
+levels. Each forced case runs three times: with the path the cost model
+picks, with every forced stretch reduced, whatever its length, and with
+every stretch stepped; the mixed cases run the last way too. One long case
+reduces the benchmark's forced shape, 2500 steps on a stiff system, and
+another steps it at n = 20, where the cost model steps.
 
 A run may be filled over its outputs alone, in chunks of a projection of
 its map's powers. Pulse and step cases run past three blocks on grids whose
@@ -119,13 +121,37 @@ SIZES = dict(n=st.sampled_from([1, 3, 6]), m=st.sampled_from([1, 2]),
              seed=st.integers(0, 2**32 - 1))
 
 
+def step_every_stretch(monkeypatch):
+    """Step every stretch, runs included, whatever the cost model says."""
+    mapped = response._mapped
+
+    def stepped(*args):
+        via = mapped(*args)
+        via[:] = STEP
+        return via
+
+    monkeypatch.setattr(response, "_mapped", stepped)
+
+
+def on_each_path(call, *paths):
+    """call() once per path (None: the cost model's), with that path patched in."""
+    results = []
+    for path in paths:
+        with pytest.MonkeyPatch.context() as mp:
+            if path is not None:
+                path(mp)
+            results.append(call())
+    return results
+
+
 @pytest.mark.parametrize("where", WHERE)
 @SETTINGS
 @given(**SIZES)
 def test_ode_direct_matches_reference_loop(where, n, m, seed):
     sys, grid, u = case(seed, n, m, nodes_for(where, BLOCK_ROWS))
-    got = ode_direct(sys, u, grid).values
-    assert_close_per_order([got], [reference_rk4(sys, u, grid)])
+    want = reference_rk4(sys, u, grid)
+    for got in on_each_path(lambda: ode_direct(sys, u, grid).values, None, step_every_stretch):
+        assert_close_per_order([got], [want])
 
 
 @pytest.mark.parametrize("where", WHERE)
@@ -133,9 +159,10 @@ def test_ode_direct_matches_reference_loop(where, n, m, seed):
 @given(K=st.integers(1, 5), **SIZES)
 def test_cascade_matches_reference_loop(where, K, n, m, seed):
     sys, grid, u = case(seed, n, m, nodes_for(where, BLOCK_ROWS // K))
-    got = volterra_cascade(sys, u, K, grid).per_order
     want = reference_rk4(sys, u, grid, K).transpose(1, 0, 2)
-    assert_close_per_order(got, want)
+    for got in on_each_path(lambda: volterra_cascade(sys, u, K, grid).per_order,
+                            None, step_every_stretch):
+        assert_close_per_order(got, want)
 
 
 # A burst, then one free run through block 1 and across both block edges.
@@ -222,11 +249,8 @@ def reduce_every_forced_stretch(monkeypatch):
 def test_ode_direct_forced(where, kind, n, m, seed):
     sys, grid, u = case(seed, n, m, nodes_for(where, BLOCK_ROWS), FORCED[kind])
     want = reference_rk4(sys, u, grid)
-    for reduce_all in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            if reduce_all:
-                reduce_every_forced_stretch(mp)
-            got = ode_direct(sys, u, grid).values
+    for got in on_each_path(lambda: ode_direct(sys, u, grid).values,
+                            None, reduce_every_forced_stretch, step_every_stretch):
         assert_close_per_order([got], [want])
 
 
@@ -238,11 +262,8 @@ def test_ode_direct_forced(where, kind, n, m, seed):
 def test_cascade_forced(where, kind, K, n, m, seed):
     sys, grid, u = case(seed, n, m, nodes_for(where, BLOCK_ROWS // K), FORCED[kind])
     want = reference_rk4(sys, u, grid, K).transpose(1, 0, 2)
-    for reduce_all in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            if reduce_all:
-                reduce_every_forced_stretch(mp)
-            got = volterra_cascade(sys, u, K, grid).per_order
+    for got in on_each_path(lambda: volterra_cascade(sys, u, K, grid).per_order,
+                            None, reduce_every_forced_stretch, step_every_stretch):
         assert_close_per_order(got, want)
 
 
@@ -258,6 +279,22 @@ def test_cost_model_reduces_at_small_n_and_steps_at_large_n(n, refused, monkeypa
     sys = make_stable_system(np.random.default_rng(n), n=n, m=2, p=1, with_x0=True)
     ode_direct(sys, u, grid)
     volterra_cascade(sys, u, 4, grid)
+
+
+def test_stepped_forced_shape_matches_reference_loop(monkeypatch):
+    # sim_forced's stepped shape: n = 20, m = 2, K = 4, 2500 steps of 4e-3
+    # under a sine, where the cost model steps every forced stretch.
+    def refuse(*args):
+        raise AssertionError("every forced stretch should be stepped here")
+
+    monkeypatch.setattr(response, "_reduce", refuse)
+    sys = make_stable_system(np.random.default_rng(20), n=20, m=2, p=2, with_x0=True)
+    grid = TimeGrid(0.0, 10.0, 4e-3)
+    u = sine_signal(grid, mu=[1.0, -0.5], omega=1.7)
+    assert grid.nodes == 2501
+    assert_close_per_order([ode_direct(sys, u, grid).values], [reference_rk4(sys, u, grid)])
+    assert_close_per_order(volterra_cascade(sys, u, 4, grid).per_order,
+                           reference_rk4(sys, u, grid, 4).transpose(1, 0, 2))
 
 
 def test_forced_on_a_long_stiff_grid(monkeypatch):
