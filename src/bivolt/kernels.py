@@ -67,6 +67,12 @@ def _slots(ts: tuple[float, ...], triangular: bool):
     return tuple(a - b for a, b in pairs), [max(1.0, abs(a), abs(b)) for a, b in pairs]
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tie tolerance that is not finite or is below 0 (NaN compares false)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
 def _face(slots, scales, tol: float) -> RegionClass:
     """The face rule: region of a tuple from its k exponent slots.
 
@@ -78,8 +84,7 @@ def _face(slots, scales, tol: float) -> RegionClass:
     times ties: at t = (1, 1, 0.5, 0.5) eval_symmetric is 1.5 times the
     symmetrised eval_triangular.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    _check_tol(tol)
     bounds = [tol * scale for scale in scales]
     if slots[-1] <= bounds[-1] or any(x < -b for x, b in zip(slots, bounds)):
         return RegionClass("zero", 0, 0.0)
@@ -133,6 +138,7 @@ def eval_symmetric(sys: BilinearSystem, channels, times,
     """
     ts = _times_tuple(times)
     chs = _channels_tuple(sys, channels, len(ts))
+    _check_tol(tol)
     for t in ts:
         if t <= tol * max(1.0, abs(t)):
             raise ValueError(f"symmetric kernel needs positive times, got {t}")

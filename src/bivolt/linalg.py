@@ -6,7 +6,7 @@ approximant; it raises FloatingPointError instead of returning inf or NaN.
 It takes one matrix at one time, or stacks: a stack of matrices (..., n, n),
 an array of times, or both, broadcast against each other. A stack gets a
 squaring count per matrix from its own 1-norm, one stacked Pade evaluation
-and solve per block of at most STACK doubles (one matrix at a time from
+and solve per block of at most STACK doubles (a block holds one matrix from
 n = 91), and squarings of only the entries that still need them, so each
 entry is bit-identical to the exponential of its matrix and time alone.
 The affine flow e^M x0 + phi1(M) b is one exponential of [[M, b], [0, 0]]
@@ -51,9 +51,10 @@ PIVOT_RTOL = 1e-12
 
 # Doubles in one stacked array. expm, resolvents and resolvent_apply work on a
 # stack in blocks of at most STACK doubles per array (_block), so that a
-# block's temporaries stay in cache: at n = 100 a block is one matrix, and 32 Pade approximants in one
-# block took 1.7x as long per matrix (one BLAS thread), while at n = 4 to 20
-# larger blocks are faster. response bounds its stacks of step maps by it, and
+# block's temporaries stay in cache: from n = 91 a block is one matrix, taken
+# by the same stacked code, since 32 Pade approximants in one block took 1.7x
+# as long per matrix at n = 100 (one BLAS thread), while at n = 4 to 20 larger
+# blocks are faster. response bounds its stacks of step maps by it, and
 # aux_output_2d its stacks of exponentials.
 STACK = 2 ** 14
 
@@ -164,11 +165,9 @@ def _expm_one(M: np.ndarray, t, index=None) -> np.ndarray:
 def _expm_stack(M: np.ndarray, t: np.ndarray) -> np.ndarray:
     """expm over the broadcast stack of M (..., n, n) and times t.
 
-    Where one matrix fills a block (n >= 91), the matrices are formed one at
-    a time, each as the scalar call forms it, which keeps its temporaries in
-    cache. Otherwise the Pade approximants of a block are formed together,
-    each with its own scaling, and only the entries that still need a
-    squaring are squared.
+    The Pade approximants of a block are formed together, each with its own
+    scaling, and only the entries that still need a squaring are squared.
+    Where one matrix fills a block (n >= 91), a block is that one matrix.
     """
     if not np.isfinite(t).all():
         raise ValueError("expm time must be finite")
@@ -178,11 +177,6 @@ def _expm_stack(M: np.ndarray, t: np.ndarray) -> np.ndarray:
     if not R.size:
         return R
     block = _block(n)
-    if block == 1:
-        Ms, ts = np.broadcast_to(M, R.shape), np.broadcast_to(t, shape)
-        for i, idx in enumerate(np.ndindex(shape)):
-            R[idx] = _expm_one(Ms[idx], ts[idx].item(), i)
-        return R
     with np.errstate(over="ignore", invalid="ignore"):
         A = (M * t[..., None, None]).reshape(-1, n, n)
         nrm = np.linalg.norm(A, 1, axis=(1, 2))

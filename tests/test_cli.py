@@ -168,6 +168,15 @@ class TestKernelCommand:
         assert int(row["n"]) == 1
         assert float(row["factor"]) == 0.5
 
+    @pytest.mark.parametrize("kind", ["tri", "reg", "sym"])
+    def test_nan_tolerance_exits_2(self, scalar_doc_path, capsys, kind):
+        code = run_command(["kernel", "--system", scalar_doc_path,
+                            "--kind", kind, "--t", "2,1", "--tol", "nan"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and >= 0" in captured.err
+
     def test_symmetric_kind(self, scalar_doc_path, capsys):
         code = run_command(["kernel", "--system", scalar_doc_path,
                             "--kind", "sym", "--t", "1,2"])

@@ -65,6 +65,19 @@ def test_evaluators_refuse_non_finite_times(scalar_system, evaluate, bad):
         evaluate(scalar_system, [1, 1], [bad, 0.5])
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_bad_tolerance_refused(scalar_system, tol):
+    # NaN compares false against every bound: unchecked, it reads a tie as a
+    # face of dimension 0 and lets a negative time through the symmetric kernel.
+    for classify in (classify_triangular, classify_regular):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            classify([0.5, 1.0], tol=tol)
+    for evaluate, times in ((eval_triangular, [2.0, 1.0]), (eval_regular, [0.5, 1.0]),
+                            (eval_symmetric, [-2.0, 1.0])):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            evaluate(scalar_system, [1, 1], times, tol=tol)
+
+
 class TestTriangularKernel:
     def test_interior_scalar(self, scalar_system):
         got = eval_triangular(scalar_system, [1, 1], [2.0, 1.0])[0]
