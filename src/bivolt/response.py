@@ -5,6 +5,11 @@ Each closed form is one affine flow e^M x0 + phi1(M) b, one augmented
 exponential in linalg, then free flow under A: the impulse takes M = Nhat,
 b = bhat; the pulse phase, of length tau = min(t, eps), takes
 M = (A + Nhat/eps) tau, b = bhat tau/eps, and eps -> 0 gives the impulse.
+The free flow C e^{At} x is Re[(C V)(e^{w t} * V^{-1} x)], O(n^2) per call,
+from the eigenbasis (w, C V, V^{-1}) of A that the system forms on its first
+closed-form call and keeps. Where the system has none (kappa_2(V) past its
+gate) or the modal value is not finite, it is C (expm(A, t) x), so that an
+overflow raises expm's error.
 
 Simulation uses classical fixed-step RK4 on a uniform grid with inputs
 interpolated linearly at half-steps (on the signal's own grid, the node
@@ -255,31 +260,58 @@ class ResponseSeries:
         return np.abs(self.per_order).max(axis=(1, 2))
 
 
+def _free_flow(sys: BilinearSystem, t: float, x: np.ndarray) -> np.ndarray:
+    """C e^{At} x as Re[(C V)(e^{w t} * V^{-1} x)] where sys has an eigenbasis,
+    else, or where that is not finite, as C (expm(A, t) x), which then raises
+    its own overflow error."""
+    basis = sys._eigenbasis
+    if basis is not None:
+        w, CV, Vinv = basis
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = CV @ (np.exp(w * t) * (Vinv @ x))
+        if np.isfinite(y).all():
+            return y.real
+    return sys.C @ (expm(sys.A, t) @ x)
+
+
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def impulse_response(sys: BilinearSystem, mu, t: float) -> np.ndarray:
     """Impulse response C e^{At} (phi1(Nhat) bhat + e^{Nhat} x0) for t > 0."""
+    _check_finite(t=t)
     if t <= 0:
         raise ValueError("impulse response defined for t > 0 only")
     eff = effective_matrices(sys, mu)
-    return sys.C @ (expm(sys.A, t) @ _affine_flow(eff.Nhat, eff.bhat, sys.x0))
+    return _free_flow(sys, t, _affine_flow(eff.Nhat, eff.bhat, sys.x0))
 
 
 def impulse_response_subsystem(sys: BilinearSystem, mu, k: int,
                                t: float) -> np.ndarray:
-    """Order-k impulse response C e^{At} Nhat^{k-1} (bhat/k! + x0/(k-1)!)."""
+    """Order-k impulse response C e^{At} Nhat^{k-1} (bhat/k! + x0/(k-1)!).
+
+    The factor 1/(k-1)! is taken one 1/i per product by Nhat, so that high
+    orders underflow towards 0 rather than k! overflowing.
+    """
     if k < 1:
         raise ValueError("subsystem order k must be >= 1")
+    _check_finite(t=t)
     if t <= 0:
         raise ValueError("impulse response defined for t > 0 only")
     eff = effective_matrices(sys, mu)
-    core = eff.bhat / math.factorial(k) + sys.x0 / math.factorial(k - 1)
-    for _ in range(k - 1):
-        core = eff.Nhat @ core
-    return sys.C @ (expm(sys.A, t) @ core)
+    core = eff.bhat / k + sys.x0
+    for i in range(1, k):
+        core = (eff.Nhat @ core) / i
+    return _free_flow(sys, t, core)
 
 
 def nascent_response(sys: BilinearSystem, mu, eps: float, t: float) -> np.ndarray:
     """Exact output under the rectangle pulse mu/eps on [0, eps]: the flow of
     Ahat = A + Nhat/eps for tau = min(t, eps), then free flow for t - tau."""
+    _check_finite(eps=eps, t=t)
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if t < 0:
@@ -287,7 +319,7 @@ def nascent_response(sys: BilinearSystem, mu, eps: float, t: float) -> np.ndarra
     eff = effective_matrices(sys, mu)
     tau = min(t, eps)
     x = _affine_flow((sys.A + eff.Nhat / eps) * tau, eff.bhat * (tau / eps), sys.x0)
-    return sys.C @ (expm(sys.A, t - tau) @ x)
+    return _free_flow(sys, t - tau, x) if t > eps else sys.C @ x
 
 
 # State rows buffered, checked and projected through C at a time: BLOCK_ROWS

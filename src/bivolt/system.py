@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+# The closed-form responses apply e^{At} in A's eigenbasis only where the
+# eigenvector matrix V has kappa_2(V) <= _EIGENBASIS_COND. Against a 35-digit
+# oracle on 150 random stable systems (n = 2..8), the modal error was a median
+# 1.0x the expm path's at kappa_2(V) <= 2, and 2.4x to 4.2x above (CHANGES.md).
+_EIGENBASIS_COND = 2.0
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -42,9 +49,10 @@ class BilinearSystem:
     ``N`` is stored as an (m, n, n) stack; a single 2-D array is promoted to
     m = 1. ``x0`` defaults to zeros. Construction copies the arrays and makes
     the copies read-only, which keeps the cached quantities valid: the
-    spectral abscissa, the quadrature growth per (T, panels) and the 2-norms
-    of C and the N_j. It only coerces shapes, so call :func:`validate` for
-    the invariant violations.
+    spectral abscissa, the quadrature growth per (T, panels), the 2-norms
+    of C and the N_j, and the eigenbasis of A that the closed-form responses
+    apply e^{At} in. It only coerces shapes, so call :func:`validate` for the
+    invariant violations.
     """
 
     A: np.ndarray
@@ -97,6 +105,22 @@ class BilinearSystem:
     def _norms2(self) -> tuple[float, np.ndarray]:
         """2-norms of C and of each N_j, for the quadrature's tail bound; both are read-only."""
         return np.linalg.norm(self.C, 2), np.linalg.norm(self.N, 2, axis=(1, 2))
+
+    @cached_property
+    def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(w, C V, V^{-1}) of A = V diag(w) V^{-1}, or None past _EIGENBASIS_COND.
+
+        Formed on the first closed-form response (A and C are read-only);
+        V itself is not kept. None also where eig refuses A (not finite, or
+        no convergence), which leaves the error to expm.
+        """
+        try:
+            w, V = np.linalg.eig(self.A)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.linalg.cond(V) <= _EIGENBASIS_COND:
+            return None
+        return w, self.C @ V, np.linalg.inv(V)
 
 
 @dataclass(frozen=True)

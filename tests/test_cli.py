@@ -131,6 +131,14 @@ class TestImpulseCommand:
         expected = impulse_response(sys_, [1.0], 0.73)[0]
         assert float(rows[0][header.index("g1")]) == expected
 
+    def test_orders_past_170_give_csv(self, scalar_doc_path, capsys):
+        code = run_command(["impulse", "--system", scalar_doc_path, "--mu", "1",
+                            "--times", "1", "--orders", "200"])
+        assert code == 0
+        header, rows = read_csv(capsys.readouterr().out)
+        assert header[-1] == "g_k200"
+        assert len(rows[0]) == 202 and float(rows[0][-1]) == 0.0
+
     def test_non_finite_result_exits_1(self, tmp_path, capsys):
         doc = {"n": 1, "m": 1, "p": 1, "A": [1e6], "N": [[1e6]],
                "B": [1.0], "C": [1.0]}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,9 @@ from bivolt import (BilinearSystem, GridResolutionError, SampledSignal,
                     impulse_response_subsystem, nascent_response, ode_direct,
                     phi1_apply, signal_from_samples, sine_signal, step_signal,
                     response, volterra_cascade, zero_signal)
+from bivolt.linalg import _affine_flow
 
-from conftest import make_stable_system
+from conftest import make_stable_system, transient_growth_system
 
 PHI1_HALF = 1.2974425414002562  # series sum_{k>=1} 0.5^{k-1}/k!
 G_SCALAR_AT_1 = 0.4773024370823822  # e^{-1} * PHI1_HALF
@@ -162,6 +164,94 @@ class TestSubsystemImpulseResponse:
     def test_rejects_bad_order(self, scalar_system):
         with pytest.raises(ValueError):
             impulse_response_subsystem(scalar_system, [1.0], 0, 1.0)
+
+    def test_orders_past_170_underflow(self, scalar_system, gain2_system):
+        # 171! is no double; the weights 1/i taken one per product by Nhat are.
+        got = impulse_response_subsystem(gain2_system, [1.0], 171, 1.0)[0]
+        want = math.exp(-1.0 + 170 * math.log(2.0) - math.lgamma(172.0))
+        assert got == pytest.approx(want, rel=1e-12)
+        tiny = impulse_response_subsystem(scalar_system, [1.0], 200, 1.0)
+        assert np.isfinite(tiny).all() and abs(tiny[0]) < 1e-300
+
+
+def normal_system(n, symmetric):
+    """A = Q A0 Q^T with Q orthogonal: A0 diagonal or of 2 x 2 rotation blocks."""
+    rng = np.random.default_rng([n, int(symmetric), 41])
+    if symmetric:
+        A0 = np.diag(-np.geomspace(0.5, 4.0, n))
+    else:
+        A0 = np.zeros((n, n))
+        for i, (re, im) in enumerate(zip(-np.geomspace(0.5, 4.0, n // 2),
+                                         np.linspace(0.25, 3.0, n // 2))):
+            A0[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[re, im], [-im, re]]
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return BilinearSystem(A=Q @ A0 @ Q.T, N=0.3 * rng.standard_normal((2, n, n)) / np.sqrt(n),
+                          B=rng.standard_normal((n, 2)), C=rng.standard_normal((2, n)),
+                          x0=0.5 * rng.standard_normal(n))
+
+
+class TestEigenbasisPath:
+    """The closed forms' free flow in A's eigenbasis, against C (expm(A, t) x)."""
+
+    MU, EPS = np.array([0.8, -0.5]), 1e-2
+
+    @staticmethod
+    def dense(sys, t, x):
+        return sys.C @ (expm(sys.A, t) @ x)
+
+    def closed_forms(self, sys, t):
+        """(value, dense reference) of every closed form at time t > EPS."""
+        mu, eps = self.MU, self.EPS
+        Nhat, bhat = np.tensordot(mu, sys.N, axes=1), sys.B @ mu
+        pulse = lambda tau: _affine_flow((sys.A + Nhat / eps) * tau, bhat * (tau / eps), sys.x0)
+        out = [(impulse_response(sys, mu, t),
+                self.dense(sys, t, _affine_flow(Nhat, bhat, sys.x0)))]
+        for k in range(1, 5):
+            core = bhat / k + sys.x0  # Nhat^{k-1} (bhat/k! + x0/(k-1)!), as the library forms it
+            for i in range(1, k):
+                core = (Nhat @ core) / i
+            out.append((impulse_response_subsystem(sys, mu, k, t), self.dense(sys, t, core)))
+        out.append((nascent_response(sys, mu, eps, t), self.dense(sys, t - eps, pulse(eps))))
+        out.append((nascent_response(sys, mu, eps, eps), sys.C @ pulse(eps)))
+        out.append((nascent_response(sys, mu, eps, eps / 3), sys.C @ pulse(eps / 3)))
+        return out
+
+    @pytest.mark.parametrize("n", [4, 20])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_normal_a_matches_dense(self, n, symmetric):
+        sys = normal_system(n, symmetric)
+        assert sys._eigenbasis is not None
+        for t in (0.3, 1.0, 2.5):
+            for got, want in self.closed_forms(sys, t):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_gate_refuses_non_normal_a(self):
+        sys = dataclasses.replace(transient_growth_system(m=2), x0=[0.3, -0.7])
+        assert sys._eigenbasis is None
+        for got, want in self.closed_forms(sys, 1.3):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("call", [
+        lambda sys: impulse_response(sys, [1.0], 2.0),
+        lambda sys: impulse_response_subsystem(sys, [1.0], 3, 2.0),
+        lambda sys: nascent_response(sys, [1.0], 1e-3, 2.0),
+    ])
+    def test_overflow_still_raises(self, call):
+        sys = BilinearSystem(A=np.diag([400.0, -1.0]), N=0.1 * np.eye(2), B=[[1.0], [1.0]],
+                             C=[[1.0, 1.0]])
+        assert sys._eigenbasis is not None
+        with pytest.raises(FloatingPointError, match="expm overflow"):
+            call(sys)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_or_eps_refused(self, bad):
+        sys = normal_system(4, True)
+        for call in (lambda: impulse_response(sys, self.MU, bad),
+                     lambda: impulse_response_subsystem(sys, self.MU, 2, bad),
+                     lambda: nascent_response(sys, self.MU, self.EPS, bad),
+                     lambda: nascent_response(sys, self.MU, bad, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
 
 
 class TestNascentResponse:

@@ -1,6 +1,6 @@
 """Time bivolt's engines and evaluators call for call: `python tools/bench.py SUITE`.
 
-Two suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
+Three suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
 
 - rk4: `ode_direct` and `volterra_cascade` (K = 4) on grids of --steps steps
   (default 2500): sim_forced's step, sine and sampled inputs on its systems
@@ -18,6 +18,13 @@ Two suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
   stored, as every spectral request after the first finds it; and on a memo
   miss (`quad_miss`), on a fresh copy of the system, as the one call of each
   `bivolt verify laplace` process does. Default --repeats 51.
+- closed: the closed forms as sim_pulse calls them, on the rk4 suite's pulse
+  systems: `impulse_response` (`impulse`), `impulse_response_subsystem` at
+  k = 4 (`impulse_k`) and `nascent_response` (`nascent`) at t = 1, and
+  `eps_sweep` over sim_pulse's pulse widths and probe times. Each runs on a
+  memo hit, where the system's eigenbasis is already formed, and on a fresh
+  copy of the system (`*_miss`), where the first call forms it and its gate,
+  as the one `bivolt impulse` process per system does. Default --repeats 51.
 
 The systems and inputs come from perfbench/inputs.py and the quadrature's
 arguments from perfbench/workloads.py, so that directory must be on the
@@ -70,7 +77,7 @@ import numpy as np
 import bivolt
 from inputs import (MILD, SIM, SIZES, SPECTRAL, STIFF, channels, forced_signals,
                     frequency_point, make_system)
-from workloads import QUAD_PANELS, QUAD_S, QUAD_T
+from workloads import QUAD_PANELS, QUAD_S, QUAD_T, SimPulse
 
 SEED = 1
 
@@ -165,7 +172,31 @@ def spectral(bv, steps: int) -> tuple[dict, dict]:
                                   "channels": list(quad_channels)}}
 
 
-SUITES = {"rk4": (rk4, 7), "spectral": (spectral, 51)}
+def closed(bv, steps: int) -> tuple[dict, dict]:
+    """The closed suite's cases for the package bv, and its record fields."""
+    mu, eps, k, t = SimPulse.MU, SimPulse.EPS, 4, 1.0
+    sweep, probes = SimPulse.SWEEP, (0.25, 1.0, 2.5)
+    calls = {
+        "impulse": lambda s: bv.impulse_response(s, mu, t),
+        "impulse_k": lambda s: bv.impulse_response_subsystem(s, mu, k, t),
+        "nascent": lambda s: bv.nascent_response(s, mu, eps, t),
+        "eps_sweep": lambda s: bv.eps_sweep(s, mu, sweep, probes),
+    }
+    cases = {}
+    for n in SIZES:
+        made = make_system(n, SEED, SIM, alpha_max=STIFF, coupling=0.01, with_x0=True)
+        sys_ = _rebuilt(bv, made)
+        for key, call in calls.items():
+            def warm_miss(call=call, made=made):  # the timed copy has no eigenbasis formed
+                call(_rebuilt(bv, made))
+                return _rebuilt(bv, made)
+            cases.update(_warm({f"{key}/n={n}": lambda call=call, s=sys_: call(s)}))
+            cases[f"{key}_miss/n={n}"] = (warm_miss, call)
+    return cases, {"seed": SEED, "mu": list(mu), "eps": eps, "t": t, "k": k,
+                   "sweep": {"eps": list(sweep), "probes": list(probes)}}
+
+
+SUITES = {"rk4": (rk4, 7), "spectral": (spectral, 51), "closed": (closed, 51)}
 
 
 def load_version(src: str, name: str):
@@ -227,7 +258,7 @@ def main(argv=None) -> int:
     ap.add_argument("suite", choices=SUITES)
     ap.add_argument("--steps", type=int, default=2500, help="grid steps of each rk4 shape")
     ap.add_argument("--repeats", type=int,
-                    help="timed calls per case (default: rk4 7, spectral 51)")
+                    help="timed calls per case (default: rk4 7, spectral and closed 51)")
     ap.add_argument("--label", default="current", help="key of this run in the file")
     ap.add_argument("--out", help="JSON file of the runs (default: BENCH_<suite>.json)")
     ap.add_argument("--against", metavar="DIR",
