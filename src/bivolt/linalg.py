@@ -9,11 +9,15 @@ squaring count per matrix from its own 1-norm, one stacked Pade evaluation
 and solve per block of at most STACK doubles (a block holds one matrix from
 n = 91), and squarings of only the entries that still need them, so each
 entry is bit-identical to the exponential of its matrix and time alone.
-The affine flow e^M x0 + phi1(M) b is one exponential of [[M, b], [0, 0]]
-applied to [x0; 1], for one M or a stack, and phi1_apply is that flow from
-x0 = 0. Linear solves factorise once with LAPACK and refuse a matrix whose
-condition number reaches 1/PIVOT_RTOL, so a frequency on the spectrum or a
-singular E is reported instead of surfacing as garbage downstream.
+The affine flow e^M x0 + phi1(M) b, for one M or a stack, is a Taylor
+series on vectors: ceil(||M||_1) substeps, each of degree m <= 18 chosen so
+that the truncation stays below 2^-53, m products of [M/s, b/s] by a vector.
+Where that costs more, it is one exponential of [[M, b/beta], [0, 0]]
+applied to [x0; beta], with beta a power of two that keeps b from raising
+the squaring count. phi1_apply is that flow from x0 = 0. Linear solves
+factorise once with LAPACK and refuse a matrix whose condition number
+reaches 1/PIVOT_RTOL, so a frequency on the spectrum or a singular E is
+reported instead of surfacing as garbage downstream.
 resolvents forms the checked (s I - A)^{-1} for one shift or a whole array
 of shifts with stacked inverses, in the same blocks, and resolvent_apply
 applies them: to one right-hand side, or block by block to one per shift.
@@ -21,6 +25,7 @@ applies them: to one right-hand side, or block by block to one per shift.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 
@@ -114,9 +119,18 @@ def _squarings(nrm) -> int:
     return int(math.ceil(math.log2(nrm / _THETA13))) if nrm > _THETA13 else 0
 
 
-def _overflow(what: str, t, index=None) -> FloatingPointError:
-    where = "" if index is None else f" at stack index {index}"
-    return FloatingPointError(f"expm overflow: {what} (t = {t!r}{where})")
+def _overflow(what: str, t=None, index=None) -> FloatingPointError:
+    """expm's overflow error; index, the flat stack index or None, is kept on it."""
+    where = " ".join(([] if t is None else [f"t = {t!r}"])
+                     + ([] if index is None else [f"at stack index {index}"]))
+    err = FloatingPointError(f"expm overflow: {what}" + (f" ({where})" if where else ""))
+    err.index = index
+    return err
+
+
+def _flow_overflow(shape: tuple, index) -> FloatingPointError:
+    """The error of the index-th affine flow of a stack of shape, or of the one flow."""
+    return _overflow("e^M x0 + phi1(M) b is not finite", index=int(index) if shape else None)
 
 
 def expm(M, t=1.0) -> np.ndarray:
@@ -215,18 +229,117 @@ def _square(R: np.ndarray, s: np.ndarray) -> np.ndarray:
     return R
 
 
-def _affine_flow(M: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
-    """e^M x0 + phi1(M) b, as e^{[[M, b], [0, 0]]} [x0; 1]; valid for singular M.
+# Largest 1-norm a at which the Taylor series of e^A truncated after A^m,
+# m = 0..18, is exact to rounding: for a <= 1 its tail, and phi1(A)'s, is at
+# most a^(m+1) e / (m+1)!, and here that bound is 2^-53.
+_TAYLOR_THETA = tuple((2.0 ** -53 * math.factorial(m + 1) / math.e) ** (1 / (m + 1))
+                      for m in range(19))
 
-    M may be a stack (..., n, n), with b and x0 broadcasting against (..., n);
-    the flows are then formed by one stacked expm.
+# Cost of an affine flow, in multiply-adds of a matrix-vector product, with
+# _CALL for each numpy call: the Taylor path takes s m products of n^2 and
+# three calls each; the dense path about _DENSE (n + 1)^3 and 60 calls. Fitted
+# to both paths' times at n = 1 to 100 on one BLAS thread, where a Taylor
+# product took about 2.5 us + 0.19 ns n^2 and the dense path 40 us + 0.8 ns
+# (n + 1)^3: they broke even at s m = 18, 26, 70 and 230-260 for n = 8, 20, 50
+# and 100, and the model puts that at 20, 24, 67 and 260.
+_CALL, _DENSE = 3500, 5
+
+
+def _taylor_plan(nrm: float, n: int):
+    """(s, m) for the Taylor path of a flow of an n x n matrix of 1-norm nrm:
+    s substeps of degree m. None where the dense path costs less or nrm is
+    not finite."""
+    if not nrm < math.inf:
+        return None
+    s = max(math.ceil(nrm), 1)
+    m = bisect.bisect_left(_TAYLOR_THETA, nrm / s)
+    if s * m * (n * n + 3 * _CALL) < _DENSE * (n + 1) ** 3 + 60 * _CALL:
+        return s, m
+    return None
+
+
+def _affine_flow(M: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
+    """e^M x0 + phi1(M) b, valid for singular M.
+
+    M may be a stack (..., n, n), with b and x0 broadcasting against (..., n).
+    Each flow takes the cheaper of two paths by its own 1-norm and n
+    (_taylor_plan), so a stack entry is bit-identical to its call alone:
+    - a Taylor series on vectors: s = ceil(||M||_1) substeps x <- e^(M/s) x
+      + phi1(M/s) b/s, each sum_k (M/s)^k (x/k! + b/(s (k+1)!)) over k <= m
+      by Horner's rule, m products of [M/s, b/s] by [z; 1];
+    - one exponential of [[M, b/beta], [0, 0]] applied to [x0; beta], where
+      beta, a power of two, brings ||b/beta||_inf to at most ||M||_1 when
+      ||b||_inf exceeds it (else beta = 1), so that b adds no squarings.
+    Raises expm's FloatingPointError where a flow is not finite, naming its
+    flat index in a stack.
     """
     n = M.shape[-1]
-    W = np.zeros(M.shape[:-2] + (n + 1, n + 1), dtype=np.result_type(M, b, float))
-    W[..., :-1, :-1], W[..., :-1, -1] = M, b
-    x = np.zeros(W.shape[:-1], dtype=np.result_type(x0, float))
-    x[..., :-1], x[..., -1] = x0, 1.0
-    return (expm(W) @ x[..., None])[..., :-1, 0]
+    shape = np.broadcast_shapes(M.shape[:-2], np.shape(b)[:-1], np.shape(x0)[:-1])
+    Ms, bs, xs = (_flat(v, shape, tail) for v, tail in ((M, (n, n)), (b, (n,)), (x0, (n,))))
+    q = len(Ms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = np.abs(Ms).sum(axis=1).max(axis=1, initial=0.0)
+        groups: dict = {}
+        for i, value in enumerate(nrm.tolist()):
+            groups.setdefault(_taylor_plan(value, n), []).append(i)
+        out = np.empty((q, n), dtype=np.result_type(M, b, x0, float))
+        for plan, part in groups.items():
+            part = part if len(part) < q else slice(None)
+            try:
+                out[part] = (_taylor(Ms[part], bs[part], xs[part], *plan) if plan else
+                             _dense(Ms[part], bs[part], xs[part], nrm[part]))
+            except FloatingPointError as exc:  # expm names no index for a part of one
+                raise _flow_overflow(shape, np.arange(q)[part][exc.index or 0]) from exc
+    if not np.isfinite(out).all():
+        raise _flow_overflow(shape, np.argmin(np.isfinite(out).all(axis=1)))
+    return out.reshape(shape + (n,))
+
+
+def _flat(a, shape: tuple, tail: tuple) -> np.ndarray:
+    """a broadcast to shape + tail, as a stack (q,) + tail."""
+    a = np.asarray(a)
+    full = shape + tail
+    return (a if a.shape == full else np.broadcast_to(a, full)).reshape((-1,) + tail)
+
+
+def _taylor(M: np.ndarray, b: np.ndarray, x: np.ndarray, s: int, m: int) -> np.ndarray:
+    """e^M x + phi1(M) b for stacks M (q, n, n), b and x (q, n), each in s
+    substeps of degree m; overflow is left to the caller's check."""
+    q, n = b.shape
+    W = np.empty((q, n, n + 1), dtype=np.result_type(M, b, x, float))
+    W[:, :, :n], W[:, :, n] = (M, b) if s == 1 else (M / s, b / s)
+    c = W[:, :, n]
+    # [z; 1], applied as z1[:, :, None]: numpy takes another BLAS kernel for
+    # a lone contiguous (1, n + 1, 1), which would round a call differently
+    # from its stack entry.
+    z1 = np.ones((q, n + 1), dtype=W.dtype)
+    z, col = z1[:, :n], z1[:, :, None]
+    Wz = np.empty((q, n, 1), dtype=W.dtype)
+    y = Wz[:, :, 0]
+    for _ in range(s):
+        np.add(x, c / (m + 1), out=z)
+        for k in map(float, range(m, 0, -1)):
+            np.matmul(W, col, out=Wz)
+            y /= k
+            np.add(x, y, out=z)
+        x = z.copy()
+    return x
+
+
+def _dense(M: np.ndarray, b: np.ndarray, x: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """e^M x + phi1(M) b for stacks M (q, n, n), b and x (q, n) of 1-norms
+    nrm, by one stacked exponential of the balanced augmented matrices."""
+    q, n = b.shape
+    big = np.abs(b).max(axis=1, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.where(big > nrm, np.exp2(np.minimum(np.ceil(np.log2(big / nrm)), 1023)), 1.0)
+    W = np.zeros((q, n + 1, n + 1), dtype=np.result_type(M, b, float))
+    W[:, :-1, :-1], W[:, :-1, -1] = M, b / beta[:, None]
+    xt = np.empty((q, n + 1), dtype=np.result_type(x, float))
+    xt[:, :-1], xt[:, -1] = x, beta
+    # one matrix through expm's own path: its stacked path took 1.9x as long at n = 4
+    E = expm(W[0])[None] if q == 1 else expm(W)
+    return (E @ xt[:, :, None])[:, :-1, 0]
 
 
 def phi1_apply(M, v) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Time-domain engines: closed-form impulse and nascent-delta responses,
 Volterra cascade simulation, and direct integration.
 
-Each closed form is one affine flow e^M x0 + phi1(M) b, one augmented
-exponential in linalg, then free flow under A: the impulse takes M = Nhat,
-b = bhat; the pulse phase, of length tau = min(t, eps), takes
-M = (A + Nhat/eps) tau, b = bhat tau/eps, and eps -> 0 gives the impulse.
+Each closed form is one affine flow e^M x0 + phi1(M) b, a Taylor series on
+vectors in linalg (or, for a large ||M||_1, one augmented exponential), then
+free flow under A: the impulse takes M = Nhat, b = bhat; the pulse phase, of
+length tau = min(t, eps), takes M = (A + Nhat/eps) tau, b = bhat tau/eps
+(_pulse_state), and eps -> 0 gives the impulse.
 The free flow C e^{At} x is Re[(C V)(e^{w t} * V^{-1} x)], O(n^2) per call,
 from the eigenbasis (w, C V, V^{-1}) of A that the system forms on its first
 closed-form call and keeps. Where the system has none (kappa_2(V) past its
@@ -316,10 +317,15 @@ def nascent_response(sys: BilinearSystem, mu, eps: float, t: float) -> np.ndarra
         raise ValueError("eps must be > 0")
     if t < 0:
         raise ValueError("nascent response defined for t >= 0")
-    eff = effective_matrices(sys, mu)
     tau = min(t, eps)
-    x = _affine_flow((sys.A + eff.Nhat / eps) * tau, eff.bhat * (tau / eps), sys.x0)
+    x = _pulse_state(sys, effective_matrices(sys, mu), eps, tau)
     return _free_flow(sys, t - tau, x) if t > eps else sys.C @ x
+
+
+def _pulse_state(sys: BilinearSystem, eff, eps: float, tau: float) -> np.ndarray:
+    """State at tau <= eps under the rectangle pulse mu/eps: the affine flow
+    of Ahat = A + Nhat/eps over tau, for eff = effective_matrices(sys, mu)."""
+    return _affine_flow((sys.A + eff.Nhat / eps) * tau, eff.bhat * (tau / eps), sys.x0)
 
 
 # State rows buffered, checked and projected through C at a time: BLOCK_ROWS

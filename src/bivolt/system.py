@@ -232,6 +232,6 @@ def effective_matrices(sys: BilinearSystem, mu) -> EffectiveExcitation:
             f"mu has shape {weights.shape}; expected ({sys.m},)")
     if not np.isfinite(weights).all():
         raise ValueError("mu has non-finite entries")
-    Nhat = np.tensordot(weights, sys.N, axes=1)
+    Nhat = (weights @ sys.N.reshape(sys.m, -1)).reshape(sys.n, sys.n)
     bhat = sys.B @ weights
     return EffectiveExcitation(Nhat=Nhat, bhat=bhat)

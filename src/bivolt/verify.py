@@ -30,8 +30,9 @@ import numpy as np
 
 from .kernels import eval_symmetric, eval_triangular
 from .linalg import _affine_flow, _block, expm
-from .response import SampledSignal, impulse_response, nascent_response
-from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
+from .response import SampledSignal, _free_flow, _pulse_state
+from .system import (BilinearSystem, _chain, _channels_tuple, effective_matrices,
+                     require_explicit)
 from .transfer import _freq_tuple, _kind_rules
 
 __all__ = [
@@ -397,23 +398,31 @@ def richardson_limit(eps_values, values) -> float:
 
 
 def eps_sweep(sys: BilinearSystem, mu, eps_list, probe_times) -> SweepReport:
-    """Sup-norm errors of nascent_response against impulse_response per eps."""
+    """Sup-norm errors of nascent_response against impulse_response per eps.
+
+    Each state is formed once: the impulse's, and each pulse's once per eps,
+    and the probe times share them, so each value equals its separate call.
+    """
     eps = tuple(float(e) for e in np.atleast_1d(eps_list))
     probes = tuple(float(t) for t in np.atleast_1d(probe_times))
     if not eps or not probes:
         raise ValueError("eps list and probe times must be nonempty")
+    if not all(map(math.isfinite, eps + probes)):
+        raise ValueError("eps and probe times must be finite")
     if any(e <= 0 for e in eps):
         raise ValueError("all eps must be > 0")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps list must be strictly decreasing")
     if min(probes) <= max(eps):
         raise ValueError("probe times must exceed the largest eps")
-    reference = {t: impulse_response(sys, mu, t) for t in probes}
+    eff = effective_matrices(sys, mu)
+    impulse = _affine_flow(eff.Nhat, eff.bhat, sys.x0)
+    reference = [_free_flow(sys, t, impulse) for t in probes]
     errors = np.empty(len(eps))
     for i, e in enumerate(eps):
-        errors[i] = max(
-            float(np.max(np.abs(nascent_response(sys, mu, e, t) - reference[t])))
-            for t in probes)
+        pulse = _pulse_state(sys, eff, e, e)
+        errors[i] = max(float(np.max(np.abs(_free_flow(sys, t - e, pulse) - ref)))
+                        for t, ref in zip(probes, reference))
     ratios = errors[:-1] / errors[1:] if len(eps) > 1 else np.empty(0)
     order = None
     if len(eps) >= 2 and (errors > 0).all():

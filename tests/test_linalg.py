@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bivolt.linalg import (_THETA13, PoleHitError, SingularMatrixError, _affine_flow,
-                           expm, phi1_apply, resolvent_apply, resolvents, solve)
+from bivolt.linalg import (_TAYLOR_THETA, _THETA13, PoleHitError, SingularMatrixError,
+                           _affine_flow, _dense, _taylor, _taylor_plan, expm, phi1_apply,
+                           resolvent_apply, resolvents, solve)
 
 
 def series_phi1(x, terms=40):
@@ -151,6 +152,19 @@ class TestStackedExpm:
             assert np.array_equal(got[i], _affine_flow(M[i], b[i], x0[i]))
 
 
+    def test_stacked_affine_flow_mixes_paths_as_scalar_calls(self):
+        rng = np.random.default_rng(24)
+        norms = np.array([0.05, 0.6, 0.6, 3.0, 0.0, 30.0, 0.6, 0.95])
+        M = rng.standard_normal((8, 4, 4))
+        M *= (norms / np.abs(M).sum(axis=1).max(axis=1))[:, None, None]
+        b, x0 = rng.standard_normal((8, 4)), rng.standard_normal((8, 4))
+        plans = [_taylor_plan(float(np.abs(Mi).sum(axis=0).max()), 4) for Mi in M]
+        assert None in plans and len(set(plans)) >= 4
+        got = _affine_flow(M, b, x0)
+        for i in range(8):
+            assert np.array_equal(got[i], _affine_flow(M[i], b[i], x0[i]))
+
+
 class TestPhi1:
     def test_zero_matrix_gives_vector(self):
         v = np.array([3.0, -4.0])
@@ -218,6 +232,83 @@ class TestAffineFlow:
         x0, b = rng.standard_normal(4), rng.standard_normal(4)
         expected = x0 + phi1 * (M @ x0) + b + phi2 * (M @ b)
         assert_allclose(_affine_flow(M, b, x0), expected, rtol=1e-13)
+
+
+def one_norm(M):
+    return float(np.abs(M).sum(axis=0).max())
+
+
+class TestAffineFlowPaths:
+    """The Taylor and the dense path of _affine_flow, with b far larger than M."""
+
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    @pytest.mark.parametrize("b", [1e8, 1e10])
+    def test_scalar_with_large_b(self, m, b):
+        assert (_taylor_plan(m, 1) is None) == (m > 1)  # 0.5 Taylor, 2.0 dense
+        got = _affine_flow(np.array([[m]]), np.array([b]), np.array([1.0]))[0]
+        assert got == pytest.approx(math.exp(m) + math.expm1(m) / m * b, rel=1e-14)
+
+    @pytest.mark.parametrize("norm", [0.7, 4.0])
+    def test_nilpotent_with_large_b(self, norm):
+        rng = np.random.default_rng(4)
+        M = np.triu(rng.standard_normal((3, 3)), 1)  # M^3 = 0
+        M *= norm / one_norm(M)
+        assert (_taylor_plan(one_norm(M), 3) is None) == (norm > 1)
+        x0, b = rng.standard_normal(3), 1e8 * rng.standard_normal(3)
+        M2 = M @ M
+        expected = x0 + M @ x0 + M2 @ x0 / 2 + b + M @ b / 2 + M2 @ b / 6
+        got = _affine_flow(M, b, x0)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("norm", [0.7, 4.0])
+    def test_rank_one_with_large_b(self, norm):
+        # M = u v^T: e^M = I + phi1(lam) M and phi1(M) = I + phi2(lam) M, lam = v^T u
+        rng = np.random.default_rng(8)
+        u, v = rng.standard_normal(4), rng.standard_normal(4)
+        M = np.outer(u, v)
+        M *= norm / one_norm(M)
+        assert (_taylor_plan(one_norm(M), 4) is None) == (norm > 1)
+        lam = float(np.trace(M))
+        phi1 = math.expm1(lam) / lam
+        phi2 = (math.expm1(lam) - lam) / lam**2
+        x0, b = rng.standard_normal(4), 1e8 * rng.standard_normal(4)
+        expected = x0 + phi1 * (M @ x0) + b + phi2 * (M @ b)
+        got = _affine_flow(M, b, x0)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [4, 20, 100])
+    def test_paths_agree_at_the_switch(self, n):
+        # the largest 1-norm that takes the Taylor path, by bisection
+        lo, hi = 0.5, 64.0
+        assert _taylor_plan(lo, n) is not None and _taylor_plan(hi, n) is None
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _taylor_plan(mid, n) else (lo, mid)
+        rng = np.random.default_rng(n)
+        M0 = rng.standard_normal((n, n))
+        b, x0 = rng.standard_normal((1, n)), rng.standard_normal((1, n))
+        for norm in (lo * (1 - 1e-12), hi * (1 + 1e-12)):
+            M = (M0 * (norm / one_norm(M0)))[None]
+            nrm = one_norm(M[0])
+            s = math.ceil(nrm)
+            taylor = _taylor(M, b, x0, s, np.searchsorted(_TAYLOR_THETA, nrm / s))
+            dense = _dense(M, b, x0, np.array([nrm]))
+            assert np.array_equal(_affine_flow(M, b, x0),
+                                  taylor if _taylor_plan(nrm, n) else dense)
+            assert np.max(np.abs(taylor - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    def test_overflow_raises_on_both_paths(self):
+        assert _taylor_plan(0.5, 1) is not None and _taylor_plan(1e6, 1) is None
+        with pytest.raises(FloatingPointError, match="expm overflow"):
+            phi1_apply([[0.5]], [1.5e308])
+        with pytest.raises(FloatingPointError, match="expm overflow"):
+            phi1_apply([[1e6]], [1.0])
+        # a stack names the flat index of its first flow that is not finite
+        M = np.array([[[0.5]], [[0.5]], [[1e6]]])
+        with pytest.raises(FloatingPointError, match="at stack index 2"):
+            _affine_flow(M, np.ones((3, 1)), 0.0)
+        with pytest.raises(FloatingPointError, match="at stack index 1"):
+            _affine_flow(M[:2], np.array([[1.0], [1.5e308]]), 0.0)
 
 
 class TestResolvent:

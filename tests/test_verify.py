@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from bivolt import (BilinearSystem, TimeGrid, aux_output_2d, delta_eps_signal,
                     eps_sweep, eval_symmetric, eval_tf_regular, eval_tf_triangular,
-                    laplace_quadrature, phi1_apply, phi1_bounds_probe,
+                    impulse_response, laplace_quadrature, nascent_response,
+                    phi1_apply, phi1_bounds_probe,
                     richardson_limit, sine_signal, step_signal, suggest_truncation,
                     symmetry_probe, zero_signal)
 from bivolt.verify import _symmetrised
@@ -316,6 +317,23 @@ class TestEpsSweep:
         sys = make_stable_system(rng, n=4, m=2, p=2, with_x0=True)
         report = eps_sweep(sys, [1.0, -0.5], [2e-2, 1e-2, 5e-3], [0.5, 1.5])
         assert 0.7 <= report.order <= 1.3
+
+    def test_errors_equal_separate_calls(self):
+        # eps_sweep shares each state across probe times; the values stay those of the calls
+        rng = np.random.default_rng(45)
+        sys = make_stable_system(rng, n=4, m=2, p=2, with_x0=True)
+        mu, eps, probes = [1.0, -0.5], [2e-2, 1e-2, 5e-3], [0.5, 1.5]
+        want = [max(float(np.max(np.abs(nascent_response(sys, mu, e, t)
+                                         - impulse_response(sys, mu, t)))) for t in probes)
+                for e in eps]
+        assert np.array_equal(eps_sweep(sys, mu, eps, probes).errors, want)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_eps_or_probe_refused(self, scalar_system, bad):
+        with pytest.raises(ValueError, match="finite"):
+            eps_sweep(scalar_system, [1.0], [1e-2], [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            eps_sweep(scalar_system, [1.0], [bad], [1.0])
 
     def test_input_validation(self, scalar_system):
         with pytest.raises(ValueError):

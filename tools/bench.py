@@ -24,7 +24,10 @@ Three suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
   `eps_sweep` over sim_pulse's pulse widths and probe times. Each runs on a
   memo hit, where the system's eigenbasis is already formed, and on a fresh
   copy of the system (`*_miss`), where the first call forms it and its gate,
-  as the one `bivolt impulse` process per system does. Default --repeats 51.
+  as the one `bivolt impulse` process per system does. Also the two affine
+  flows these take their states from, `linalg._affine_flow` alone: the
+  impulse's, e^Nhat x0 + phi1(Nhat) bhat (`affine_flow_impulse`), and the
+  pulse's over eps (`affine_flow_pulse`). Default --repeats 51.
 
 The systems and inputs come from perfbench/inputs.py and the quadrature's
 arguments from perfbench/workloads.py, so that directory must be on the
@@ -192,6 +195,11 @@ def closed(bv, steps: int) -> tuple[dict, dict]:
                 return _rebuilt(bv, made)
             cases.update(_warm({f"{key}/n={n}": lambda call=call, s=sys_: call(s)}))
             cases[f"{key}_miss/n={n}"] = (warm_miss, call)
+        eff = bv.effective_matrices(sys_, mu)
+        flows = {"impulse": (eff.Nhat, eff.bhat), "pulse": ((sys_.A + eff.Nhat / eps) * eps, eff.bhat)}
+        cases.update(_warm({f"affine_flow_{key}/n={n}":
+                            lambda M=M, b=b, x0=sys_.x0: bv.linalg._affine_flow(M, b, x0)
+                            for key, (M, b) in flows.items()}))
     return cases, {"seed": SEED, "mu": list(mu), "eps": eps, "t": t, "k": k,
                    "sweep": {"eps": list(sweep), "probes": list(probes)}}
 
