@@ -20,7 +20,8 @@ order. A stepped RK4 stage is two products into fixed buffers (_Stages): the
 stage input by the stacked G^T = [A; N_1..N_m]^T, and one input-weighted
 combination of the step's state and the products of its stages so far,
 which is the next stage's input or, written straight into the state buffer,
-the next state: eight numpy calls and a copy per step. A run is a stretch
+the next state: eight numpy calls and a copy per step, with the input weights
+of a chunk of steps one product by a fixed template. A run is a stretch
 of steps whose node, midpoint and next-node samples are one vector u; zero
 input is one such u. Any step is an affine map, linear on [1, state] with
 B u entering through a virtual order-0 row, formed from its node, midpoint
@@ -350,9 +351,9 @@ def _stage_terms(rows: int, m: int, shift: int) -> tuple:
     in one flat row of F doubles, and those of a chunk of steps (at most 64
     steps and STACK doubles) are chunk such rows. Returns cols, the offsets
     of the matrices in a row and chunk; a row's identity terms, and its A
-    terms over h; and step by step over a chunk, the flat positions of the
-    input terms, the flat positions in the chunk's samples (chunk, 3 m) that
-    they take, and their factors over h.
+    terms over h; and the positions in a row of its input terms, each once,
+    and their template over h (3 m, terms): a term is one of the step's
+    samples (node, midpoint, next node) times h and a _TABLEAU factor.
     """
     width = (rows + 1) * (m + 1)
     cols = rows + width * np.arange(1, 5)
@@ -367,18 +368,18 @@ def _stage_terms(rows: int, m: int, shift: int) -> tuple:
     row[offsets[stage] + k.T * (cols[stage] + 1) + (stage + 1) * width] = 1.0
     over_h = np.zeros(F)
     over_h[offsets[s] + k * cols[s] + (s - r) * width + (k + 1) * (m + 1)] = a
-    # the input terms u_j N_j y_{k-shift} of row k, and B u into row 1
+    # u_j N_j y_{k-shift} into row k, and B u into row 1 (the cascade's twice)
     k, source = np.arange(rows + 1), np.arange(1, rows + 2) - shift
     k[-1] = source[-1] = 0
     j = np.arange(1, m + 1)
     pos = offsets[s] + k[:, None] * cols[s] + (s - r) * width + source[:, None] * (m + 1) + j
-    steps = np.arange(chunk)[:, None]
-    put = (F * steps + pos.ravel()).ravel()
-    take = (3 * m * steps + np.broadcast_to(sample * m + j - 1, pos.shape).ravel()).ravel()
-    factor = np.tile(np.broadcast_to(a, pos.shape).ravel(), chunk)
-    for shared in (cols, offsets, row, over_h, put, take, factor):
+    put, once = np.unique(pos, return_index=True)
+    template = np.zeros((3 * m, put.size))
+    template[np.broadcast_to(sample * m + j - 1, pos.shape).ravel()[once],
+             np.arange(put.size)] = np.broadcast_to(a, pos.shape).ravel()[once]
+    for shared in (cols, offsets, row, over_h, put, template):
         shared.setflags(write=False)
-    return cols, offsets, chunk, row, over_h, put, take, factor
+    return cols, offsets, chunk, row, over_h, put, template
 
 
 class _Stages:
@@ -395,15 +396,15 @@ class _Stages:
     (_TABLEAU, with the identity on z_1) by the last rows of X, the products
     of the stages so far and z_1: z_1 comes last, so that the products sum
     before it is added, as in the textbook step. W views the four weight
-    matrices of `chunk` steps, whose identity and A terms are fixed; fill
-    writes the input terms of each chunk.
+    matrices of `chunk` steps, whose identity and A terms are written once;
+    _rk4_step writes their input terms.
     """
 
     def __init__(self, sys: BilinearSystem, rows: int, shift: int, h: float):
         n, m = sys.n, sys.m
-        cols, offsets, self.chunk, row, over_h, self.put, self.take, factor = \
+        cols, offsets, self.chunk, row, over_h, self.put, template = \
             _stage_terms(rows, m, shift)
-        self.scale = h * factor
+        self.template = h * template
         self.GT = np.concatenate([sys.A[None], sys.N]).reshape(-1, n).T
         X = np.zeros((cols[-1], n))
         R = X[:-rows].reshape(4, rows + 1, m + 1, n)[::-1]
@@ -411,21 +412,9 @@ class _Stages:
         self.z, self.Z = X[-rows:], np.empty((3, rows, n))
         self.X = [X[-c:] for c in cols]
         self.R = [Rs[1:].reshape(rows, -1) for Rs in R]
-        self.fixed, self.ready = row + h * over_h, 0
-        self.weights = np.empty((self.chunk, offsets[-1]))
-        self.flat = self.weights.reshape(-1)
+        self.weights = np.tile(row + h * over_h, (self.chunk, 1))
         self.W = [self.weights[:, o:o + rows * c].reshape(-1, rows, c)
                   for o, c in zip(offsets, cols)]
-
-    def fill(self, samples: np.ndarray) -> None:
-        """Write the weights of the first steps of the chunk, from their
-        samples (steps, 3 m): node, midpoint and next node."""
-        L = len(samples)
-        if self.ready < L:  # the fixed terms of steps not used before
-            self.weights[self.ready:L] = self.fixed
-            self.ready = L
-        e = L * (len(self.put) // self.chunk)
-        self.flat[self.put[:e]] = samples.ravel()[self.take[:e]] * self.scale[:e]
 
 
 def _rk4_step(stages: _Stages, Y: np.ndarray, run: np.ndarray,
@@ -435,7 +424,9 @@ def _rk4_step(stages: _Stages, Y: np.ndarray, run: np.ndarray,
 
     Each stage is two products into fixed buffers: z_s G^T into R_s, and the
     combination over z_1 and R_1..R_s into the next stage's input, or the
-    next state straight into run (_Stages).
+    next state straight into run (_Stages). The input terms of a chunk of
+    steps are one product of their node, midpoint and next-node samples by
+    the template.
     """
     mm, GT, z, (Z1, Z2, Z3) = np.matmul, stages.GT, stages.z, stages.Z
     (R1, R2, R3, R4), (X1, X2, X3, X4) = stages.R, stages.X
@@ -443,7 +434,8 @@ def _rk4_step(stages: _Stages, Y: np.ndarray, run: np.ndarray,
     states = run.swapaxes(0, 1)
     z[...] = Y
     for first in range(0, len(samples), stages.chunk):
-        stages.fill(samples[first:first + stages.chunk])
+        chunk = samples[first:first + stages.chunk]
+        stages.weights[:len(chunk), stages.put] = chunk @ stages.template
         for y, W1, W2, W3, W4 in zip(states[first:first + stages.chunk], *stages.W):
             mm(z, GT, out=R1)
             mm(W1, X1, out=Z1)
@@ -613,7 +605,7 @@ def _step_maps(sys: BilinearSystem, Un: np.ndarray, Um: np.ndarray, h: float,
     """
     n, L = sys.n, Um.shape[0]
     u = np.concatenate([Un, Um])
-    NuT = np.tensordot(u, sys.N, axes=1).swapaxes(1, 2)
+    NuT = (u @ sys.N.reshape(sys.m, -1)).reshape(-1, n, n).swapaxes(1, 2)
     b = rows if NuT.any() else 1
     g = min(b, 2)
     G = np.zeros((b, 2 * L + 1, n, n))

@@ -402,6 +402,7 @@ def eps_sweep(sys: BilinearSystem, mu, eps_list, probe_times) -> SweepReport:
 
     Each state is formed once: the impulse's, and each pulse's once per eps,
     and the probe times share them, so each value equals its separate call.
+    A sweep whose errors are identically zero, with no ratios, is refused.
     """
     eps = tuple(float(e) for e in np.atleast_1d(eps_list))
     probes = tuple(float(t) for t in np.atleast_1d(probe_times))
@@ -416,6 +417,11 @@ def eps_sweep(sys: BilinearSystem, mu, eps_list, probe_times) -> SweepReport:
     if min(probes) <= max(eps):
         raise ValueError("probe times must exceed the largest eps")
     eff = effective_matrices(sys, mu)
+    driven = eff.bhat.any() or sys.x0.any() and eff.Nhat.any()
+    if not (driven and sys.A.any() and sys.C.any()):
+        raise ValueError("the nascent response is identically zero or equals the impulse "
+                         "response (C = 0, A = 0, or B mu = 0 with x0 = 0 or N mu = 0): "
+                         "no error ratio exists")
     impulse = _affine_flow(eff.Nhat, eff.bhat, sys.x0)
     reference = [_free_flow(sys, t, impulse) for t in probes]
     errors = np.empty(len(eps))

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,17 @@ class TestVerifyCommands:
         header, rows = read_csv(capsys.readouterr().out)
         assert header == ["eps", "error", "ratio", "fitted_order"]
         assert float(rows[1][2]) == pytest.approx(2.0, abs=0.5)
+
+    def test_eps_sweep_on_zero_response_exits_2(self, scalar_doc_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(["verify", "eps-sweep", "--system", scalar_doc_path,
+                                "--mu", "0", "--eps", "1e-2,5e-3",
+                                "--times", "0.5,1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "identically zero" in captured.err
 
     def test_symmetry(self, scalar_doc_path, capsys):
         code = run_command(["verify", "symmetry", "--system", scalar_doc_path,

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +329,24 @@ class TestEpsSweep:
                                          - impulse_response(sys, mu, t)))) for t in probes)
                 for e in eps]
         assert np.array_equal(eps_sweep(sys, mu, eps, probes).errors, want)
+
+    @pytest.mark.parametrize("mu, change", [(0.0, {}), (1.0, dict(C=[[0.0]])),
+                                            (0.0, dict(x0=[1.0])), (1.0, dict(A=[[0.0]]))])
+    def test_identically_zero_errors_refused(self, scalar_system, mu, change):
+        # a zero response, a free one that the pulse leaves as it is, or one
+        # without free dynamics: every error would be 0 up to rounding, and
+        # their ratios 0 / 0 or 1e-16 / 0
+        sys = dataclasses.replace(scalar_system, **change)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="identically zero"):
+                eps_sweep(sys, [mu], [1e-2, 5e-3], [0.5, 1.0])
+
+    def test_pulse_through_n_alone_still_sweeps(self, scalar_system):
+        # B mu = 0, but N mu moves the initial state during the pulse
+        sys = dataclasses.replace(scalar_system, B=[[0.0]], x0=[1.0])
+        report = eps_sweep(sys, [1.0], [1e-2, 5e-3], [0.5, 1.0])
+        assert report.ratios[0] == pytest.approx(2.0, abs=0.2)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_eps_or_probe_refused(self, scalar_system, bad):
