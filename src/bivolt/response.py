@@ -33,15 +33,17 @@ next run brings another u. A run is filled by doubling with them, over its
 state rows (L steps within one buffer block cost about log2 L band products,
 not L Python steps), or over its outputs alone: the powers projected through
 C double the same way, once per run, into an array of the outputs of F^j
-for every j of a chunk, and each chunk of the run is then one product of
-its first state by that array. The projection pays where p is small against
-n, and takes a run only where an a-priori bound on its states is finite, so
-that an overflowing state is still formed and named. Other steps are
-forced: a forced stretch within a block, cut so that one stack holds at most
-STACK doubles of maps, can form all its maps as one stack and fill its
-states by pairwise reduction. Neighbouring maps are composed, the states at
-even steps come from those by recursion, and the odd ones follow in one
-stacked apply: about L small products in log2 L rounds. Where a map, a
+for every j of a chunk of c steps. The first state of each chunk is one
+product by F^c from the one before, and the outputs of a group of chunks
+are one batched product of their first states by that array, written
+straight into the output array. The projection pays where p is small
+against n, and takes a chunk only where an a-priori bound on its states is
+finite, so that an overflowing state is still formed and named. Other
+steps are forced: a forced stretch within a block, cut so that one stack
+holds at most STACK doubles of maps, can form all its maps as one stack and
+fill its states by pairwise reduction. Neighbouring maps are composed, the
+states at even steps come from those by recursion, and the odd ones follow
+in one stacked apply: about L small products in log2 L rounds. Where a map, a
 power or a product is not finite, the run or stretch is stepped instead.
 Each stretch takes the cheapest of stepping, its run map over states or
 outputs and the reduction, counted in multiply-adds plus a fixed cost per
@@ -382,6 +384,17 @@ def _stage_terms(rows: int, m: int, shift: int) -> tuple:
     return cols, offsets, chunk, row, over_h, put, template
 
 
+def _aligned(shape: tuple) -> np.ndarray:
+    """A zero array whose data starts on a 64-byte boundary. With G^T's data
+    16 or 48 bytes past one, 1000 stepped steps of the full system at
+    n = 100 took 1.2-1.3 times as long as at 0 or 32 (x86-64, one BLAS
+    thread), so the stepped path's speed hung on where its buffers landed."""
+    size = math.prod(shape)
+    buf = np.zeros(size + 7)
+    first = -buf.ctypes.data % 64 // 8
+    return buf[first:first + size].reshape(shape)
+
+
 class _Stages:
     """Buffers and weights of RK4 steps of the state rows (rows, n).
 
@@ -405,8 +418,10 @@ class _Stages:
         cols, offsets, self.chunk, row, over_h, self.put, template = \
             _stage_terms(rows, m, shift)
         self.template = h * template
-        self.GT = np.concatenate([sys.A[None], sys.N]).reshape(-1, n).T
-        X = np.zeros((cols[-1], n))
+        G = _aligned((m + 1, n, n))
+        G[0], G[1:] = sys.A, sys.N
+        self.GT = G.reshape(-1, n).T
+        X = _aligned((cols[-1], n))
         R = X[:-rows].reshape(4, rows + 1, m + 1, n)[::-1]
         R[:, 0, 1:] = sys.B.T
         self.z, self.Z = X[-rows:], np.empty((3, rows, n))
@@ -559,33 +574,69 @@ def _projection(powers: list, CT: np.ndarray, steps: int):
 _HUGE = np.finfo(float).max
 
 
+def _advance(Y: np.ndarray, powers: list, steps: int) -> np.ndarray:
+    """Y mapped by F^steps, by the powers [F, F^2, F^4, ...] of its binary digits."""
+    for i in range(steps.bit_length()):
+        if steps >> i & 1:
+            T, r = powers[i]
+            Y = _band_apply(Y, T, None if r is None else r[:, 0])
+    return Y
+
+
 def _project(Y: np.ndarray, out: np.ndarray, powers: list, projection, h: float):
     """Write the outputs of F(Y), ..., F^L(Y) into out (rows, L, p), a slice
-    of steps of the output array, from the run map's projection: one product
-    per chunk of its length. The state after a chunk is Y mapped by the
-    powers of its length's binary digits.
+    of steps of the output array, from the run map's projection for chunks of
+    c steps.
+
+    The full chunks go in groups (_group): each chunk's first state is one
+    band product by F^c from the one before, all of a group's are checked at
+    once, and its outputs are one batched band product of them by the
+    projection, written straight into out. A last partial chunk is one
+    product by the projection's first columns. The state after a group or a
+    partial chunk is mapped by the powers of its length's binary digits.
 
     Returns the steps written and the state after them. A chunk is written
     only where the bound max(max |Y|, 1) grow 12 / h on its states and stage
-    sums (see _check) is finite, so that a state that would overflow is
-    formed by the caller and named by its check.
+    sums (see _check) is finite, for Y its first state, so that a state that
+    would overflow is formed by the caller and named by its check.
     """
     Z, rho, grow = projection
     rows, L, p = out.shape
-    c = Z.shape[-1] // p
+    n, c = Y.shape[1], Z.shape[-1] // p
     flat = out.reshape(rows, L * p)  # a view: a slice of steps keeps (L, p) contiguous
     # the bound is finite while max |Y| <= limit, and limit >= 1
     limit = _HUGE / (grow * (12.0 / h))
-    for done in range(0, L, c):
-        if not (limit >= 1.0 and np.abs(Y).max() <= limit):
+    if not limit >= 1.0:
+        return 0, Y
+    done = 0
+    if c <= L:
+        # F^c, used only where a group has two chunks: then c < L is a power of two
+        T, r = powers[c.bit_length() - 1]
+        r = None if r is None else r[:, 0]
+        starts = np.empty((rows, min(_group(rows, n, len(Z), c * p), L // c), n))
+        while done + c <= L:
+            k = min(starts.shape[1], (L - done) // c)
+            S = starts[:, :k]
+            S[:, 0] = Y
+            for j in range(1, k):
+                _band_apply(S[:, j - 1], T, r, out=S[:, j])
+            if not max(S.max(), -S.min()) <= limit:
+                # the first refused chunk: those before it are written
+                k = int(np.argmin(np.maximum(S.max(axis=(0, 2)), -S.min(axis=(0, 2))) <= limit))
+            if k:
+                chunks = flat[:, done * p:(done + k * c) * p].reshape(rows, k, c * p)
+                _band_apply(S[:, :k], Z, None if rho is None else rho[:, None], out=chunks)
+            if k < S.shape[1]:
+                return done + k * c, S[:, k].copy()
+            Y = _advance(S[:, -1], powers, c)
+            done += k * c
+    if done < L:
+        if not max(Y.max(), -Y.min()) <= limit:
             return done, Y
-        steps = min(c, L - done)
+        steps = L - done
         _band_apply(Y, Z[..., :steps * p], None if rho is None else rho[:, :steps * p],
-                    out=flat[:, done * p:(done + steps) * p])
-        for i in range(steps.bit_length()):
-            if steps >> i & 1:
-                T, r = powers[i]
-                Y = _band_apply(Y, T, None if r is None else r[:, 0])
+                    out=flat[:, done * p:])
+        Y = _advance(Y, powers, steps)
     return L, Y
 
 
@@ -593,7 +644,8 @@ def _step_maps(sys: BilinearSystem, Un: np.ndarray, Um: np.ndarray, h: float,
                rows: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
     """The maps (T, r) of L steps, stacked on axis 1: T (b, L, n, n) in bands,
     r (rows, L, 1, n), from node samples Un (L + 1, m) and midpoint samples
-    Um (L, m). A run's map F is the one step of its u (L = 1).
+    Um (L, m). A run's map F is the one step of its u (L = 1), whose three
+    samples share one generator.
 
     Each sample u gives the generator G = (L(u), c(u)) of y' = y L + c in
     bands: A^T + N(u)^T for the full system; A^T and N(u)^T one order down
@@ -606,21 +658,34 @@ def _step_maps(sys: BilinearSystem, Un: np.ndarray, Um: np.ndarray, h: float,
     n, L = sys.n, Um.shape[0]
     u = np.concatenate([Un, Um])
     NuT = (u @ sys.N.reshape(sys.m, -1)).reshape(-1, n, n).swapaxes(1, 2)
+    c = np.zeros((rows, len(u), 1, n))
+    c[0, :, 0] = u @ sys.B.T
+    # node, next-node and midpoint samples, or a run's one sample for all three
+    node, after, mid = slice(L), slice(1, L + 1), slice(L + 1, None)
+    if L == 1 and (u == u[0]).all():
+        NuT, c, node, after, mid = NuT[:1], c[:, :1], *(slice(None),) * 3
     b = rows if NuT.any() else 1
     g = min(b, 2)
-    G = np.zeros((b, 2 * L + 1, n, n))
-    c = np.zeros((rows, 2 * L + 1, 1, n))
-    G[0] = sys.A.T
-    if shift < b:
+    # C-ordered generators: a transposed operand takes another BLAS path,
+    # which rounds the products below differently
+    if shift == 0:
+        G = np.add(sys.A.T, NuT, order="C")[None]
+    elif b == 1:
+        G = np.broadcast_to(np.ascontiguousarray(sys.A.T), (1, len(NuT), n, n))
+    else:
+        G = np.zeros((b, len(NuT), n, n))
+        G[0] = sys.A.T
         G[shift] += NuT
-    c[0, :, 0] = u @ sys.B.T
-    eye = np.zeros((b, 1, n, n))
-    eye[0, 0] = np.eye(n)
-    G0, c0 = G[:, :L], c[:, :L]
-    Gm = G[:g, L + 1:], c[:, L + 1:]
+    if b == 1:
+        eye = np.eye(n)
+    else:
+        eye = np.zeros((b, 1, n, n))
+        eye[0, 0] = np.eye(n)
+    G0, c0 = G[:, node], c[:, node]
+    Gm = G[:g, mid], c[:, mid]
     Q1 = _compose((eye + (h / 2.0) * G0, (h / 2.0) * c0), Gm)
     Q2 = _compose((eye + (h / 2.0) * Q1[0], (h / 2.0) * Q1[1]), Gm)
-    Q3 = _compose((eye + h * Q2[0], h * Q2[1]), (G[:g, 1:L + 1], c[:, 1:L + 1]))
+    Q3 = _compose((eye + h * Q2[0], h * Q2[1]), (G[:g, after], c[:, after]))
     return (eye + (h / 6.0) * (G0 + 2.0 * (Q1[0] + Q2[0]) + Q3[0]),
             (h / 6.0) * (c0 + 2.0 * (Q1[1] + Q2[1]) + Q3[1]))
 
@@ -653,8 +718,11 @@ STEP, MAP, REDUCE, PROJECT = 0, 1, 2, 3
 # linalg.STACK bounds the doubles in one stacked array of step maps
 # (rows, L, n, n): a reduced stretch holds about ten such arrays at once, so
 # it is at most STACK // (rows n^2) steps long, and its maps take a few MB at
-# most whatever n and K are. A run's projection (b, n, steps p) is bounded
-# the same way, and longer stretches of the run are written in chunks.
+# most whatever n and K are. A run's projection (b, n, c p) for chunks of c
+# steps holds at most RUN_STACK doubles (_chunk), and the arrays that a group
+# of its chunks adds at most GROUP (_group).
+RUN_STACK = 2 ** 15
+GROUP = 2 ** 12
 
 # Cost of one numpy call on the small operands of an RK4 step, in
 # multiply-adds of stacked small products. Measured on x86-64 with one BLAS
@@ -666,11 +734,36 @@ STEP, MAP, REDUCE, PROJECT = 0, 1, 2, 3
 CALL = 1000
 
 
-def _chunk(width: int, L: int) -> int:
-    """Steps of a run's projection whose arrays hold width doubles per step
-    (_projection): the largest power of two at which each holds at most
-    STACK doubles, and at most L."""
-    return min(1 << (max(STACK // width, 1).bit_length() - 1), L)
+def _projected_costs(n: int, p: int, rows: int, b: int) -> tuple[int, int]:
+    """The costs (_mapped) of a run filled over its outputs, for maps of b
+    bands: of each step of its projection (b (b + 1) (n + rows) n p / 2),
+    and of each chunk's first state (one band apply and 2 b calls)."""
+    pairs, band = b * (b + 1) // 2, rows * b - b * (b - 1) // 2
+    return n * p * (n + rows) * pairs, n * n * band + CALL * 2 * b
+
+
+def _chunk(n: int, p: int, rows: int, b: int, L: int) -> int:
+    """Steps in a chunk of a run of L steps filled over its outputs, for
+    maps of b bands (_projection, _project).
+
+    A chunk of c steps costs c e to project, and the run's chunks cost
+    (L / c) a for their first states (_projected_costs), least at c =
+    sqrt(L a / e). c is the power of two at or above that, at most L, and
+    at most the largest at which the projection (b, n, c p) and its shift
+    (rows, c p) hold RUN_STACK doubles each.
+    """
+    e, a = _projected_costs(n, p, rows, b)
+    best = math.ceil(math.sqrt(L * a / e))
+    cap = max(RUN_STACK // (max(b * n, rows) * p), 1)
+    return min(1 << (best - 1).bit_length(), 1 << (cap.bit_length() - 1), L)
+
+
+def _group(rows: int, n: int, b: int, width: int) -> int:
+    """Chunks of a run projected at once (_project), for maps of b bands and
+    width = c p outputs per chunk: their first states (rows, G, n) and, where
+    b > 1, the band products summed into their outputs (rows - 1, G, width)
+    hold at most GROUP doubles."""
+    return max(GROUP // (rows * n + (b > 1) * (rows - 1) * width), 1)
 
 
 def _stretches(mask: np.ndarray, *cuts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -702,11 +795,14 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
       per doubling level within a block, (rows b - b (b - 1) / 2) n^2 per step
       to apply, and 20 calls plus 6 (b + 1) per level, then 20 plus
       2 (b + 1) per level for each further block;
-    - a steady run over its outputs squares to its chunk of c steps (_chunk),
+    - a steady run over its outputs squares to its chunk of c steps (_chunk,
+      which takes the c that minimises the two terms of _projected_costs),
       projects c powers through C (b (b + 1) (n + rows) n p c / 2) and takes
       (rows b - b (b - 1) / 2) n p per step for the outputs, 20 calls plus
-      8 (b + 1) + 6 per power (a squaring, its norm and its projection), and
-      per chunk one state apply and 10 + 4 b calls;
+      8 (b + 1) + 6 per power (a squaring, its norm and its projection),
+      per chunk one state apply and 2 b calls for its first state, and
+      12 + 4 b calls per group of chunks (_group) for their check, their
+      outputs and the state after them;
     - a forced stretch within a block and a span (the span steps from a
       multiple of span), reduced, forms one map per step with b = rows, and
       takes about one composition (b (b + 1) n^3 / 2 for the band, as much
@@ -744,11 +840,13 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
         by_map = (form(b) + n ** 3 * levels * pairs + L * n * n * band
                   + CALL * (20 + 6 * (b + 1) * levels
                             + (math.ceil(L / block) - 1) * (20 + 2 * (b + 1) * levels)))
-        c = _chunk(max(b * n, rows) * p, L)
-        count = c.bit_length()
-        by_project = (form(b) + n ** 3 * (count - 1) * pairs + c * n * p * (n + rows) * pairs
-                      + L * n * p * band + math.ceil(L / c) * (n * n * band + CALL * (10 + 4 * b))
-                      + CALL * (20 + (8 * (b + 1) + 6) * count))
+        e, a_chunk = _projected_costs(n, p, rows, b)
+        c = _chunk(n, p, rows, b, L)
+        count, chunks = c.bit_length(), math.ceil(L / c)
+        by_project = (form(b) + n ** 3 * (count - 1) * pairs + c * e + L * n * p * band
+                      + chunks * a_chunk
+                      + CALL * (20 + (8 * (b + 1) + 6) * count
+                                + math.ceil(chunks / _group(rows, n, b, c * p)) * (12 + 4 * b)))
         if min(by_map, by_project) < L * per_step:
             via[a:z] = PROJECT if by_project < by_map else MAP
     first, last = _stretches(via == STEP, block, span)
@@ -760,6 +858,13 @@ def _mapped(sys: BilinearSystem, U: np.ndarray, steady: np.ndarray,
     for a, z in zip(first[cheaper], last[cheaper]):
         via[a:z] = REDUCE
     return via
+
+
+def _steady(U: np.ndarray, Um: np.ndarray) -> np.ndarray:
+    """The steps whose node, midpoint and next-node samples (U, Um) are one
+    vector: the channels are AND-ed in turn, as .all(axis=1) on (steps, m)
+    is slow."""
+    return functools.reduce(np.logical_and, ((U[:-1] == Um) & (Um == U[1:])).T)
 
 
 def _check(states: np.ndarray, prev: np.ndarray, first: int, grid: TimeGrid) -> None:
@@ -811,18 +916,25 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
         raise ValueError("grid has no integration steps (needs at least 2 nodes)")
     if grid == u.grid:
         U = u.values
-        Um = U[:-1] + U[1:]
-        Um *= 0.5
+
+        def mid(a, b):
+            # the midpoint samples of steps a..b-1, formed where needed rather
+            # than held for the whole grid
+            Um = U[a:b] + U[a + 1:b + 1]
+            Um *= 0.5
+            return Um
     else:
         times = grid.times()
         U = u.at_many(times)
         Um = u.at_many(times[:-1] + 0.5 * grid.dt)
+
+        def mid(a, b):
+            return Um[a:b]
     n, h, rows = sys.n, grid.dt, Y0.shape[0]
     block = min(max(BLOCK_ROWS // rows, 1), grid.nodes - 1)
     span = min(max(STACK // (rows * n * n), 1), block)
     # Two runs never touch: the step across a change of level is forced.
-    steady = ((U[:-1] == Um) & (Um == U[1:])).all(axis=1)
-    via = _mapped(sys, U, steady, rows, shift, block, span)
+    via = _mapped(sys, U, _steady(U, mid(0, grid.nodes - 1)), rows, shift, block, span)
     # steps where a stretch taken one way begins, and multiples of span
     # within reduced stretches (a mask: np.union1d imports numpy.ma on first
     # use, about 30 ms and 1 MB per process)
@@ -855,15 +967,15 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
                 how = via[a]
                 if how in (MAP, PROJECT) and (u_run is None or (u_run != U[a]).any()):
                     powers = projection = None  # free the last run's arrays first
-                    T, r = _step_maps(sys, U[a:a + 2], Um[a:a + 1], h, rows, shift)
+                    T, r = _step_maps(sys, U[a:a + 2], mid(a, a + 1), h, rows, shift)
                     u_run, powers = U[a], [(T[:, 0], r[:, 0] if r.any() else None)]
                 if how == PROJECT:
                     # the outputs need no buffer: project to the run's end
                     i = np.searchsorted(edges, a, "right")
                     end = edges[i] if i < edges.size else grid.nodes - 1
                     if projection is None:  # False once refused for this run
-                        width = max(len(powers[0][0]) * n, rows) * sys.p
-                        projection = _projection(powers, CT, _chunk(width, int(end - a))) or False
+                        c = _chunk(n, sys.p, rows, len(powers[0][0]), int(end - a))
+                        projection = _projection(powers, CT, c) or False
                     if projection:
                         if first < a:
                             settle(first, a, prev)
@@ -877,9 +989,9 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
                 if not (how == MAP and _fill(Y, run, powers)
                         or how == REDUCE and _reduce(
                             Y[:, None, None], run[:, :, None],
-                            *_step_maps(sys, U[a:b + 1], Um[a:b], h, rows, shift))):
+                            *_step_maps(sys, U[a:b + 1], mid(a, b), h, rows, shift))):
                     stages = stages or _Stages(sys, rows, shift, h)
-                    _rk4_step(stages, Y, run, U[a:b + 1], Um[a:b])
+                    _rk4_step(stages, Y, run, U[a:b + 1], mid(a, b))
                 Y = run[:, -1].copy()
             if first < stop:
                 settle(first, stop, prev)

@@ -445,18 +445,19 @@ class TestOdeDirect:
             assert np.all(np.isfinite(got))
             assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
-    @pytest.mark.parametrize("x0, projected", [(1e300, False), (1e150, True)])
+    @pytest.mark.parametrize("x0, projected", [(1e300, False), (1e100, True)])
     def test_overflow_in_a_projected_run_names_the_stepped_step(self, x0, projected,
                                                                 monkeypatch):
         # A free run of A = 50 I whose map F ~ e^{0.05} has finite powers, but
         # whose state x0 e^{50 t} and its stage sums pass the largest double
-        # mid-run: stepping names step 267 from 1e300 and step 7175 from
-        # 1e150. Outputs filled over a projection never form the states, so
+        # mid-run: stepping names step 267 from 1e300 and step 9477 from
+        # 1e100. Outputs filled over a projection never form the states, so
         # the bound on them must hand the run to the state fill before they
         # overflow, and the check there must name the step that stepping
-        # names. With chunks of 2048 steps the bound is x0 e^{205} 12 / h:
-        # finite from 1e150, where two chunks are projected first, and not
-        # from 1e300.
+        # names. With chunks of c = 1024 steps the bound is max |Y| e^{102}
+        # 12 / h for Y a chunk's first state, x0 e^{51.2 j} for chunk j: from
+        # 1e100 chunks 0..7 are projected and chunk 8 is refused, and from
+        # 1e300 none is projected.
         project, written = response._project, []
 
         def spy(*args):
@@ -468,7 +469,7 @@ class TestOdeDirect:
         n = 8
         sys = BilinearSystem(A=50.0 * np.eye(n), N=np.zeros((1, n, n)), B=np.ones((n, 1)),
                              C=np.ones((1, n)) / n, x0=np.full(n, x0))
-        grid = TimeGrid(0.0, 8.0, 1e-3)
+        grid = TimeGrid(0.0, 12.0, 1e-3)
         u = zero_signal(grid)
         runs = (lambda: ode_direct(sys, u, grid), lambda: volterra_cascade(sys, u, 3, grid))
 
@@ -481,7 +482,9 @@ class TestOdeDirect:
             return got
 
         got = messages()
-        assert written and max(written) == (4096 if projected else 0)
+        c = response._chunk(n, 1, 1, 1, grid.nodes - 1)
+        assert written and max(written) % c == 0
+        assert 0 < max(written) < 9477 if projected else max(written) == 0
         monkeypatch.setattr(response, "_mapped",
                             lambda sys, U, *args: np.full(len(U) - 1, response.STEP))
         assert got == messages()
@@ -526,7 +529,7 @@ class TestOdeDirect:
     def test_run_with_every_state_an_output_fills_its_states(self, n, monkeypatch):
         # The pulse shape of the benchmark (eps = 1e-3, dt = eps / 20), cut to
         # 5000 steps. With C = I the projection would form each output as the
-        # fill forms each state, in chunks of at most STACK // n^2 steps, so
+        # fill forms each state, in chunks of at most RUN_STACK // n^2 steps, so
         # the cost model must fill the states; with one output row it projects.
         project, projected = response._project, []
 

@@ -374,3 +374,119 @@ def test_projected_runs_match_reference_loop(kind, K, p):
         if every:
             # one stretch to the end of the grid, written in full
             assert written[-1][0] == written[-1][1] > 2 * block
+
+
+def run_projection(rows, driven, c, growth=0.0):
+    """A run map's powers and projection for chunks of c steps, and a start
+    state Y, for the full system (rows = 1) or a cascade of rows orders; a
+    driven cascade run's map has bands and a shift, so its projection has
+    rho, and the full system's has rho wherever its u is not zero. growth
+    is added to the diagonal of A."""
+    rng = np.random.default_rng([rows, driven, c])
+    made = make_stable_system(rng, n=5, m=2, p=2, with_x0=True)
+    sys = BilinearSystem(A=made.A + growth * np.eye(made.n), N=made.N, B=made.B, C=made.C)
+    u = rng.standard_normal(2) if driven else np.zeros(2)
+    T, r = response._step_maps(sys, np.array([u, u]), u[None], DT, rows, int(rows > 1))
+    powers = [(T[:, 0], r[:, 0] if r.any() else None)]
+    projection = response._projection(powers, sys.C.T, c)
+    assert (projection[1] is None) == (not driven)
+    return sys, powers, projection, rng.standard_normal((rows, sys.n))
+
+
+def groups_of(group, rows, sys, projection, monkeypatch):
+    """Make _project write the chunks of this projection `group` at a time."""
+    b, width = len(projection[0]), projection[0].shape[-1]
+    monkeypatch.setattr(response, "GROUP", group * (rows * sys.n + (b > 1) * (rows - 1) * width))
+    assert response._group(rows, sys.n, b, width) == group
+
+
+def filled_outputs(sys, Y, powers, L):
+    """The reference: F(Y), ..., F^L(Y) by the state fill, through C."""
+    run = np.empty((len(Y), L, sys.n))
+    assert response._fill(Y, run, list(powers))
+    return run @ sys.C.T, run
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("driven", [False, True])
+@pytest.mark.parametrize("rest", ["0", "1", "c-1"])
+@pytest.mark.parametrize("group", [None, 2])
+def test_project_matches_filled_states(rows, driven, rest, group, monkeypatch):
+    # L = J c + rest steps in full chunks and a partial one; group = 2 puts
+    # the J = 5 full chunks in three groups, None in one.
+    c, J = 8, 5
+    L = J * c + {"0": 0, "1": 1, "c-1": c - 1}[rest]
+    sys, powers, projection, Y = run_projection(rows, driven, c)
+    if group is not None:
+        groups_of(group, rows, sys, projection, monkeypatch)
+    want, states = filled_outputs(sys, Y, powers, L)
+    out = np.full((rows, L, sys.p), np.nan)
+    done, last = response._project(Y, out, powers, projection, DT)
+    assert done == L
+    assert_close_per_order(out, want)
+    assert_close_per_order(last[:, None], states[:, -1:])
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("group", [None, 2])
+@pytest.mark.parametrize("j", [1, 3])
+def test_project_refuses_at_the_first_chunk_past_its_bound(rows, group, j, monkeypatch):
+    # The bound admits the first states of chunks 0..j-1 and refuses chunk
+    # j's: those chunks are written, the rest of out is not, and the state
+    # returned is chunk j's first, from which the caller fills the states.
+    # The states grow about fivefold a chunk.
+    c, J = 8, 5
+    L = J * c + 3
+    sys, powers, projection, Y = run_projection(rows, True, c, growth=20.0)
+    if group is not None:
+        groups_of(group, rows, sys, projection, monkeypatch)
+    want, states = filled_outputs(sys, Y, powers, L)
+    starts = np.concatenate([Y[:, None], states[:, c - 1::c]], axis=1)
+    sizes = np.abs(starts).max(axis=(0, 2))
+    # a limit between the admitted sizes and chunk j's, through grow
+    limit = 0.5 * (sizes[:j].max() + sizes[j])
+    assert sizes[:j].max() < limit < sizes[j] and limit >= 1.0
+    Z, rho, _ = projection
+    grow = np.finfo(float).max / (limit * 12.0 / DT)
+    out = np.full((rows, L, sys.p), np.nan)
+    done, start = response._project(Y, out, powers, (Z, rho, grow), DT)
+    assert done == j * c
+    assert_close_per_order(out[:, :done], want[:, :done])
+    assert np.isnan(out[:, done:]).all()
+    assert_close_per_order(start[:, None], states[:, done - 1:done])
+
+
+def one_channel_levels(rng, grid, channel):
+    """Three channels held at nonzero levels, of which only `channel` changes
+    level, after 1..60 nodes each."""
+    values = np.tile(rng.standard_normal(3), (grid.nodes, 1))
+    lengths = rng.integers(1, 61, size=grid.nodes)
+    values[:, channel] = np.repeat(rng.standard_normal(lengths.size), lengths)[:grid.nodes]
+    return SampledSignal(grid, values)
+
+
+@pytest.mark.parametrize("channel", [0, 2])
+@pytest.mark.parametrize("K", [None, 3])
+def test_runs_found_on_every_channel(channel, K):
+    # A step belongs to a run only where all m = 3 channels hold their level
+    # over it; here that is where the one changing channel does.
+    rng = np.random.default_rng([channel, K or 0])
+    sys = make_stable_system(rng, n=4, m=3, p=2, with_x0=True)
+    grid = TimeGrid(0.0, 700 * DT, DT)
+    u = one_channel_levels(rng, grid, channel)
+    mapped, steady = response._mapped, []
+
+    def spy(sys, U, runs, *args):
+        steady.append(runs.copy())
+        return mapped(sys, U, runs, *args)
+
+    def call():
+        return (ode_direct(sys, u, grid).values[None] if K is None
+                else volterra_cascade(sys, u, K, grid).per_order)
+
+    got, want = on_each_path(call, lambda mp: mp.setattr(response, "_mapped", spy),
+                             step_every_stretch)
+    level = u.values[:, channel]
+    assert np.array_equal(steady[0], level[:-1] == level[1:])
+    assert 0 < steady[0].sum() < steady[0].size
+    assert_close_per_order(got, want)
