@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SingularMatrixError, solve
+from .linalg import SingularMatrixError, _logarithmic_norm, solve
 
 __all__ = [
     "BilinearSystem",
@@ -49,7 +49,8 @@ class BilinearSystem:
     ``N`` is stored as an (m, n, n) stack; a single 2-D array is promoted to
     m = 1. ``x0`` defaults to zeros. Construction copies the arrays and makes
     the copies read-only, which keeps the cached quantities valid: the
-    spectral abscissa, the quadrature growth per (T, panels), the 2-norms
+    spectral abscissa, the two numbers that certify resolvent shifts, the
+    quadrature growth per (T, panels), the 2-norms
     of C and the N_j, and the eigenbasis of A that the closed-form responses
     apply e^{At} in. It only coerces shapes, so call :func:`validate` for the
     invariant violations.
@@ -95,6 +96,12 @@ class BilinearSystem:
     def spectral_abscissa(self) -> float:
         """Largest real part of the eigenvalues of A (computed once; A is read-only)."""
         return float(np.max(np.linalg.eigvals(self.A).real))
+
+    @cached_property
+    def _resolvent_bound(self) -> tuple[float, float]:
+        """(mu2(A), ||A||_inf), by which the transfer functions' solves certify
+        their shifts (linalg._certified); A is read-only."""
+        return _logarithmic_norm(self.A)
 
     @cached_property
     def _quadrature_growth(self) -> dict[tuple[float, int], float]:

@@ -11,20 +11,25 @@ the chain reaches it. The symmetric one averages the triangular value over
 all argument permutations. That average is not formed permutation by
 permutation: the triangular chains share their partial results, which
 depend only on the set of arguments used so far, so one resolvent solve per
-nonempty subset (2^k - 1 in all) gives it, made as one stacked
-resolvent_apply call per subset size (k in all). Frequency tuples are
-sequences of complex numbers; channels are 1-based.
+nonempty subset (2^k - 1 in all) gives it, made as one stacked solve call
+per subset size (k in all). Those solves, and the chain's from n = 91, go
+through linalg._resolvent_solve with the system's cached mu2(A) and
+||A||_inf: a shift whose matrix these prove well conditioned is solved by
+LU, any other by resolvent_apply's checked inverse, so a pole is refused
+exactly as resolvent_apply refuses it. Frequency tuples are sequences of
+complex numbers; channels are 1-based.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _block, resolvent_apply, resolvents
+from .linalg import _block, _resolvent_solve, resolvents
 from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
 
 __all__ = [
@@ -83,12 +88,14 @@ def _resolvent_chain(sys: BilinearSystem, chs: tuple[int, ...], sigmas) -> np.nd
     """The chain with X_i = (sigma_i I - A)^{-1}, all k formed first by resolvents.
 
     Where one matrix fills a stacking block (n >= 91) each resolvent is
-    solved when the chain reaches it instead: forming all k first and then
+    solved when the chain reaches it instead, by LU where the shift is
+    certified (linalg._resolvent_solve). Forming all k first and then
     applying them took 1.15x as long at n = 100 and k = 3, as the first ones
     leave the cache before the chain uses them.
     """
     if _block(sys.n) == 1:
-        return _chain(sys, chs, lambda i, v: resolvent_apply(sys.A, sigmas[i], v))
+        return _chain(sys, chs, lambda i, v: _resolvent_solve(sys.A, sigmas[i], v,
+                                                               sys._resolvent_bound))
     inverses = resolvents(sys.A, sigmas)
     return _chain(sys, chs, lambda i, v: inverses[i] @ v)
 
@@ -116,8 +123,8 @@ def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
     F({i}) = R(s_i) b_{j_i}, R(z) = (z I - A)^{-1} and sigma_S the sum of the
     s_i in S; the value is C F(all) / k!. That is 2^k - 1 resolvent solves
     in place of k k! (the Held-Karp subset recursion). F(S) needs only the
-    sets one smaller, so the solves of all sets of one size are one stacked
-    resolvent_apply call: k calls in all. A pole at several subset sums is
+    sets one smaller, so the solves of all sets of one size are one
+    _resolvent_solve call: k calls in all. A pole at several subset sums is
     reported at one of the smallest sets. Refuses k > 8.
     """
     ss = _freq_tuple(s)
@@ -134,7 +141,8 @@ def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
                 V.append(sys.B[:, chs[members[0]] - 1])
             else:
                 V.append(sum(sys.N[chs[i] - 1] @ F[S ^ (1 << i)] for i in members))
-        for S, x in zip(sets, resolvent_apply(sys.A, [sums[S] for S in sets], np.stack(V))):
+        X = _resolvent_solve(sys.A, [sums[S] for S in sets], np.stack(V), sys._resolvent_bound)
+        for S, x in zip(sets, X):
             F[S] = x
     return TransferValue(sys.C @ F[-1] / math.factorial(k), "symmetric", chs)
 
@@ -186,7 +194,9 @@ def output_transform(sys: BilinearSystem, channels, s, kind: str, U) -> np.ndarr
     Triangular/symmetric kinds multiply the transfer value by
     U_{j_1}(s_1) ... U_{j_k}(s_k); the regular kind uses the shifted inputs
     U_{j_1}(s_1) U_{j_2}(s_2 - s_1) ... U_{j_k}(s_k - s_{k-1}).
-    ``U`` is a single callable applied to every channel, or one per channel.
+    ``U`` is a single callable applied to every channel, or one per channel;
+    a value that is not finite is refused with the channel and the argument,
+    and so is a product that overflows.
     """
     ss = _freq_tuple(s)
     tv = _kind_rules(kind)[0](sys, channels, ss)
@@ -196,5 +206,12 @@ def output_transform(sys: BilinearSystem, channels, s, kind: str, U) -> np.ndarr
         args = (ss[0],) + tuple(ss[i] - ss[i - 1] for i in range(1, len(ss)))
     factor = 1.0 + 0.0j
     for j, arg in zip(tv.channels, args):
-        factor *= complex(evaluators[j - 1](arg))
-    return tv.value * factor
+        u = complex(evaluators[j - 1](arg))
+        if not cmath.isfinite(u):
+            raise ValueError(f"input transform of channel {j} is not finite at s = {arg}: {u}")
+        factor *= u
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = tv.value * factor
+    if not np.isfinite(out).all():
+        raise ValueError(f"output transform overflows: the input factors multiply to {factor}")
+    return out

@@ -28,6 +28,23 @@ def make_stable_system(rng, n=4, m=1, p=1, coupling=0.4, with_x0=False):
     return BilinearSystem(A=A, N=N, B=B, C=C, x0=x0)
 
 
+def normal_system(n, m=1, p=1, seed=0):
+    """System with a normal A = Q D Q^T, Q orthogonal, D of 2 x 2 blocks.
+
+    Block i has the eigenvalues -0.5 - i/8 +- (0.25 + i/16) i, all dyadic, so
+    mu2(A) is the spectral abscissa, -0.5, up to rounding.
+    """
+    D = np.zeros((n, n))
+    for i in range(n // 2):
+        a, w = -0.5 - i / 8, 0.25 + i / 16
+        D[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[a, w], [-w, a]]
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    N = 0.4 * rng.standard_normal((m, n, n)) / np.sqrt(n)
+    return BilinearSystem(A=Q @ D @ Q.T, N=Q @ N @ Q.T, B=rng.standard_normal((n, m)),
+                          C=rng.standard_normal((p, n)))
+
+
 def transient_growth_system(m=1):
     """Non-normal 2-state system: ||e^{At}||_2 e^{t} rises from 1 towards 40.
 

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bivolt.linalg import (_TAYLOR_THETA, _THETA13, PoleHitError, SingularMatrixError,
-                           _affine_flow, _dense, _taylor, _taylor_plan, expm, phi1_apply,
+from bivolt import linalg
+from bivolt.linalg import (_TAYLOR_THETA, _THETA13, PIVOT_RTOL, PoleHitError,
+                           SingularMatrixError, _affine_flow, _dense, _logarithmic_norm,
+                           _resolvent_solve, _taylor, _taylor_plan, expm, phi1_apply,
                            resolvent_apply, resolvents, solve)
+
+from conftest import make_stable_system, normal_system, transient_growth_system
 
 
 def series_phi1(x, terms=40):
@@ -400,6 +404,80 @@ class TestResolvents:
             resolvents(self.A, [[1.0]])
         with pytest.raises(ValueError, match="stack"):
             resolvent_apply(self.A, [1.0, 2.0], np.ones(3))
+
+
+class TestCertifiedSolves:
+    """_resolvent_solve takes an LU solve for a shift that the logarithmic-norm
+    bound certifies, and resolvent_apply's checked inverse for any other."""
+
+    @pytest.fixture
+    def masks(self, monkeypatch):
+        """The masks that _certified returns, one per call, as 1-D arrays."""
+        seen, certified = [], linalg._certified
+
+        def spy(*args):
+            mask = certified(*args)
+            seen.append(np.atleast_1d(mask).copy())
+            return mask
+
+        monkeypatch.setattr(linalg, "_certified", spy)
+        return seen
+
+    @staticmethod
+    def both_ways(A, shifts, V):
+        """_resolvent_solve's scalar and stacked results with A's bound, and resolvent_apply's."""
+        bound = _logarithmic_norm(A)
+        one = np.stack([_resolvent_solve(A, z, v, bound) for z, v in zip(shifts, V)])
+        return one, _resolvent_solve(A, shifts, V, bound), resolvent_apply(A, shifts, V)
+
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_shift_between_abscissa_and_mu2_takes_the_inverse(self, n, masks):
+        rng = np.random.default_rng(8)
+        A = (transient_growth_system().A if n == 2 else
+             make_stable_system(rng, n=n).A)
+        abscissa = np.linalg.eigvals(A).real.max()
+        mu2 = _logarithmic_norm(A)[0]
+        shifts = np.array([0.3 + 2.0j, 0.5 * mu2 - 1.0j, mu2])
+        assert np.all((abscissa < shifts.real) & (shifts.real <= mu2))
+        V = rng.standard_normal((3, n))
+        one, stacked, public = self.both_ways(A, shifts, V)
+        assert not np.concatenate(masks).any()
+        assert np.array_equal(one, public) and np.array_equal(stacked, public)
+
+    @pytest.mark.parametrize("n", [4, 20, 100])
+    def test_certified_shifts_match_the_inverse(self, n, masks):
+        rng = np.random.default_rng(n)
+        A = normal_system(n).A
+        shifts = rng.uniform(0.3, 1.5, 6) + 1j * rng.uniform(-4.0, 4.0, 6)
+        V = rng.standard_normal((6, n, 2))
+        one, stacked, public = self.both_ways(A, shifts, V)
+        assert np.concatenate(masks).all()
+        for got in (one, stacked):
+            assert np.max(np.abs(got - public)) <= 1e-13 * np.max(np.abs(public))
+
+    def test_bound_just_above_the_threshold_falls_back(self, masks):
+        # cond_inf(s I - A) <= (|s| + ||A||_inf) sqrt(n) / (Re s - mu2 - margin),
+        # margin = 4 n sqrt(n) eps ||A||_inf; certified below 1 / (2 PIVOT_RTOL)
+        A, n = -np.diag([1.0, 2.0, 3.0, 4.0]), 4
+        mu2, norm = _logarithmic_norm(A)
+        margin = 4 * n * math.sqrt(n) * np.finfo(float).eps * norm
+        edge = (abs(mu2) + norm) * math.sqrt(n) * 2 * PIVOT_RTOL
+        above, below = (mu2 + margin + f * edge for f in (0.999, 1.001))
+        V = np.ones((2, n))
+        one, stacked, public = self.both_ways(A, [above, below], V)
+        assert [list(m) for m in masks] == [[False], [True], [False, True]]
+        # the inverse check accepts both: cond_inf is 3 / (s + 1), about 1.5e11
+        assert np.array_equal(one[0], public[0]) and np.array_equal(stacked[0], public[0])
+        assert np.max(np.abs(one[1] - public[1])) <= 1e-13 * np.max(np.abs(public[1]))
+
+    def test_first_refused_shift_follows_certified_ones(self, masks):
+        A = normal_system(4).A
+        bound = _logarithmic_norm(A)
+        with pytest.raises(PoleHitError) as exc:
+            _resolvent_solve(A, [1.0, -0.625 - 0.3125j, 2.0, -0.5 + 0.25j],
+                             np.ones((4, 4)), bound)
+        assert exc.value.s == -0.625 - 0.3125j
+        assert list(masks[0]) == [True, False, True, False]
 
 
 class TestLU:

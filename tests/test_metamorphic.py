@@ -13,11 +13,14 @@ the eigenbasis of T^-1 A T moves with kappa(T), so at kappa(T) = 30 the closed
 forms of a system with a normal A take the dense free flow where the system
 itself takes the modal one. The core (n = 4) fills its forced stretches by
 the pairwise reduction of their step maps, while the padded system (n = 96)
-steps them (response._Stages); and the padded triangular transfer function
-solves each resolvent as its chain reaches it, where the core forms them all
-first (transfer._resolvent_chain at n >= 91). The transformed matrices carry
-rounding of relative size about kappa(T) ulp, so the tolerance scales with
-kappa(T).
+steps them (response._Stages); and the padded regular and triangular
+transfer functions solve each resolvent as its chain reaches it, where the
+core forms them all first (transfer._resolvent_chain at n >= 91). The
+symmetric transfer function of the normal core takes certified LU solves
+for every shift under an orthogonal T and the inverse check for every shift
+at kappa(T) = 30, where mu2 of T^-1 A T exceeds every subset sum's real part
+(linalg._certified). The transformed matrices carry rounding of relative
+size about kappa(T) ulp, so the tolerance scales with kappa(T).
 """
 
 import dataclasses
@@ -31,6 +34,7 @@ from bivolt import (BilinearSystem, TimeGrid, eval_regular, eval_symmetric,
                     eval_triangular, impulse_response, impulse_response_subsystem,
                     laplace_quadrature, nascent_response, ode_direct, sine_signal,
                     response, volterra_cascade)
+from bivolt import linalg
 from bivolt.linalg import _block
 
 from conftest import make_stable_system
@@ -128,6 +132,21 @@ def stepped(monkeypatch, sys: BilinearSystem, name: str) -> int:
     return sum(count)
 
 
+def certified(monkeypatch, sys: BilinearSystem, name: str) -> np.ndarray:
+    """Which shifts _certified certifies, in order, while QUANTITIES[name] runs on sys."""
+    masks, certify = [], linalg._certified
+
+    def spy(*args):
+        mask = certify(*args)
+        masks.append(np.atleast_1d(mask))
+        return mask
+
+    monkeypatch.setattr(linalg, "_certified", spy)
+    QUANTITIES[name](sys)
+    monkeypatch.undo()
+    return np.concatenate(masks)
+
+
 def test_cases_cross_the_seams(monkeypatch):
     assert np.allclose(basis(1.0).T @ basis(1.0), np.eye(4), atol=1e-15)
     assert np.linalg.cond(basis(30.0)) == pytest.approx(30.0, rel=1e-12)
@@ -137,6 +156,14 @@ def test_cases_cross_the_seams(monkeypatch):
         assert stepped(monkeypatch, CORE, name) == 0
         assert stepped(monkeypatch, padded(), name) == GRID.nodes - 1
     assert _block(CORE.n) > 1 and _block(padded().n) == 1
+    # the 7 subset sums of k = 3: all certified on NORMAL, the reference, and
+    # under an orthogonal T; none at kappa(T) = 30, which compares the paths
+    for cond, every in ((None, True), (1.0, True), (30.0, False)):
+        sys = NORMAL if cond is None else transformed(NORMAL, basis(cond))
+        mask = certified(monkeypatch, sys, "tf_symmetric")
+        assert len(mask) == 7 and (mask == every).all()
+    # the padded chains solve through _certified too, and fall back
+    assert not certified(monkeypatch, padded(), "tf_regular").any()
 
 
 @pytest.mark.parametrize("cond", [1.0, 30.0])
@@ -153,6 +180,14 @@ def test_change_of_basis_across_the_modal_gate(name, cond):
     assert deviation(got, value(name, normal=True)) <= RTOL * cond
 
 
-@pytest.mark.parametrize("name", ["ode_direct", "cascade", "tf_triangular"])
+@pytest.mark.parametrize("cond", [1.0, 30.0])
+def test_change_of_basis_across_the_certificate(cond):
+    # at n = 4 only the symmetric kind solves through _certified
+    got = QUANTITIES["tf_symmetric"](transformed(NORMAL, basis(cond)))
+    assert deviation(got, value("tf_symmetric", normal=True)) <= RTOL * cond
+
+
+@pytest.mark.parametrize("name", ["ode_direct", "cascade", "tf_regular", "tf_triangular",
+                                  "tf_symmetric"])
 def test_unobservable_padding(name):
     assert deviation(QUANTITIES[name](padded()), value(name)) <= RTOL

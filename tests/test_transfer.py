@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 from bivolt import (BilinearSystem, PoleHitError, eval_tf_regular,
                     eval_tf_symmetric, eval_tf_triangular, output_transform,
                     resolvent_apply, roc_margin)
+from bivolt.linalg import _block, _resolvent_solve
 
-from conftest import make_stable_system
+from conftest import make_stable_system, normal_system
 
 
 class TestRegularTF:
@@ -195,12 +196,61 @@ class TestOutputTransform:
         tv = eval_tf_symmetric(gain2_system, [1, 1], [1.0, 2.0]).value
         assert_allclose(got, tv * U(1.0) * U(2.0), rtol=1e-13)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_input_transform_is_refused(self, bad):
+        rng = np.random.default_rng(6)
+        sys = make_stable_system(rng, n=3, m=2)
+        evaluators = [lambda s: 1.0 / (s + 1.0), lambda s: bad]
+        for kind, arg in [("regular", "1.5"), ("triangular", "2.5"), ("symmetric", "2.5")]:
+            with pytest.raises(ValueError, match=rf"channel 2 .*s = \({arg}\+0j\)"):
+                output_transform(sys, [1, 2], [1.0, 2.5], kind, evaluators)
+
+    def test_overflowing_input_factors_are_refused(self, gain2_system):
+        with pytest.raises(ValueError, match="overflows"):
+            output_transform(gain2_system, [1, 1], [1.0, 2.0], "triangular", lambda s: 1e200)
+
+
+class TestPolesOfCertifiedSolves:
+    """A shift on an eigenvalue of a normal A, or within 1e-13 of one, is
+    never certified (Re s - mu2 is at most 1e-13), so the inverse check
+    refuses it, with the shift, in every kind: at n = 4 and 100 alike."""
+
+    @pytest.mark.parametrize("d", [0.0, 1e-13, -1e-13, 1e-13j])
+    @pytest.mark.parametrize("lam", [-0.5 + 0.25j, -0.625 + 0.3125j])
+    @pytest.mark.parametrize("n", [4, 100])
+    def test_shift_on_an_eigenvalue_is_refused(self, n, lam, d):
+        sys = normal_system(n, m=2)
+        z = lam + d
+        # the pole is the second argument, the second partial sum, and the
+        # sum of both arguments, which every kind computes as written here
+        for evaluate, s, pole in [(eval_tf_regular, (2.0, z), z),
+                                  (eval_tf_triangular, (2.0, z - 2.0), 2.0 + (z - 2.0)),
+                                  (eval_tf_symmetric, (0.5, z - 0.5), 0.5 + (z - 0.5))]:
+            with pytest.raises(PoleHitError) as exc:
+                evaluate(sys, [1, 2], s)
+            assert exc.value.s == pole
+
+    def test_non_finite_matrix_is_refused_before_its_bound(self):
+        sys = BilinearSystem(A=[[np.nan]], N=[[[0.5]]], B=[[1.0]], C=[[1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_tf_symmetric(sys, [1], [1.0])
+
 
 class TestChainsOfScalarSolves:
-    """Each evaluator equals, bit for bit, its chain of scalar resolvent_apply calls."""
+    """Each evaluator equals, bit for bit, its chain of scalar solves.
+
+    Below n = 91 the regular and triangular evaluators apply the checked
+    inverses of linalg.resolvents, and their chain is one of public
+    resolvent_apply calls. From n = 91, and for the symmetric kind at any n,
+    they solve through linalg._resolvent_solve with the system's certificate,
+    which takes an LU solve for a certified shift, and their chain is one of
+    that solve. Either way they agree with the public chain, checked by the
+    inverse, to 1e-13.
+    """
 
     # at n = 100 one matrix fills a stacking block, and the chains solve
-    # position by position
+    # position by position; there the triangular chain's last two partial
+    # sums and three of the 15 subset sums are certified, and at n = 5 all
     @pytest.fixture(params=[5, 100])
     def case(self, request):
         rng = np.random.default_rng(45)
@@ -209,25 +259,18 @@ class TestChainsOfScalarSolves:
         return sys, [2, 1, 1, 2], s
 
     @staticmethod
-    def chain(sys, chs, sigmas):
-        v = resolvent_apply(sys.A, sigmas[0], sys.B[:, chs[0] - 1])
+    def certified(sys):
+        return lambda A, z, v: _resolvent_solve(A, z, v, sys._resolvent_bound)
+
+    @staticmethod
+    def chain(solve, sys, chs, sigmas):
+        v = solve(sys.A, sigmas[0], sys.B[:, chs[0] - 1])
         for j, z in zip(chs[1:], sigmas[1:]):
-            v = resolvent_apply(sys.A, z, sys.N[j - 1] @ v)
+            v = solve(sys.A, z, sys.N[j - 1] @ v)
         return sys.C @ v
 
-    def test_regular(self, case):
-        sys, chs, s = case
-        got = eval_tf_regular(sys, chs, s).value
-        assert np.array_equal(got, self.chain(sys, chs, [complex(z) for z in s]))
-
-    def test_triangular(self, case):
-        sys, chs, s = case
-        got = eval_tf_triangular(sys, chs, s).value
-        sums = list(itertools.accumulate(complex(z) for z in s))
-        assert np.array_equal(got, self.chain(sys, chs, sums))
-
-    def test_symmetric(self, case):
-        sys, chs, s = case
+    @staticmethod
+    def symmetric(solve, sys, chs, s):
         ss, k = [complex(z) for z in s], len(s)
         F = {}
         for size in range(1, k + 1):
@@ -239,6 +282,31 @@ class TestChainsOfScalarSolves:
                     v = sys.B[:, chs[S[0]] - 1].astype(complex)
                 else:
                     v = sum(sys.N[chs[i] - 1] @ F[tuple(x for x in S if x != i)] for i in S)
-                F[S] = resolvent_apply(sys.A, sigma, v)
+                F[S] = solve(sys.A, sigma, v)
+        return sys.C @ F[tuple(range(k))] / math.factorial(k)
+
+    @staticmethod
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_regular(self, case):
+        sys, chs, s = case
+        got = eval_tf_regular(sys, chs, s).value
+        sigmas = [complex(z) for z in s]
+        solve = resolvent_apply if _block(sys.n) > 1 else self.certified(sys)
+        assert np.array_equal(got, self.chain(solve, sys, chs, sigmas))
+        assert self.close(got, self.chain(resolvent_apply, sys, chs, sigmas))
+
+    def test_triangular(self, case):
+        sys, chs, s = case
+        got = eval_tf_triangular(sys, chs, s).value
+        sums = list(itertools.accumulate(complex(z) for z in s))
+        solve = resolvent_apply if _block(sys.n) > 1 else self.certified(sys)
+        assert np.array_equal(got, self.chain(solve, sys, chs, sums))
+        assert self.close(got, self.chain(resolvent_apply, sys, chs, sums))
+
+    def test_symmetric(self, case):
+        sys, chs, s = case
         got = eval_tf_symmetric(sys, chs, s).value
-        assert np.array_equal(got, sys.C @ F[tuple(range(k))] / math.factorial(k))
+        assert np.array_equal(got, self.symmetric(self.certified(sys), sys, chs, s))
+        assert self.close(got, self.symmetric(resolvent_apply, sys, chs, s))

@@ -17,7 +17,10 @@ Three suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
   triangular (`quad_tri`), where the system's transient growth is already
   stored, as every spectral request after the first finds it; and on a memo
   miss (`quad_miss`), on a fresh copy of the system, as the one call of each
-  `bivolt verify laplace` process does. Default --repeats 51.
+  `bivolt verify laplace` process does. The symmetric transfer function also
+  runs on a fresh copy (`tf_sym_miss`), which forms the system's mu2(A) and
+  ||A||_inf for its certified solves, as the one call of each `bivolt tf
+  --kind sym` process does. Default --repeats 51.
 - closed: the closed forms as sim_pulse calls them, on the rk4 suite's pulse
   systems: `impulse_response` (`impulse`), `impulse_response_subsystem` at
   k = 4 (`impulse_k`) and `nascent_response` (`nascent`) at t = 1, and
@@ -164,8 +167,16 @@ def spectral(bv, steps: int) -> tuple[dict, dict]:
             quad(fresh())
             return fresh()
 
+        def tf_sym(copy):
+            return bv.eval_tf_symmetric(copy, chs_sym, s_sym)
+
+        def warm_tf_sym_miss():  # the timed copy has no resolvent bound formed
+            tf_sym(_rebuilt(bv, made))
+            return _rebuilt(bv, made)
+
         return {**_warm({f"{key}/n={n}": call for key, call in calls.items()}),
-                f"quad_miss/n={n}": (warm_miss, quad)}
+                f"quad_miss/n={n}": (warm_miss, quad),
+                f"tf_sym_miss/n={n}": (warm_tf_sym_miss, tf_sym)}
 
     cases = {key: case for n in SIZES for key, case in cases_at(n).items()}
     return cases, {"seed": SEED, "tf_order": tf_order, "sym_order": sym_order,
