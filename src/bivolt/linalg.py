@@ -21,11 +21,14 @@ reported instead of surfacing as garbage downstream.
 resolvents forms the checked (s I - A)^{-1} for one shift or a whole array
 of shifts with stacked inverses, in the same blocks, and resolvent_apply
 applies them: to one right-hand side, or block by block to one per shift.
-The transfer functions solve through _resolvent_solve, the same checked path
-with a certificate: a shift whose matrix the logarithmic-norm bound proves
-well conditioned (_certified, from mu2(A) and ||A||_inf) is solved by one LU
-solve per block, and every other shift takes resolvent_apply's inverse check,
-so the shifts refused and the first of them are the same on both paths.
+The transfer functions solve through _resolvent_solve (a stack of shifts)
+and _solver (one shift at a time along a chain), the same checked path with
+one certificate: a shift whose matrix the logarithmic-norm bound proves well
+conditioned (_certified, from mu2(A) and ||A||_inf) is solved in A's
+eigenbasis where the system holds one (_modal_solve: x = V ((V^{-1} v) /
+(s - w)) and one step of iterative refinement), else by LU; every other
+shift takes resolvent_apply's inverse check. So there are three paths, and
+the shifts refused and the first of them are the same on all of them.
 """
 
 from __future__ import annotations
@@ -500,25 +503,22 @@ def resolvent_apply(A, s, V) -> np.ndarray:
     return _resolvent_solve(A, s, V)
 
 
-def _resolvent_solve(A, s, V, bound: tuple[float, float] | None = None) -> np.ndarray:
+def _resolvent_solve(A, s, V, bound: tuple[float, float] | None = None,
+                     basis=None) -> np.ndarray:
     """resolvent_apply, where the shifts that bound = _logarithmic_norm(A)
-    certifies (_certified) are solved by LU, one stacked solve per block,
-    and the others by resolvent_apply's checked inverses. bound None
-    certifies none: that is resolvent_apply.
+    certifies (_certified) are solved in A's eigenbasis where basis, the
+    system's record of w, V and V^{-1} with A = V diag(w) V^{-1}, is given
+    (_modal_solve), else by LU, one stacked solve per block; every other
+    shift takes resolvent_apply's checked inverses. bound None certifies
+    none: that is resolvent_apply. One shift is solved by _solver's path.
 
     At n = 100 an LU solve took 0.19 ms where the checked inverse took 0.77.
     """
+    if np.ndim(s) == 0:
+        return _solver(A, [s], bound, basis)(0, V)
     Amat = _square_array(A, "resolvent matrix")
     X = np.asarray(V, dtype=complex)
     n = Amat.shape[0]
-    if np.ndim(s) == 0:
-        s = complex(s)
-        if not cmath.isfinite(s):
-            raise ValueError("resolvent shift has non-finite components")
-        K = s * np.eye(n) - Amat
-        if bound is not None and _certified(np.array(s), n, bound):
-            return np.linalg.solve(K, X)
-        return _checked_resolvents(K[None], [s])[0] @ X
     ss = _shifts(s)
     if X.ndim not in (2, 3) or len(X) != len(ss):
         raise ValueError(f"V must be a stack (q, n) or (q, n, r) for q = {len(ss)} "
@@ -526,8 +526,11 @@ def _resolvent_solve(A, s, V, bound: tuple[float, float] | None = None) -> np.nd
     Y = X[:, :, None] if X.ndim == 2 else X
     out = np.empty(Y.shape, dtype=complex)
     sure = np.zeros(len(ss), dtype=bool) if bound is None else _certified(ss, n, bound)
+    if basis is not None and sure.any():
+        out[sure] = _modal_solve(Amat, Y[sure], ss[sure, None, None], basis)
     step = _block(n)
-    for certified in (True, False):
+    # LU for the certified shifts where no basis took them, the inverse for the rest
+    for certified in (True, False) if basis is None else (False,):
         todo = np.flatnonzero(sure == certified)
         for i in range(0, len(todo), step):
             # slices where one path takes every shift: indexing by position
@@ -537,3 +540,49 @@ def _resolvent_solve(A, s, V, bound: tuple[float, float] | None = None) -> np.nd
             out[part] = (np.linalg.solve(K, Y[part]) if certified else
                          _checked_resolvents(K, ss[part]) @ Y[part])
     return out[:, :, 0] if X.ndim == 2 else out
+
+
+def _solver(A, shifts, bound: tuple[float, float] | None = None, basis=None):
+    """The function (i, v) -> (s_i I - A)^{-1} v over a sequence of shifts,
+    each solved when asked for, by the path _resolvent_solve takes for s_i
+    alone: in the eigenbasis or by LU where certified, else by the checked
+    inverse, which raises PoleHitError with s_i. A and the shifts are
+    checked, and the shifts certified, once for the sequence: at n = 4 that
+    work took about 9 us, as long as one modal solve.
+    """
+    Amat = _square_array(A, "resolvent matrix")
+    ss = _shifts(shifts)
+    n = Amat.shape[0]
+    sure = [False] * len(ss) if bound is None else _certified(ss, n, bound).tolist()
+
+    def solve(i: int, v) -> np.ndarray:
+        X = np.asarray(v, dtype=complex)
+        if not sure[i]:
+            return _checked_resolvents((ss[i] * np.eye(n) - Amat)[None], ss[i:i + 1])[0] @ X
+        if basis is None:
+            return np.linalg.solve(ss[i] * np.eye(n) - Amat, X)
+        # as a stack of one, so that it is bit-identical to its entry in a stack
+        x = _modal_solve(Amat, X.reshape(1, n, -1), ss[i:i + 1, None, None], basis)
+        return x.reshape(X.shape)
+
+    return solve
+
+
+def _modal_solve(A: np.ndarray, Y: np.ndarray, s: np.ndarray, basis) -> np.ndarray:
+    """(s_i I - A)^{-1} Y[i] for Y (q, n, r) and shifts s (q, 1, 1), in A's eigenbasis.
+
+    x = V ((V^{-1} v) / (s - w)), then one step of fixed-precision iterative
+    refinement, x += V ((V^{-1} r) / (s - w)) with r = v - (s x - A x). The
+    refinement makes the solve as accurate as LU (Higham 1997, "Iterative
+    refinement for linear systems and LAPACK", IMA J. Numer. Anal. 17(4)):
+    on perfbench's spectral systems at n = 4, 20 and 100 the worst error of a
+    triangular chain (k = 3) against a 30-digit one was 2.7e-15 to 8.8e-15
+    without it, 5.5e-16 to 7.6e-16 with it, and 8.4e-16 to 1.5e-15 by LU.
+    Only for shifts that _certified certifies: there Re s exceeds
+    mu2(A) >= Re w, so no s - w is zero, and no refusal is due.
+    """
+    gaps = s - basis.w[:, None]
+    x = basis.V @ ((basis.Vinv @ Y) / gaps)
+    # A x as one real product of the system's real A with [Re x, Im x]
+    r = Y - (s * x - (A @ x.view(float)).view(complex))
+    return x + basis.V @ ((basis.Vinv @ r) / gaps)

@@ -7,10 +7,10 @@ free flow under A: the impulse takes M = Nhat, b = bhat; the pulse phase, of
 length tau = min(t, eps), takes M = (A + Nhat/eps) tau, b = bhat tau/eps
 (_pulse_state), and eps -> 0 gives the impulse.
 The free flow C e^{At} x is Re[(C V)(e^{w t} * V^{-1} x)], O(n^2) per call,
-from the eigenbasis (w, C V, V^{-1}) of A that the system forms on its first
-closed-form call and keeps. Where the system has none (kappa_2(V) past its
-gate) or the modal value is not finite, it is C (expm(A, t) x), so that an
-overflow raises expm's error.
+from the eigenbasis (w, V^{-1} and C V) of A that the system forms on its
+first closed-form or transfer-function call and keeps. Where the system has
+none (kappa_2(V) past its gate) or the modal value is not finite, it is
+C (expm(A, t) x), so that an overflow raises expm's error.
 
 Simulation uses classical fixed-step RK4 on a uniform grid with inputs
 interpolated linearly at half-steps (on the signal's own grid, the node
@@ -270,9 +270,8 @@ def _free_flow(sys: BilinearSystem, t: float, x: np.ndarray) -> np.ndarray:
     its own overflow error."""
     basis = sys._eigenbasis
     if basis is not None:
-        w, CV, Vinv = basis
         with np.errstate(over="ignore", invalid="ignore"):
-            y = CV @ (np.exp(w * t) * (Vinv @ x))
+            y = basis.CV @ (np.exp(basis.w * t) * (basis.Vinv @ x))
         if np.isfinite(y).all():
             return y.real
     return sys.C @ (expm(sys.A, t) @ x)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,16 +31,26 @@ __all__ = [
 ]
 
 
-# The closed-form responses apply e^{At} in A's eigenbasis only where the
-# eigenvector matrix V has kappa_2(V) <= _EIGENBASIS_COND. Against a 35-digit
-# oracle on 150 random stable systems (n = 2..8), the modal error was a median
-# 1.0x the expm path's at kappa_2(V) <= 2, and 2.4x to 4.2x above (CHANGES.md).
+# The closed-form responses apply e^{At}, and the transfer functions solve
+# their certified shifts, in A's eigenbasis only where the eigenvector matrix
+# V has kappa_2(V) <= _EIGENBASIS_COND. Against a 35-digit oracle on 150
+# random stable systems (n = 2..8), the modal error was a median 1.0x the
+# expm path's at kappa_2(V) <= 2, and 2.4x to 4.2x above (CHANGES.md).
 _EIGENBASIS_COND = 2.0
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+class _Eigenbasis(NamedTuple):
+    """A = V diag(w) V^{-1} with kappa_2(V) <= _EIGENBASIS_COND, and C V."""
+
+    w: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
+    CV: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -50,10 +61,10 @@ class BilinearSystem:
     m = 1. ``x0`` defaults to zeros. Construction copies the arrays and makes
     the copies read-only, which keeps the cached quantities valid: the
     spectral abscissa, the two numbers that certify resolvent shifts, the
-    quadrature growth per (T, panels), the 2-norms
-    of C and the N_j, and the eigenbasis of A that the closed-form responses
-    apply e^{At} in. It only coerces shapes, so call :func:`validate` for the
-    invariant violations.
+    quadrature growth per (T, panels), the 2-norms of C and the N_j, and
+    the eigenbasis of A, in which the closed-form responses apply e^{At}
+    and the transfer functions solve their certified shifts. It only
+    coerces shapes, so call :func:`validate` for the invariant violations.
     """
 
     A: np.ndarray
@@ -114,12 +125,14 @@ class BilinearSystem:
         return np.linalg.norm(self.C, 2), np.linalg.norm(self.N, 2, axis=(1, 2))
 
     @cached_property
-    def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(w, C V, V^{-1}) of A = V diag(w) V^{-1}, or None past _EIGENBASIS_COND.
+    def _eigenbasis(self) -> _Eigenbasis | None:
+        """A's eigenbasis, or None past _EIGENBASIS_COND.
 
-        Formed on the first closed-form response (A and C are read-only);
-        V itself is not kept. None also where eig refuses A (not finite, or
-        no convergence), which leaves the error to expm.
+        Formed on the first closed-form response or transfer function that
+        asks for it (A and C are read-only): the closed forms apply e^{At}
+        in it, and the transfer functions solve their certified shifts in it.
+        None also where eig refuses A (not finite, or no convergence), which
+        leaves the error to expm or to the resolvent check.
         """
         try:
             w, V = np.linalg.eig(self.A)
@@ -127,7 +140,7 @@ class BilinearSystem:
             return None
         if not np.linalg.cond(V) <= _EIGENBASIS_COND:
             return None
-        return w, self.C @ V, np.linalg.inv(V)
+        return _Eigenbasis(w, V, np.linalg.inv(V), self.C @ V)
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,27 @@ Regular transfer functions chain single-frequency resolvents and triangular
 ones chain resolvents at the partial sums s_1 + ... + s_i. The chain is
 system._chain, the product a kernel forms with e^{A tau_i} where these take
 (sigma_i I - A)^{-1}: the Laplace transform of a kernel is a transfer
-function. A regular or triangular evaluation forms its k resolvents by
-stacked, checked inverses (linalg.resolvents) before the chain applies them;
-from n = 91, where one matrix fills a stacking block, each is solved when
-the chain reaches it. The symmetric one averages the triangular value over
-all argument permutations. That average is not formed permutation by
-permutation: the triangular chains share their partial results, which
-depend only on the set of arguments used so far, so one resolvent solve per
-nonempty subset (2^k - 1 in all) gives it, made as one stacked solve call
-per subset size (k in all). Those solves, and the chain's from n = 91, go
-through linalg._resolvent_solve with the system's cached mu2(A) and
-||A||_inf: a shift whose matrix these prove well conditioned is solved by
-LU, any other by resolvent_apply's checked inverse, so a pole is refused
-exactly as resolvent_apply refuses it. Frequency tuples are sequences of
-complex numbers; channels are 1-based.
+function. The symmetric one averages the triangular value over all argument
+permutations. That average is not formed permutation by permutation: the
+triangular chains share their partial results, which depend only on the set
+of arguments used so far, so one resolvent solve per nonempty subset
+(2^k - 1 in all) gives it, made as one stacked solve call per subset size
+(k in all).
+
+The solves take one of three paths behind one certificate, from the
+system's cached mu2(A) and ||A||_inf (linalg._certified):
+- a certified shift is solved in A's eigenbasis where the system holds one
+  (kappa_2(V) <= 2): products by V^{-1} and V, a division by s - w, and one
+  step of iterative refinement, which makes it as accurate as LU;
+- a certified shift of a system with no eigenbasis is solved by LU;
+- any other shift takes resolvent_apply's checked inverse, so a pole is
+  refused, with the first shift that hits it, as resolvent_apply refuses it.
+The symmetric kind's stacked solves go through linalg._resolvent_solve. The
+regular and triangular chains solve each position as they reach it
+(linalg._solver) where the system has an eigenbasis, or from n = 91, where
+one matrix fills a stacking block; elsewhere they form all k resolvents
+first by stacked, checked inverses (linalg.resolvents). Frequency tuples are
+sequences of complex numbers; channels are 1-based.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _block, _resolvent_solve, resolvents
+from .linalg import _block, _resolvent_solve, _solver, resolvents
 from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
 
 __all__ = [
@@ -85,17 +92,18 @@ def _subset_sums(ss: tuple[complex, ...]) -> list[complex]:
 
 
 def _resolvent_chain(sys: BilinearSystem, chs: tuple[int, ...], sigmas) -> np.ndarray:
-    """The chain with X_i = (sigma_i I - A)^{-1}, all k formed first by resolvents.
+    """The chain with X_i = (sigma_i I - A)^{-1}.
 
-    Where one matrix fills a stacking block (n >= 91) each resolvent is
-    solved when the chain reaches it instead, by LU where the shift is
-    certified (linalg._resolvent_solve). Forming all k first and then
-    applying them took 1.15x as long at n = 100 and k = 3, as the first ones
-    leave the cache before the chain uses them.
+    Where the system has an eigenbasis, or one matrix fills a stacking block
+    (n >= 91), each resolvent is solved when the chain reaches it
+    (linalg._solver): in the eigenbasis or by LU where the shift is
+    certified. Elsewhere all k are formed first by resolvents. Forming all k
+    first and then applying them took 1.15x as long at n = 100 and k = 3, as
+    the first ones leave the cache before the chain uses them.
     """
-    if _block(sys.n) == 1:
-        return _chain(sys, chs, lambda i, v: _resolvent_solve(sys.A, sigmas[i], v,
-                                                               sys._resolvent_bound))
+    basis = sys._eigenbasis
+    if basis is not None or _block(sys.n) == 1:
+        return _chain(sys, chs, _solver(sys.A, sigmas, sys._resolvent_bound, basis))
     inverses = resolvents(sys.A, sigmas)
     return _chain(sys, chs, lambda i, v: inverses[i] @ v)
 
@@ -141,7 +149,8 @@ def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
                 V.append(sys.B[:, chs[members[0]] - 1])
             else:
                 V.append(sum(sys.N[chs[i] - 1] @ F[S ^ (1 << i)] for i in members))
-        X = _resolvent_solve(sys.A, [sums[S] for S in sets], np.stack(V), sys._resolvent_bound)
+        X = _resolvent_solve(sys.A, [sums[S] for S in sets], np.stack(V),
+                             sys._resolvent_bound, sys._eigenbasis)
         for S, x in zip(sets, X):
             F[S] = x
     return TransferValue(sys.C @ F[-1] / math.factorial(k), "symmetric", chs)

@@ -32,12 +32,15 @@ def normal_system(n, m=1, p=1, seed=0):
     """System with a normal A = Q D Q^T, Q orthogonal, D of 2 x 2 blocks.
 
     Block i has the eigenvalues -0.5 - i/8 +- (0.25 + i/16) i, all dyadic, so
-    mu2(A) is the spectral abscissa, -0.5, up to rounding.
+    mu2(A) is the spectral abscissa, -0.5, up to rounding. An odd n adds the
+    real eigenvalue -0.5 - (n // 2)/8 last.
     """
     D = np.zeros((n, n))
     for i in range(n // 2):
         a, w = -0.5 - i / 8, 0.25 + i / 16
         D[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[a, w], [-w, a]]
+    if n % 2:
+        D[-1, -1] = -0.5 - (n // 2) / 8
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     N = 0.4 * rng.standard_normal((m, n, n)) / np.sqrt(n)

@@ -407,8 +407,9 @@ class TestResolvents:
 
 
 class TestCertifiedSolves:
-    """_resolvent_solve takes an LU solve for a shift that the logarithmic-norm
-    bound certifies, and resolvent_apply's checked inverse for any other."""
+    """_resolvent_solve takes an LU solve, or with an eigenbasis a modal
+    solve, for a shift that the logarithmic-norm bound certifies, and
+    resolvent_apply's checked inverse for any other."""
 
     @pytest.fixture
     def masks(self, monkeypatch):
@@ -424,11 +425,12 @@ class TestCertifiedSolves:
         return seen
 
     @staticmethod
-    def both_ways(A, shifts, V):
-        """_resolvent_solve's scalar and stacked results with A's bound, and resolvent_apply's."""
+    def both_ways(A, shifts, V, basis=None):
+        """_resolvent_solve's scalar and stacked results with A's bound (and
+        basis, A's eigenbasis record), and resolvent_apply's."""
         bound = _logarithmic_norm(A)
-        one = np.stack([_resolvent_solve(A, z, v, bound) for z, v in zip(shifts, V)])
-        return one, _resolvent_solve(A, shifts, V, bound), resolvent_apply(A, shifts, V)
+        one = np.stack([_resolvent_solve(A, z, v, bound, basis) for z, v in zip(shifts, V)])
+        return one, _resolvent_solve(A, shifts, V, bound, basis), resolvent_apply(A, shifts, V)
 
     @pytest.mark.parametrize("n", [2, 100])
     def test_shift_between_abscissa_and_mu2_takes_the_inverse(self, n, masks):
@@ -444,16 +446,26 @@ class TestCertifiedSolves:
         assert not np.concatenate(masks).any()
         assert np.array_equal(one, public) and np.array_equal(stacked, public)
 
-    @pytest.mark.parametrize("n", [4, 20, 100])
-    def test_certified_shifts_match_the_inverse(self, n, masks):
+    def certified_shifts(self, n, modal, masks):
         rng = np.random.default_rng(n)
-        A = normal_system(n).A
+        sys = normal_system(n)
         shifts = rng.uniform(0.3, 1.5, 6) + 1j * rng.uniform(-4.0, 4.0, 6)
         V = rng.standard_normal((6, n, 2))
-        one, stacked, public = self.both_ways(A, shifts, V)
+        one, stacked, public = self.both_ways(sys.A, shifts, V, sys._eigenbasis if modal else None)
         assert np.concatenate(masks).all()
         for got in (one, stacked):
             assert np.max(np.abs(got - public)) <= 1e-13 * np.max(np.abs(public))
+        return one, stacked
+
+    @pytest.mark.parametrize("n", [4, 20, 100])
+    def test_certified_shifts_match_the_inverse(self, n, masks):
+        self.certified_shifts(n, False, masks)
+
+    @pytest.mark.parametrize("n", [4, 20, 100])
+    def test_modal_shifts_match_the_inverse(self, n, masks):
+        # and a shift alone is bit-identical to its entry in a stack
+        one, stacked = self.certified_shifts(n, True, masks)
+        assert np.array_equal(one, stacked)
 
     def test_bound_just_above_the_threshold_falls_back(self, masks):
         # cond_inf(s I - A) <= (|s| + ||A||_inf) sqrt(n) / (Re s - mu2 - margin),
@@ -470,14 +482,20 @@ class TestCertifiedSolves:
         assert np.array_equal(one[0], public[0]) and np.array_equal(stacked[0], public[0])
         assert np.max(np.abs(one[1] - public[1])) <= 1e-13 * np.max(np.abs(public[1]))
 
-    def test_first_refused_shift_follows_certified_ones(self, masks):
-        A = normal_system(4).A
-        bound = _logarithmic_norm(A)
+    @staticmethod
+    def first_refused(basis, masks):
+        sys = normal_system(4)
         with pytest.raises(PoleHitError) as exc:
-            _resolvent_solve(A, [1.0, -0.625 - 0.3125j, 2.0, -0.5 + 0.25j],
-                             np.ones((4, 4)), bound)
+            _resolvent_solve(sys.A, [1.0, -0.625 - 0.3125j, 2.0, -0.5 + 0.25j],
+                             np.ones((4, 4)), _logarithmic_norm(sys.A), basis(sys))
         assert exc.value.s == -0.625 - 0.3125j
         assert list(masks[0]) == [True, False, True, False]
+
+    def test_first_refused_shift_follows_certified_ones(self, masks):
+        self.first_refused(lambda sys: None, masks)
+
+    def test_first_refused_shift_follows_modal_ones(self, masks):
+        self.first_refused(lambda sys: sys._eigenbasis, masks)
 
 
 class TestLU:

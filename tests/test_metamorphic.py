@@ -16,11 +16,13 @@ the pairwise reduction of their step maps, while the padded system (n = 96)
 steps them (response._Stages); and the padded regular and triangular
 transfer functions solve each resolvent as its chain reaches it, where the
 core forms them all first (transfer._resolvent_chain at n >= 91). The
-symmetric transfer function of the normal core takes certified LU solves
-for every shift under an orthogonal T and the inverse check for every shift
-at kappa(T) = 30, where mu2 of T^-1 A T exceeds every subset sum's real part
-(linalg._certified). The transformed matrices carry rounding of relative
-size about kappa(T) ulp, so the tolerance scales with kappa(T).
+transfer functions of the normal core take all three resolvent paths: every
+shift is certified (linalg._certified) and solved in the eigenbasis under an
+orthogonal T, certified but solved by LU at kappa(T) = 3, past the
+eigenbasis gate, and left to the inverse check at kappa(T) = 30, where mu2
+of T^-1 A T exceeds every subset sum's real part. The transformed matrices
+carry rounding of relative size about kappa(T) ulp, so the tolerance scales
+with kappa(T).
 """
 
 import dataclasses
@@ -147,23 +149,57 @@ def certified(monkeypatch, sys: BilinearSystem, name: str) -> np.ndarray:
     return np.concatenate(masks)
 
 
+def solve_paths(monkeypatch, sys: BilinearSystem, name: str) -> set[str]:
+    """The resolvent paths that the transfer function QUANTITIES[name] takes on
+    sys: "modal" (linalg._modal_solve), "lu" (np.linalg.solve, which no
+    transfer function calls otherwise) and "inverse" (the checked inverse)."""
+    taken = set()
+
+    def spy(path, call):
+        def counted(*args):
+            taken.add(path)
+            return call(*args)
+        return counted
+
+    for module, attr, path in ((linalg, "_modal_solve", "modal"), (np.linalg, "solve", "lu"),
+                               (linalg, "_checked_resolvents", "inverse")):
+        monkeypatch.setattr(module, attr, spy(path, getattr(module, attr)))
+    QUANTITIES[name](sys)
+    monkeypatch.undo()
+    return taken
+
+
 def test_cases_cross_the_seams(monkeypatch):
     assert np.allclose(basis(1.0).T @ basis(1.0), np.eye(4), atol=1e-15)
-    assert np.linalg.cond(basis(30.0)) == pytest.approx(30.0, rel=1e-12)
+    for cond in (3.0, 30.0):
+        assert np.linalg.cond(basis(cond)) == pytest.approx(cond, rel=1e-12)
     assert NORMAL._eigenbasis is not None
+    assert transformed(NORMAL, basis(1.0))._eigenbasis is not None
+    assert transformed(NORMAL, basis(3.0))._eigenbasis is None
     assert transformed(NORMAL, basis(30.0))._eigenbasis is None
     for name in ("ode_direct", "cascade"):
         assert stepped(monkeypatch, CORE, name) == 0
         assert stepped(monkeypatch, padded(), name) == GRID.nodes - 1
     assert _block(CORE.n) > 1 and _block(padded().n) == 1
-    # the 7 subset sums of k = 3: all certified on NORMAL, the reference, and
-    # under an orthogonal T; none at kappa(T) = 30, which compares the paths
-    for cond, every in ((None, True), (1.0, True), (30.0, False)):
+    # the 7 subset sums of k = 3: all certified on NORMAL, the reference,
+    # under an orthogonal T and at kappa(T) = 3; none at kappa(T) = 30. With
+    # no eigenbasis the n = 4 chains form checked inverses (linalg.resolvents)
+    paths = {}
+    for cond, every, chains, sym in ((None, True, {"modal"}, {"modal"}),
+                                     (1.0, True, {"modal"}, {"modal"}),
+                                     (3.0, True, {"inverse"}, {"lu"}),
+                                     (30.0, False, {"inverse"}, {"inverse"})):
         sys = NORMAL if cond is None else transformed(NORMAL, basis(cond))
         mask = certified(monkeypatch, sys, "tf_symmetric")
         assert len(mask) == 7 and (mask == every).all()
+        for name, taken in (("tf_regular", chains), ("tf_triangular", chains),
+                            ("tf_symmetric", sym)):
+            paths[cond, name] = solve_paths(monkeypatch, sys, name)
+            assert paths[cond, name] == taken
     # the padded chains solve through _certified too, and fall back
     assert not certified(monkeypatch, padded(), "tf_regular").any()
+    assert solve_paths(monkeypatch, padded(), "tf_regular") == {"inverse"}
+    assert set().union(*paths.values()) == {"modal", "lu", "inverse"}
 
 
 @pytest.mark.parametrize("cond", [1.0, 30.0])
@@ -180,11 +216,13 @@ def test_change_of_basis_across_the_modal_gate(name, cond):
     assert deviation(got, value(name, normal=True)) <= RTOL * cond
 
 
-@pytest.mark.parametrize("cond", [1.0, 30.0])
-def test_change_of_basis_across_the_certificate(cond):
-    # at n = 4 only the symmetric kind solves through _certified
-    got = QUANTITIES["tf_symmetric"](transformed(NORMAL, basis(cond)))
-    assert deviation(got, value("tf_symmetric", normal=True)) <= RTOL * cond
+@pytest.mark.parametrize("cond", [1.0, 3.0, 30.0])
+@pytest.mark.parametrize("name", ["tf_regular", "tf_triangular", "tf_symmetric"])
+def test_change_of_basis_across_the_certificate(name, cond):
+    # NORMAL solves in its eigenbasis; at kappa(T) = 3 the symmetric kind
+    # takes LU and the chains the inverses, at 30 all take the inverse
+    got = QUANTITIES[name](transformed(NORMAL, basis(cond)))
+    assert deviation(got, value(name, normal=True)) <= RTOL * cond
 
 
 @pytest.mark.parametrize("name", ["ode_direct", "cascade", "tf_regular", "tf_triangular",

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from bivolt import (BilinearSystem, PoleHitError, eval_tf_regular,
                     eval_tf_symmetric, eval_tf_triangular, output_transform,
                     resolvent_apply, roc_margin)
+from bivolt import linalg
 from bivolt.linalg import _block, _resolvent_solve
 
 from conftest import make_stable_system, normal_system
@@ -213,7 +214,8 @@ class TestOutputTransform:
 class TestPolesOfCertifiedSolves:
     """A shift on an eigenvalue of a normal A, or within 1e-13 of one, is
     never certified (Re s - mu2 is at most 1e-13), so the inverse check
-    refuses it, with the shift, in every kind: at n = 4 and 100 alike."""
+    refuses it, with the shift, in every kind: at n = 4 and 100 alike, though
+    the system has an eigenbasis, in which its certified shifts are solved."""
 
     @pytest.mark.parametrize("d", [0.0, 1e-13, -1e-13, 1e-13j])
     @pytest.mark.parametrize("lam", [-0.5 + 0.25j, -0.625 + 0.3125j])
@@ -236,77 +238,201 @@ class TestPolesOfCertifiedSolves:
             eval_tf_symmetric(sys, [1], [1.0])
 
 
+def near_normal_system(n: int, cond: float = 1.5) -> BilinearSystem:
+    """normal_system(n, m=2, p=2) in a basis T with singular values from 1
+    down to 1 / cond: kappa_2 of A's eigenvectors is about cond, and mu2(A)
+    lies above the spectral abscissa, -0.5."""
+    base = normal_system(n, m=2, p=2)
+    rng = np.random.default_rng(n)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    T = U @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ W.T
+    Tinv = np.linalg.inv(T)
+    return BilinearSystem(A=Tinv @ base.A @ T, N=Tinv @ base.N @ T, B=Tinv @ base.B,
+                          C=base.C @ T)
+
+
+# systems with an eigenbasis, kappa_2(V) = 1 and about 1.5
+SYSTEMS = {"normal": lambda n: normal_system(n, m=2, p=2), "near_normal": near_normal_system}
+
+
+def certified_solve(sys):
+    """_resolvent_solve with the system's certificate and eigenbasis, as the evaluators take it."""
+    return lambda A, z, v: _resolvent_solve(A, z, v, sys._resolvent_bound, sys._eigenbasis)
+
+
+def chain(solve, sys, chs, sigmas):
+    """C X_k N_{j_k} ... X_1 b_{j_1} with X_i v = solve(A, sigma_i, v), one shift at a time."""
+    v = solve(sys.A, sigmas[0], sys.B[:, chs[0] - 1])
+    for j, z in zip(chs[1:], sigmas[1:]):
+        v = solve(sys.A, z, sys.N[j - 1] @ v)
+    return sys.C @ v
+
+
+def symmetric(solve, sys, chs, s):
+    """The symmetric kind's subset recursion, one scalar solve per subset."""
+    ss, k = [complex(z) for z in s], len(s)
+    F = {}
+    for size in range(1, k + 1):
+        for S in itertools.combinations(range(k), size):
+            sigma = 0j
+            for i in S:
+                sigma += ss[i]
+            if size == 1:
+                v = sys.B[:, chs[S[0]] - 1].astype(complex)
+            else:
+                v = sum(sys.N[chs[i] - 1] @ F[tuple(x for x in S if x != i)] for i in S)
+            F[S] = solve(sys.A, sigma, v)
+    return sys.C @ F[tuple(range(k))] / math.factorial(k)
+
+
+def close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestChainsOfScalarSolves:
     """Each evaluator equals, bit for bit, its chain of scalar solves.
 
-    Below n = 91 the regular and triangular evaluators apply the checked
-    inverses of linalg.resolvents, and their chain is one of public
-    resolvent_apply calls. From n = 91, and for the symmetric kind at any n,
-    they solve through linalg._resolvent_solve with the system's certificate,
-    which takes an LU solve for a certified shift, and their chain is one of
-    that solve. Either way they agree with the public chain, checked by the
-    inverse, to 1e-13.
+    On a system with no eigenbasis below n = 91 the regular and triangular
+    evaluators apply the checked inverses of linalg.resolvents, and their
+    chain is one of public resolvent_apply calls. Where the system has an
+    eigenbasis, or from n = 91, and for the symmetric kind always, they solve
+    through linalg._resolvent_solve with the system's certificate and basis,
+    which takes a modal solve (with a basis) or an LU solve (without) for a
+    certified shift, and their chain is one of that solve. Either way they
+    agree with the public chain, checked by the inverse, to 1e-13.
     """
 
-    # at n = 100 one matrix fills a stacking block, and the chains solve
-    # position by position; there the triangular chain's last two partial
-    # sums and three of the 15 subset sums are certified, and at n = 5 all
-    @pytest.fixture(params=[5, 100])
+    # "stable" has no eigenbasis: at n = 100 its triangular chain's last two
+    # partial sums and three of the 15 subset sums are certified, at n = 5
+    # all. The SYSTEMS have one, and every shift here is certified: they
+    # take the modal path.
+    @pytest.fixture(params=[("stable", n) for n in (5, 100)]
+                    + [(kind, n) for kind in SYSTEMS for n in (5, 100)],
+                    ids=lambda p: str(p[1]) if p[0] == "stable" else f"{p[0]}-{p[1]}")
     def case(self, request):
+        kind, n = request.param
         rng = np.random.default_rng(45)
-        sys = make_stable_system(rng, n=request.param, m=2, p=2)
+        if kind == "stable":
+            sys = make_stable_system(rng, n=n, m=2, p=2)
+        else:
+            sys = SYSTEMS[kind](n)
+        assert (sys._eigenbasis is None) == (kind == "stable")
         s = rng.uniform(0.3, 1.5, 4) + 1j * rng.uniform(-2.0, 2.0, 4)
         return sys, [2, 1, 1, 2], s
 
     @staticmethod
-    def certified(sys):
-        return lambda A, z, v: _resolvent_solve(A, z, v, sys._resolvent_bound)
-
-    @staticmethod
-    def chain(solve, sys, chs, sigmas):
-        v = solve(sys.A, sigmas[0], sys.B[:, chs[0] - 1])
-        for j, z in zip(chs[1:], sigmas[1:]):
-            v = solve(sys.A, z, sys.N[j - 1] @ v)
-        return sys.C @ v
-
-    @staticmethod
-    def symmetric(solve, sys, chs, s):
-        ss, k = [complex(z) for z in s], len(s)
-        F = {}
-        for size in range(1, k + 1):
-            for S in itertools.combinations(range(k), size):
-                sigma = 0j
-                for i in S:
-                    sigma += ss[i]
-                if size == 1:
-                    v = sys.B[:, chs[S[0]] - 1].astype(complex)
-                else:
-                    v = sum(sys.N[chs[i] - 1] @ F[tuple(x for x in S if x != i)] for i in S)
-                F[S] = solve(sys.A, sigma, v)
-        return sys.C @ F[tuple(range(k))] / math.factorial(k)
-
-    @staticmethod
-    def close(got, want):
-        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    def solve(sys):
+        """The scalar solve that the regular and triangular chains take on sys."""
+        if sys._eigenbasis is None and _block(sys.n) > 1:
+            return resolvent_apply
+        return certified_solve(sys)
 
     def test_regular(self, case):
         sys, chs, s = case
         got = eval_tf_regular(sys, chs, s).value
         sigmas = [complex(z) for z in s]
-        solve = resolvent_apply if _block(sys.n) > 1 else self.certified(sys)
-        assert np.array_equal(got, self.chain(solve, sys, chs, sigmas))
-        assert self.close(got, self.chain(resolvent_apply, sys, chs, sigmas))
+        assert np.array_equal(got, chain(self.solve(sys), sys, chs, sigmas))
+        assert close(got, chain(resolvent_apply, sys, chs, sigmas))
 
     def test_triangular(self, case):
         sys, chs, s = case
         got = eval_tf_triangular(sys, chs, s).value
         sums = list(itertools.accumulate(complex(z) for z in s))
-        solve = resolvent_apply if _block(sys.n) > 1 else self.certified(sys)
-        assert np.array_equal(got, self.chain(solve, sys, chs, sums))
-        assert self.close(got, self.chain(resolvent_apply, sys, chs, sums))
+        assert np.array_equal(got, chain(self.solve(sys), sys, chs, sums))
+        assert close(got, chain(resolvent_apply, sys, chs, sums))
 
     def test_symmetric(self, case):
         sys, chs, s = case
         got = eval_tf_symmetric(sys, chs, s).value
-        assert np.array_equal(got, self.symmetric(self.certified(sys), sys, chs, s))
-        assert self.close(got, self.symmetric(resolvent_apply, sys, chs, s))
+        assert np.array_equal(got, symmetric(certified_solve(sys), sys, chs, s))
+        assert close(got, symmetric(resolvent_apply, sys, chs, s))
+
+
+class TestModalSolves:
+    """Where the system has an eigenbasis, a certified shift is solved in it
+    (linalg._modal_solve), and any other shift by the checked inverse, so
+    the shifts refused, and the first of them, are those of resolvent_apply."""
+
+    @pytest.fixture
+    def modal_calls(self, monkeypatch):
+        """The shift counts of the modal solves made, one entry per call."""
+        seen, modal = [], linalg._modal_solve
+
+        def spy(A, Y, *args):
+            seen.append(len(Y))
+            return modal(A, Y, *args)
+
+        monkeypatch.setattr(linalg, "_modal_solve", spy)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["normal", "near_normal"])
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_every_certified_shift_is_modal(self, kind, n, modal_calls):
+        sys = SYSTEMS[kind](n)
+        s = [0.7 + 0.4j, 0.3 - 0.8j, 0.5 + 1.1j]
+        assert linalg._certified(np.array(s), n, sys._resolvent_bound).all()
+        eval_tf_regular(sys, [1, 2, 1], s)
+        eval_tf_triangular(sys, [1, 2, 1], s)
+        assert modal_calls == [1] * 6
+        eval_tf_symmetric(sys, [1, 2, 1], s)  # 3 singletons, 3 pairs, 1 triple
+        assert modal_calls[6:] == [3, 3, 1]
+
+    @pytest.mark.parametrize("kind", ["normal", "near_normal"])
+    def test_refined_residual_is_at_lu_level(self, kind):
+        # at n = 100 the unrefined x = V ((V^{-1} v) / (s - w)) left residuals
+        # 4.9x and 3.5x LU's; one refinement step brought them to 0.6x and
+        # 0.4x. At n = 5 all three sit at the rounding of the residual itself.
+        n = 100
+        sys = SYSTEMS[kind](n)
+        rng = np.random.default_rng(3)
+        s = rng.uniform(0.3, 1.5, 8) + 1j * rng.uniform(-2.0, 2.0, 8)
+        V = rng.standard_normal((8, n))
+        K = s[:, None, None] * np.eye(n) - sys.A
+
+        def residual(X):
+            return np.max(np.abs(V - (K @ X[:, :, None])[:, :, 0])) / np.max(np.abs(V))
+
+        modal = _resolvent_solve(sys.A, s, V, sys._resolvent_bound, sys._eigenbasis)
+        lu = _resolvent_solve(sys.A, s, V, sys._resolvent_bound)
+        assert residual(modal) <= 1.5 * residual(lu)
+
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_shift_at_or_below_mu2_takes_the_inverse(self, n, modal_calls):
+        sys = near_normal_system(n)
+        mu2 = sys._resolvent_bound[0]
+        z = mu2 - 0.01 + 2.0j  # right of every eigenvalue, left of mu2
+        assert sys.spectral_abscissa < z.real <= mu2
+        got = eval_tf_regular(sys, [1, 2], [1.0, z]).value
+        first = _resolvent_solve(sys.A, 1.0, sys.B[:, 0], sys._resolvent_bound, sys._eigenbasis)
+        want = sys.C @ resolvent_apply(sys.A, z, sys.N[1] @ first)
+        assert np.array_equal(got, want)
+        assert modal_calls == [1, 1]  # the first position, in the evaluator and here
+
+    @pytest.mark.parametrize("n", [5, 100])
+    @pytest.mark.parametrize("lam", [-0.5 + 0.25j, -0.625 - 0.3125j])
+    def test_pole_is_refused_as_resolvent_apply_refuses_it(self, n, lam):
+        sys = normal_system(n, m=2)
+        assert sys._eigenbasis is not None
+        with pytest.raises(PoleHitError) as public:
+            resolvent_apply(sys.A, lam, sys.B[:, 1])
+        for evaluate, s in [(eval_tf_regular, (2.0, lam)),
+                            (eval_tf_triangular, (2.0, lam - 2.0))]:
+            with pytest.raises(PoleHitError) as exc:
+                evaluate(sys, [1, 2], s)
+            assert exc.value.s == public.value.s
+
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_first_subset_sum_on_the_spectrum(self, n):
+        # s_1 + s_3 and s_2 + s_3 hit the eigenvalues -0.5 + 0.25i and
+        # -0.625 + 0.3125i. s_3 lies left of the spectrum, off it, and takes
+        # the checked inverse; the other sums are certified and solved in
+        # the eigenbasis. The first pair in the recursion's order is reported.
+        sys = normal_system(n, m=2)
+        s = (1.5 - 0.5j, 1.375 - 0.4375j, -2.0 + 0.75j)
+        chs = [1, 2, 1]
+        with pytest.raises(PoleHitError) as dense:
+            symmetric(resolvent_apply, sys, chs, s)
+        with pytest.raises(PoleHitError) as exc:
+            eval_tf_symmetric(sys, chs, s)
+        assert exc.value.s == dense.value.s == s[0] + s[2]

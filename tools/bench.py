@@ -17,10 +17,11 @@ Three suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
   triangular (`quad_tri`), where the system's transient growth is already
   stored, as every spectral request after the first finds it; and on a memo
   miss (`quad_miss`), on a fresh copy of the system, as the one call of each
-  `bivolt verify laplace` process does. The symmetric transfer function also
-  runs on a fresh copy (`tf_sym_miss`), which forms the system's mu2(A) and
-  ||A||_inf for its certified solves, as the one call of each `bivolt tf
-  --kind sym` process does. Default --repeats 51.
+  `bivolt verify laplace` process does. The regular and symmetric transfer
+  functions also run on a fresh copy (`tf_reg_miss`, `tf_sym_miss`), which
+  forms the system's mu2(A) and ||A||_inf that certify its shifts and the
+  eigenbasis that solves the certified ones (one eig, cond and inv), as the
+  one call of each `bivolt tf` process does. Default --repeats 51.
 - closed: the closed forms as sim_pulse calls them, on the rk4 suite's pulse
   systems: `impulse_response` (`impulse`), `impulse_response_subsystem` at
   k = 4 (`impulse_k`) and `nascent_response` (`nascent`) at t = 1, and
@@ -167,16 +168,18 @@ def spectral(bv, steps: int) -> tuple[dict, dict]:
             quad(fresh())
             return fresh()
 
-        def tf_sym(copy):
-            return bv.eval_tf_symmetric(copy, chs_sym, s_sym)
-
-        def warm_tf_sym_miss():  # the timed copy has no resolvent bound formed
-            tf_sym(_rebuilt(bv, made))
-            return _rebuilt(bv, made)
+        def on_copy(call):
+            """The case of call(copy) on a fresh copy, which has nothing formed."""
+            def warm():
+                call(_rebuilt(bv, made))
+                return _rebuilt(bv, made)
+            return warm, call
 
         return {**_warm({f"{key}/n={n}": call for key, call in calls.items()}),
                 f"quad_miss/n={n}": (warm_miss, quad),
-                f"tf_sym_miss/n={n}": (warm_tf_sym_miss, tf_sym)}
+                f"tf_reg_miss/n={n}": on_copy(lambda copy: bv.eval_tf_regular(copy, chs, s)),
+                f"tf_sym_miss/n={n}": on_copy(
+                    lambda copy: bv.eval_tf_symmetric(copy, chs_sym, s_sym))}
 
     cases = {key: case for n in SIZES for key, case in cases_at(n).items()}
     return cases, {"seed": SEED, "tf_order": tf_order, "sym_order": sym_order,
