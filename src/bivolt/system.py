@@ -31,11 +31,12 @@ __all__ = [
 ]
 
 
-# The closed-form responses apply e^{At}, and the transfer functions solve
-# their certified shifts, in A's eigenbasis only where the eigenvector matrix
-# V has kappa_2(V) <= _EIGENBASIS_COND. Against a 35-digit oracle on 150
-# random stable systems (n = 2..8), the modal error was a median 1.0x the
-# expm path's at kappa_2(V) <= 2, and 2.4x to 4.2x above (CHANGES.md).
+# The closed-form responses apply e^{At}, the transfer functions solve their
+# certified shifts and the Laplace quadrature sums its axes in A's eigenbasis
+# only where the eigenvector matrix V has kappa_2(V) <= _EIGENBASIS_COND.
+# Against a 35-digit oracle on 150 random stable systems (n = 2..8), the
+# modal error was a median 1.0x the expm path's at kappa_2(V) <= 2, and 2.4x
+# to 4.2x above (CHANGES.md).
 _EIGENBASIS_COND = 2.0
 
 
@@ -62,9 +63,10 @@ class BilinearSystem:
     the copies read-only, which keeps the cached quantities valid: the
     spectral abscissa, the two numbers that certify resolvent shifts, the
     quadrature growth per (T, panels), the 2-norms of C and the N_j, and
-    the eigenbasis of A, in which the closed-form responses apply e^{At}
-    and the transfer functions solve their certified shifts. It only
-    coerces shapes, so call :func:`validate` for the invariant violations.
+    the eigenbasis of A, in which the closed-form responses apply e^{At},
+    the transfer functions solve their certified shifts and the Laplace
+    quadrature sums its axes over scalar exponentials. It only coerces
+    shapes, so call :func:`validate` for the invariant violations.
     """
 
     A: np.ndarray
@@ -128,9 +130,10 @@ class BilinearSystem:
     def _eigenbasis(self) -> _Eigenbasis | None:
         """A's eigenbasis, or None past _EIGENBASIS_COND.
 
-        Formed on the first closed-form response or transfer function that
-        asks for it (A and C are read-only): the closed forms apply e^{At}
-        in it, and the transfer functions solve their certified shifts in it.
+        Formed on the first closed-form response, transfer function or
+        Laplace quadrature that asks for it (A and C are read-only): the
+        closed forms apply e^{At} in it, the transfer functions solve their
+        certified shifts in it, and the quadrature sums its axes in it.
         None also where eig refuses A (not finite, or no convergence), which
         leaves the error to expm or to the resolvent check.
         """

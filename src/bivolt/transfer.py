@@ -23,8 +23,10 @@ The symmetric kind's stacked solves go through linalg._resolvent_solve. The
 regular and triangular chains solve each position as they reach it
 (linalg._solver) where the system has an eigenbasis, or from n = 91, where
 one matrix fills a stacking block; elsewhere they form all k resolvents
-first by stacked, checked inverses (linalg.resolvents). Frequency tuples are
-sequences of complex numbers; channels are 1-based.
+first by stacked, checked inverses (linalg.resolvents). Where a system with
+an eigenbasis is evaluated at real frequencies, the value is returned exactly
+real, as the other paths return it. Frequency tuples are sequences of
+complex numbers; channels are 1-based.
 """
 
 from __future__ import annotations
@@ -91,6 +93,20 @@ def _subset_sums(ss: tuple[complex, ...]) -> list[complex]:
     return sums
 
 
+def _real_at_real_shifts(value: np.ndarray, shifts) -> np.ndarray:
+    """A modal result with its imaginary part dropped where every shift is real.
+
+    A, B, C and the N_j are real, so such a value is real, and LU, the
+    checked inverse and the quadrature's dense path return it with an
+    imaginary part of exactly 0. A's eigenvectors V are complex wherever A
+    has complex eigenvalues, so products by V and V^{-1} leave one at
+    rounding level (1.5e-32 on a normal 4-state system).
+    """
+    if any(z.imag for z in shifts):
+        return value
+    return value.real + 0j
+
+
 def _resolvent_chain(sys: BilinearSystem, chs: tuple[int, ...], sigmas) -> np.ndarray:
     """The chain with X_i = (sigma_i I - A)^{-1}.
 
@@ -103,7 +119,8 @@ def _resolvent_chain(sys: BilinearSystem, chs: tuple[int, ...], sigmas) -> np.nd
     """
     basis = sys._eigenbasis
     if basis is not None or _block(sys.n) == 1:
-        return _chain(sys, chs, _solver(sys.A, sigmas, sys._resolvent_bound, basis))
+        value = _chain(sys, chs, _solver(sys.A, sigmas, sys._resolvent_bound, basis))
+        return value if basis is None else _real_at_real_shifts(value, sigmas)
     inverses = resolvents(sys.A, sigmas)
     return _chain(sys, chs, lambda i, v: inverses[i] @ v)
 
@@ -153,7 +170,10 @@ def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
                              sys._resolvent_bound, sys._eigenbasis)
         for S, x in zip(sets, X):
             F[S] = x
-    return TransferValue(sys.C @ F[-1] / math.factorial(k), "symmetric", chs)
+    value = sys.C @ F[-1] / math.factorial(k)
+    if sys._eigenbasis is not None:
+        value = _real_at_real_shifts(value, ss)
+    return TransferValue(value, "symmetric", chs)
 
 
 def _kind_rules(kind: str):

@@ -3,15 +3,19 @@
 laplace_quadrature integrates kernel * exp(-sum s_i t_i) with composite
 Gauss-Legendre panels and reports an analytic truncation-tail bound next to a
 half-resolution discretization estimate, so agreement with the closed-form
-transfer functions is a falsifiable inequality. Its node exponentials,
-shifted by the spectral abscissa, come from one stacked expm call over six
-times (the first panel's five nodes and one panel width), which the coarse
-run shares when the panel count is even. They are applied to the chain's
-vectors and never summed into matrices: inside system._chain, the product
-kernels and transfer functions also form, each panel costs one product of
-five vectors by the panel step. The transient growth in the tail bound is
-sampled from the fine run's matrices, once per system and (T, panels), and
-kept on the system.
+transfer functions is a falsifiable inequality. Its axis sums are applied to
+the chain's vectors inside system._chain, the product kernels and transfer
+functions also form, and never formed as matrices. Where the system holds
+A's eigenbasis (kappa_2(V) <= 2, the basis the closed forms and transfer
+functions use), an axis sum is V diag(g) V^{-1}, with g summed from the
+scalar exponentials e^{(w - alpha) t} at the nodes (alpha the spectral
+abscissa). Elsewhere the node exponentials e^{(A - alpha I) t} come from
+one stacked expm call over six times (the first panel's five nodes and one
+panel width), which the coarse run shares when the panel count is even, and
+each panel costs one product of five vectors by the panel step. On either
+path the transient growth in the tail bound is sampled from the fine run's
+dense exponentials, once per system and (T, panels), and kept on the
+system, so a later call on a system with an eigenbasis makes no expm call.
 aux_output_2d convolves the boundary-adjusted order-2 kernels with an input
 signal on an aligned lattice, one body for both kinds, with stacked expm
 calls of at most STACK doubles along each lattice axis; eps_sweep is a
@@ -33,7 +37,7 @@ from .linalg import _affine_flow, _block, expm
 from .response import SampledSignal, _free_flow, _pulse_state
 from .system import (BilinearSystem, _chain, _channels_tuple, effective_matrices,
                      require_explicit)
-from .transfer import _freq_tuple, _kind_rules
+from .transfer import _freq_tuple, _kind_rules, _real_at_real_shifts
 
 __all__ = [
     "QuadratureEstimate",
@@ -185,6 +189,21 @@ def _panel_sums(first: np.ndarray, step: np.ndarray, ts: np.ndarray,
     return factor
 
 
+def _modal_sums(basis, shift: float, ts: np.ndarray, damped: np.ndarray):
+    """_panel_sums' factor in A's eigenbasis: X_i v = V (g_i * (V^{-1} v)).
+
+    With A = V diag(w) V^{-1}, e^{(A - shift I) t} = V diag(e^{(w - shift) t})
+    V^{-1}, so the axis sum X_i is V diag(g_i) V^{-1} with g_i = sum_pj
+    damped[i, p, j] e^{(w - shift) t_pj}. One (n, 5P) table of scalar
+    exponentials and the (k, 5P) weights give every g_i, summed as
+    _panel_sums sums: five nodes per panel, then panel after panel. It forms
+    no n x n matrix; the caller ignores numpy's overflow warnings.
+    """
+    exps = np.exp(np.multiply.outer(basis.w - shift, ts))
+    gains = (np.swapaxes(exps, 0, 1) @ np.moveaxis(damped, 0, 2)).sum(axis=0)
+    return lambda i, v: basis.V @ (gains[:, i] * (basis.Vinv @ v))
+
+
 def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
                        T: float, panels: int) -> QuadratureEstimate:
     """Numerically Laplace-transform an order-k kernel over a truncated domain.
@@ -199,20 +218,30 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
     With alpha the spectral abscissa of A, each factor e^{At} e^{-z t} is
     formed as e^{(A - alpha I) t} e^{-(z - alpha) t}, so it overflows neither
     for an unstable A inside the region of convergence nor for a strongly
-    stable A on a long horizon. Panel p's exponentials are e^{(A - alpha I) w},
-    w = T / panels, times panel p - 1's. A run makes one expm call over six
-    times (the first panel's five nodes and the step) and applies the
-    exponentials to the chain's vectors panel by panel; it raises
-    FloatingPointError naming the panel where a vector is not finite, and
-    never returns a non-finite value. The coarse run (panels // 2, or 2 for
-    one panel) gives the discretization estimate.
-    For an even panel count its nodes and step are twice the fine run's, so
-    it applies the fine exponentials twice and makes no expm call of its own.
-    The growth max ||e^{(A - alpha I) t}||_2 of the tail bound depends on A,
-    T and panels only. It is sampled from the matrices at every node of the
-    fine run, stepped panel by panel and checked as the vectors are, once per
-    system and (T, panels), and stored on the system when the fine run ends
-    without an error; later calls form no n x n panel product.
+    stable A on a long horizon. The coarse run (panels // 2, or 2 for one
+    panel) gives the discretization estimate. Either run takes one of two
+    paths:
+    - Where the system holds A's eigenbasis, A = V diag(w) V^{-1}, the axis
+      sum is X_i v = V (g_i * (V^{-1} v)), with g_i the weighted sum of the
+      scalar exponentials e^{(w - alpha) t} at the run's nodes; it forms no
+      n x n matrix. At real frequencies the value is returned exactly real,
+      as the dense path returns it.
+    - Elsewhere panel p's exponentials are e^{(A - alpha I) h}, h = T /
+      panels, times panel p - 1's. A run makes one expm call over six times
+      (the first panel's five nodes and the step) and applies the
+      exponentials to the chain's vectors panel by panel; it raises
+      FloatingPointError naming the panel where a vector is not finite. For
+      an even panel count the coarse run's nodes and step are twice the fine
+      run's, so it applies the fine exponentials twice and makes no expm
+      call of its own.
+    Neither returns a non-finite value: a chain product that is not finite
+    raises FloatingPointError. The growth max ||e^{(A - alpha I) t}||_2 of
+    the tail bound depends on A, T and panels only, and is the same on both
+    paths. It is sampled from the dense exponentials at every node of the
+    fine run, stepped panel by panel, once per system and (T, panels), and
+    stored on the system when the fine run ends without an error; a later
+    call forms no n x n panel product, and in the eigenbasis no exponential
+    matrix at all.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"truncation horizon T must be finite and > 0, got {T!r}")
@@ -228,6 +257,7 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
     abscissa = sys.spectral_abscissa
     shifted = sys.A - abscissa * np.eye(sys.n)
     rates = np.array(sig) - abscissa
+    basis = sys._eigenbasis
 
     def nodes(P: int):
         ts, wts = _gl_points(T, P)
@@ -237,24 +267,28 @@ def laplace_quadrature(sys: BilinearSystem, channels, kind: str, s,
         exps = expm(shifted, np.append(nodes(P)[0][0], T / P))
         return exps[:5], exps[5]
 
-    def run(P: int, first, step, twice: bool = False):
+    def run(P: int, first=None, step=None, twice: bool = False):
         ts, wts = nodes(P)
         damped = wts * np.exp(-np.multiply.outer(rates, ts))
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _chain(sys, chs, _panel_sums(first, step, ts, damped, twice))
+            out = _chain(sys, chs, _panel_sums(first, step, ts, damped, twice)
+                         if basis is None else _modal_sums(basis, abscissa, ts, damped))
         if not np.isfinite(out).all():
             raise FloatingPointError("quadrature overflow: the chain product is not finite")
-        return out
+        return out if basis is None else _real_at_real_shifts(out, sig)
 
-    fine = exponentials(panels)
     memo, key = sys._quadrature_growth, (float(T), panels)
     growth = memo.get(key)
+    # in the eigenbasis the fine run's exponentials only sample the growth
+    fine = exponentials(panels) if growth is None or basis is None else ()
     if growth is None:
         growth = _sampled_growth(*fine, nodes(panels)[0])
     value = run(panels, *fine)
     memo[key] = growth
     half = panels // 2 or 2
-    if panels % 2:
+    if basis is not None:
+        coarse = run(half)
+    elif panels % 2:
         coarse = run(half, *exponentials(half))
     else:
         coarse = run(half, *fine, twice=True)

@@ -14,7 +14,7 @@ from bivolt import TimeGrid, impulse_response
 from bivolt.cli import (run_command, signal_from_spec, system_from_document,
                         system_to_document)
 
-from conftest import overflowing_chain
+from conftest import normal_system, overflowing_chain
 
 SCALAR_DOC = {
     "n": 1, "m": 1, "p": 1,
@@ -308,6 +308,25 @@ class TestVerifyCommands:
         row = dict(zip(header, rows[0]))
         assert float(row["quad1_re"]) == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert row["within_bound"] == "1"
+
+    def test_real_frequencies_write_zero_imaginary_parts(self, tmp_path, capsys):
+        # the system has an eigenbasis with complex eigenvectors, in which the
+        # quadrature and the transfer function are formed
+        sys_ = normal_system(4, m=2, p=2)
+        assert np.iscomplexobj(sys_._eigenbasis.V)
+        path = tmp_path / "normal.json"
+        path.write_text(json.dumps(system_to_document(sys_)))
+        common = ["--system", str(path), "--kind", "reg", "--channels", "1,2",
+                  "--s", "1+0i,2+0i"]
+        assert run_command(["verify", "laplace", *common, "--T", "16", "--panels", "32"]) == 0
+        header, rows = read_csv(capsys.readouterr().out)
+        row = dict(zip(header, rows[0]))
+        for name in ("quad1_im", "quad2_im", "closed1_im", "closed2_im"):
+            assert row[name] == "0.0"
+        assert run_command(["tf", *common]) == 0
+        header, rows = read_csv(capsys.readouterr().out)
+        row = dict(zip(header, rows[0]))
+        assert row["G1_im"] == row["G2_im"] == "0.0"
 
     def test_laplace_order_cap_exits_2(self, tmp_path, capsys):
         doc = dict(SCALAR_DOC, N=[[2.0]])

@@ -11,7 +11,9 @@ engines' outputs stay the same up to rounding as well.
 Neither needs an oracle, and both cross the code's internal seams. kappa_2 of
 the eigenbasis of T^-1 A T moves with kappa(T), so at kappa(T) = 30 the closed
 forms of a system with a normal A take the dense free flow where the system
-itself takes the modal one. The core (n = 4) fills its forced stretches by
+itself takes the modal one, and so does the Laplace quadrature, whose axis
+sums are formed in the eigenbasis on the system and under an orthogonal T,
+and from dense exponentials at kappa(T) = 3 and 30. The core (n = 4) fills its forced stretches by
 the pairwise reduction of their step maps, while the padded system (n = 96)
 steps them (response._Stages); and the padded regular and triangular
 transfer functions solve each resolvent as its chain reaches it, where the
@@ -36,7 +38,7 @@ from bivolt import (BilinearSystem, TimeGrid, eval_regular, eval_symmetric,
                     eval_triangular, impulse_response, impulse_response_subsystem,
                     laplace_quadrature, nascent_response, ode_direct, sine_signal,
                     response, volterra_cascade)
-from bivolt import linalg
+from bivolt import linalg, verify
 from bivolt.linalg import _block
 
 from conftest import make_stable_system
@@ -169,6 +171,20 @@ def solve_paths(monkeypatch, sys: BilinearSystem, name: str) -> set[str]:
     return taken
 
 
+def quadrature_paths(monkeypatch, sys: BilinearSystem) -> set[str]:
+    """The paths of QUANTITIES["quadrature"]'s axis sums on sys: "modal"
+    (verify._modal_sums, in the eigenbasis) or "dense" (verify._panel_sums)."""
+    taken = set()
+    for attr, path in (("_modal_sums", "modal"), ("_panel_sums", "dense")):
+        def counted(*args, call=getattr(verify, attr), path=path):
+            taken.add(path)
+            return call(*args)
+        monkeypatch.setattr(verify, attr, counted)
+    QUANTITIES["quadrature"](sys)
+    monkeypatch.undo()
+    return taken
+
+
 def test_cases_cross_the_seams(monkeypatch):
     assert np.allclose(basis(1.0).T @ basis(1.0), np.eye(4), atol=1e-15)
     for cond in (3.0, 30.0):
@@ -200,6 +216,12 @@ def test_cases_cross_the_seams(monkeypatch):
     assert not certified(monkeypatch, padded(), "tf_regular").any()
     assert solve_paths(monkeypatch, padded(), "tf_regular") == {"inverse"}
     assert set().union(*paths.values()) == {"modal", "lu", "inverse"}
+    # the quadrature sums its axes in the eigenbasis where the closed forms
+    # and transfer functions use it, and over dense exponentials past its gate
+    for cond, taken in ((None, {"modal"}), (1.0, {"modal"}), (3.0, {"dense"}),
+                        (30.0, {"dense"})):
+        sys = NORMAL if cond is None else transformed(NORMAL, basis(cond))
+        assert quadrature_paths(monkeypatch, sys) == taken
 
 
 @pytest.mark.parametrize("cond", [1.0, 30.0])
@@ -210,7 +232,7 @@ def test_change_of_basis(name, cond):
 
 
 @pytest.mark.parametrize("cond", [1.0, 30.0])
-@pytest.mark.parametrize("name", CLOSED_FORMS)
+@pytest.mark.parametrize("name", [*CLOSED_FORMS, "quadrature"])
 def test_change_of_basis_across_the_modal_gate(name, cond):
     got = QUANTITIES[name](transformed(NORMAL, basis(cond)))
     assert deviation(got, value(name, normal=True)) <= RTOL * cond

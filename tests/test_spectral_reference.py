@@ -6,12 +6,18 @@ partial results between permutations and solves once per nonempty subset.
 reference_quadrature calls expm at every Gauss-Legendre node of both runs,
 sums the exponentials into one matrix per axis and samples the transient
 growth there as ||e^{At}||_2 e^{-alpha t}. laplace_quadrature shifts A by its
-spectral abscissa alpha and applies the axis sums to the chain's vectors:
-panel p's vectors are e^{(A - alpha I) w} times panel p - 1's. It samples the
-growth on the fine run only, from the largest eigenvalue of E^T E. panels = 1
-takes the coarse run at 2 panels, the others at panels // 2; for an even
-count (2, 32) the coarse run applies the fine run's exponentials twice, for
-an odd one (1, 3) it forms its own.
+spectral abscissa alpha and applies the axis sums to the chain's vectors. It
+takes one of two paths:
+- on a system with no eigenbasis (most make_stable_system draws, and
+  transient_growth_system), panel p's vectors are e^{(A - alpha I) w} times
+  panel p - 1's. panels = 1 takes the coarse run at 2 panels, the others at
+  panels // 2; for an even count (2, 32) the coarse run applies the fine
+  run's exponentials twice, for an odd one (1, 3) it forms its own;
+- on a system with one (normal_system, with kappa_2(V) = 1), the axis sum is
+  V diag(g) V^{-1}, with g summed from the scalar exponentials
+  e^{(w - alpha) t} at each run's nodes, and no panel step is taken.
+Both sample the growth on the fine run only, from the largest eigenvalue of
+E^T E of the dense exponentials.
 """
 
 import itertools
@@ -26,7 +32,7 @@ from bivolt import (eval_tf_symmetric, eval_tf_triangular, expm,
                     laplace_quadrature, roc_margin)
 from bivolt.verify import _gl_points, _tail_bound
 
-from conftest import make_stable_system, transient_growth_system
+from conftest import make_stable_system, normal_system, transient_growth_system
 
 RTOL = 1e-12
 DISC_ATOL = 1e-9
@@ -107,6 +113,18 @@ def test_tf_symmetric_matches_permutation_sum(k, n, m, seed):
 def test_quadrature_matches_per_node_expm(kind, panels, k, T, n, m, seed):
     rng = np.random.default_rng(seed)
     sys = make_stable_system(rng, n=n, m=m, p=2)
+    s, chs = frequencies(rng, k), rng.integers(1, m + 1, size=k)
+    assert_quadrature_matches(sys, chs, kind, s, T, panels)
+
+
+@pytest.mark.parametrize("panels", [1, 2, 3, 32])
+@pytest.mark.parametrize("kind", ["regular", "triangular"])
+@SETTINGS
+@given(k=st.integers(1, 3), T=st.floats(2.0, 16.0), **SIZES)
+def test_modal_quadrature_matches_per_node_expm(kind, panels, k, T, n, m, seed):
+    sys = normal_system(n, m=m, p=2, seed=seed)
+    assert sys._eigenbasis is not None
+    rng = np.random.default_rng(seed)
     s, chs = frequencies(rng, k), rng.integers(1, m + 1, size=k)
     assert_quadrature_matches(sys, chs, kind, s, T, panels)
 

@@ -378,6 +378,22 @@ class TestModalSolves:
         eval_tf_symmetric(sys, [1, 2, 1], s)  # 3 singletons, 3 pairs, 1 triple
         assert modal_calls[6:] == [3, 3, 1]
 
+    @pytest.mark.parametrize("n", [4, 5, 100])
+    def test_real_shifts_give_real_values(self, n, modal_calls):
+        # V is complex where A has complex eigenvalues, so the modal chain
+        # alone leaves an imaginary part at rounding level (1.5e-32 for the
+        # regular kind at n = 4); LU and the inverse leave none
+        sys = normal_system(n, m=2, p=2)
+        s, chs = [1.0, 2.0], [1, 2]
+        assert np.iscomplexobj(sys._eigenbasis.V)
+        for got, want in [
+                (eval_tf_regular(sys, chs, s).value, chain(resolvent_apply, sys, chs, s)),
+                (eval_tf_triangular(sys, chs, s).value, chain(resolvent_apply, sys, chs, [1.0, 3.0])),
+                (eval_tf_symmetric(sys, chs, s).value, symmetric(resolvent_apply, sys, chs, s))]:
+            assert got.dtype == complex and not got.imag.any()
+            assert not want.imag.any() and close(got, want)
+        assert modal_calls == [1, 1, 1, 1, 2, 1]
+
     @pytest.mark.parametrize("kind", ["normal", "near_normal"])
     def test_refined_residual_is_at_lu_level(self, kind):
         # at n = 100 the unrefined x = V ((V^{-1} v) / (s - w)) left residuals

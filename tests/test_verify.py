@@ -14,9 +14,11 @@ from bivolt import (BilinearSystem, TimeGrid, aux_output_2d, delta_eps_signal,
                     phi1_apply, phi1_bounds_probe,
                     richardson_limit, sine_signal, step_signal, suggest_truncation,
                     symmetry_probe, zero_signal)
+from bivolt import verify
 from bivolt.verify import _symmetrised
 
-from conftest import make_stable_system, overflowing_chain, transient_growth_system
+from conftest import (make_stable_system, normal_system, overflowing_chain,
+                      transient_growth_system)
 
 
 def fresh_copy(sys):
@@ -28,6 +30,11 @@ def assert_same_estimate(got, want):
     assert np.array_equal(got.value, want.value)
     assert got.tail_bound == want.tail_bound
     assert got.discretization_estimate == want.discretization_estimate
+
+
+def dense_path(monkeypatch):
+    """Hide every system's eigenbasis, so that the quadrature takes its dense path."""
+    monkeypatch.setattr(BilinearSystem, "_eigenbasis", property(lambda self: None))
 
 
 def random_system(rng, n, normal):
@@ -242,6 +249,79 @@ class TestLaplaceQuadrature:
                       else eval_tf_triangular)(sys, chs, s).value
             gap = float(np.max(np.abs(est.value - closed)))
             assert gap <= est.tail_bound + est.discretization_estimate
+
+
+class TestModalQuadrature:
+    """Where the system has an eigenbasis, the axis sums are V diag(g) V^{-1}
+    over scalar exponentials; the growth is still sampled from the fine
+    run's dense exponentials, on a memo miss only."""
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        """The number of times of each expm call that verify makes."""
+        seen, call = [], verify.expm
+
+        def spy(M, t):
+            seen.append(np.size(t))
+            return call(M, t)
+
+        monkeypatch.setattr(verify, "expm", spy)
+        return seen
+
+    @pytest.mark.parametrize("n", [4, 5, 100])
+    def test_memo_hit_makes_no_expm_call(self, n, expm_calls):
+        sys = normal_system(n, m=2, p=2)
+        s = [0.5 + 1.0j, 0.3 - 0.5j]
+        laplace_quadrature(sys, [1, 2], "regular", s, 12.0, 32)
+        assert sys._eigenbasis is not None
+        assert expm_calls == [6]  # the fine run's five nodes and step sample the growth
+        for kind, panels in itertools.product(("regular", "triangular"), (3, 32)):
+            if panels == 3:
+                laplace_quadrature(sys, [1, 2], kind, s, 12.0, panels)
+            expm_calls.clear()
+            got = laplace_quadrature(sys, [2, 1], kind, s, 12.0, panels)
+            assert expm_calls == []
+            assert_same_estimate(got, laplace_quadrature(fresh_copy(sys), [2, 1], kind, s,
+                                                         12.0, panels))
+
+    @pytest.mark.parametrize("panels, calls", [(32, [6]), (3, [6, 6])])
+    def test_memo_hit_without_eigenbasis_forms_the_exponentials(self, panels, calls,
+                                                                  expm_calls):
+        # an odd count's coarse run forms its own
+        sys = transient_growth_system()
+        assert sys._eigenbasis is None
+        laplace_quadrature(sys, [1, 1], "regular", [0.5 + 1.0j, 0.3 - 0.5j], 12.0, panels)
+        expm_calls.clear()
+        laplace_quadrature(sys, [1, 1], "triangular", [0.5 + 1.0j, 0.3 - 0.5j], 12.0, panels)
+        assert expm_calls == calls
+
+    @pytest.mark.parametrize("s", [[1.0, 2.0], [0.5 + 1.0j, 0.3 - 0.5j]])
+    @pytest.mark.parametrize("kind", ["regular", "triangular"])
+    @pytest.mark.parametrize("n", [4, 5, 100])
+    def test_matches_the_dense_path(self, n, kind, s, monkeypatch):
+        # the growth comes from the same dense exponentials on both paths
+        sys = normal_system(n, m=2, p=2)
+        got = laplace_quadrature(sys, [1, 2], kind, s, 16.0, 32)
+        dense_path(monkeypatch)
+        want = laplace_quadrature(fresh_copy(sys), [1, 2], kind, s, 16.0, 32)
+        assert got.tail_bound == want.tail_bound
+        assert np.abs(got.value - want.value).max() <= 1e-13 * np.abs(want.value).max()
+        assert got.discretization_estimate == pytest.approx(
+            want.discretization_estimate, rel=0.0, abs=1e-13 * np.abs(want.value).max())
+
+    @pytest.mark.parametrize("kind", ["regular", "triangular"])
+    def test_real_frequencies_give_real_values(self, kind, monkeypatch):
+        # V is complex where A has complex eigenvalues, so V diag(g) V^{-1} v
+        # alone leaves an imaginary part at rounding level; the dense path
+        # leaves none
+        sys = normal_system(4, m=2, p=2)
+        assert np.iscomplexobj(sys._eigenbasis.V)
+        got = laplace_quadrature(sys, [1, 2], kind, [1.0, 2.0], 16.0, 32).value
+        assert got.dtype == complex and not got.imag.any()
+        dense_path(monkeypatch)
+        want = laplace_quadrature(fresh_copy(sys), [1, 2], kind, [1.0, 2.0], 16.0, 32).value
+        assert not want.imag.any()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestAuxOutput2d:

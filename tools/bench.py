@@ -9,7 +9,9 @@ Three suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
   n = 20 and 100, where every state is an output. A step input makes every
   step part of a run, sine and sampled inputs force every step, and the pulse
   forces the steps at its edges and holds its plateau and the free dynamics
-  after it as runs. Default --repeats 7.
+  after it as runs. Default --repeats 21: at 7, two copies of one tree read
+  per-case ratios (--against) of 0.71 to 1.24, and at 21, 26 of 28 cases
+  read inside [0.95, 1.05].
 - spectral: scalar `expm` and `resolvent_apply`, the three transfer-function
   kinds (order 3, symmetric order 4), the three kernel kinds (order 4) and
   the Laplace quadrature as the spectral workload calls it, on spectral's
@@ -17,8 +19,13 @@ Three suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
   triangular (`quad_tri`), where the system's transient growth is already
   stored, as every spectral request after the first finds it; and on a memo
   miss (`quad_miss`), on a fresh copy of the system, as the one call of each
-  `bivolt verify laplace` process does. The regular and symmetric transfer
-  functions also run on a fresh copy (`tf_reg_miss`, `tf_sym_miss`), which
+  `bivolt verify laplace` process does; that copy also forms the eigenbasis
+  in which the quadrature sums its axes. At n = 100 both also run on the
+  system under a similarity x -> T x whose T has singular values from 1 down
+  to 1/30, as tests/test_metamorphic.py builds it (`quad_dense`,
+  `quad_dense_miss`): past the eigenbasis gate, it takes the dense path,
+  which forms the node exponentials with expm. The regular and symmetric
+  transfer functions also run on a fresh copy (`tf_reg_miss`, `tf_sym_miss`), which
   forms the system's mu2(A) and ||A||_inf that certify its shifts and the
   eigenbasis that solves the certified ones (one eig, cond and inv), as the
   one call of each `bivolt tf` process does. Default --repeats 51.
@@ -87,12 +94,28 @@ from inputs import (MILD, SIM, SIZES, SPECTRAL, STIFF, channels, forced_signals,
 from workloads import QUAD_PANELS, QUAD_S, QUAD_T, SimPulse
 
 SEED = 1
+# kappa(T) of the similarity that takes spectral's n = 100 system past the
+# eigenbasis gate (quad_dense)
+DENSE_COND = 30.0
 
 
 def _rebuilt(bv, made, **change):
     """perfbench's system made, as a system of the package bv, with fields changed."""
     fields = {f.name: getattr(made, f.name) for f in dataclasses.fields(made)}
     return bv.BilinearSystem(**{**fields, **change})
+
+
+def _similar(made, cond: float) -> dict:
+    """The fields of made under x -> T x, T with singular values from 1 down to
+    1 / cond: (T^-1 A T, T^-1 N_j T, T^-1 B, C T, T^-1 x0)."""
+    n = made.A.shape[0]
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    T = U @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ V.T
+    Tinv = np.linalg.inv(T)
+    return dict(A=Tinv @ made.A @ T, N=Tinv @ made.N @ T, B=Tinv @ made.B, C=made.C @ T,
+                x0=Tinv @ made.x0)
 
 
 def _warm(calls: dict) -> dict:
@@ -158,15 +181,15 @@ def spectral(bv, steps: int) -> tuple[dict, dict]:
             "quad_tri": lambda: quad(sys_, "triangular"),
         }
 
-        def fresh():
+        def fresh(**change):
             """A copy with no growth stored; its spectral abscissa is formed here."""
-            copy = _rebuilt(bv, made)
+            copy = _rebuilt(bv, made, **change)
             copy.spectral_abscissa
             return copy
 
-        def warm_miss():  # on a copy of its own: the timed copy has no growth stored
-            quad(fresh())
-            return fresh()
+        def warm_miss(**change):  # on a copy of its own: the timed copy has no growth stored
+            quad(fresh(**change))
+            return fresh(**change)
 
         def on_copy(call):
             """The case of call(copy) on a fresh copy, which has nothing formed."""
@@ -175,18 +198,26 @@ def spectral(bv, steps: int) -> tuple[dict, dict]:
                 return _rebuilt(bv, made)
             return warm, call
 
-        return {**_warm({f"{key}/n={n}": call for key, call in calls.items()}),
-                f"quad_miss/n={n}": (warm_miss, quad),
-                f"tf_reg_miss/n={n}": on_copy(lambda copy: bv.eval_tf_regular(copy, chs, s)),
-                f"tf_sym_miss/n={n}": on_copy(
-                    lambda copy: bv.eval_tf_symmetric(copy, chs_sym, s_sym))}
+        cases = {**_warm({f"{key}/n={n}": call for key, call in calls.items()}),
+                 f"quad_miss/n={n}": (warm_miss, quad),
+                 f"tf_reg_miss/n={n}": on_copy(lambda copy: bv.eval_tf_regular(copy, chs, s)),
+                 f"tf_sym_miss/n={n}": on_copy(
+                     lambda copy: bv.eval_tf_symmetric(copy, chs_sym, s_sym))}
+        if n == 100:
+            dense = _similar(made, DENSE_COND)
+            dense_sys = _rebuilt(bv, made, **dense)
+            assert dense_sys._eigenbasis is None
+            cases.update(_warm({f"quad_dense/n={n}": lambda: quad(dense_sys)}))
+            cases[f"quad_dense_miss/n={n}"] = (lambda: warm_miss(**dense), quad)
+        return cases
 
     cases = {key: case for n in SIZES for key, case in cases_at(n).items()}
     return cases, {"seed": SEED, "tf_order": tf_order, "sym_order": sym_order,
                    "kernel_order": kernel_order, "expm_time": expm_time,
                    "quadrature": {"T": QUAD_T, "panels": QUAD_PANELS,
                                   "s": [str(z) for z in QUAD_S],
-                                  "channels": list(quad_channels)}}
+                                  "channels": list(quad_channels),
+                                  "dense_cond": DENSE_COND}}
 
 
 def closed(bv, steps: int) -> tuple[dict, dict]:
@@ -218,7 +249,7 @@ def closed(bv, steps: int) -> tuple[dict, dict]:
                    "sweep": {"eps": list(sweep), "probes": list(probes)}}
 
 
-SUITES = {"rk4": (rk4, 7), "spectral": (spectral, 51), "closed": (closed, 51)}
+SUITES = {"rk4": (rk4, 21), "spectral": (spectral, 51), "closed": (closed, 51)}
 
 
 def load_version(src: str, name: str):
@@ -280,7 +311,7 @@ def main(argv=None) -> int:
     ap.add_argument("suite", choices=SUITES)
     ap.add_argument("--steps", type=int, default=2500, help="grid steps of each rk4 shape")
     ap.add_argument("--repeats", type=int,
-                    help="timed calls per case (default: rk4 7, spectral and closed 51)")
+                    help="timed calls per case (default: rk4 21, spectral and closed 51)")
     ap.add_argument("--label", default="current", help="key of this run in the file")
     ap.add_argument("--out", help="JSON file of the runs (default: BENCH_<suite>.json)")
     ap.add_argument("--against", metavar="DIR",
