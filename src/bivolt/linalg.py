@@ -18,17 +18,16 @@ the squaring count. phi1_apply is that flow from x0 = 0. Linear solves
 factorise once with LAPACK and refuse a matrix whose condition number
 reaches 1/PIVOT_RTOL, so a frequency on the spectrum or a singular E is
 reported instead of surfacing as garbage downstream.
-resolvents forms the checked (s I - A)^{-1} for one shift or a whole array
-of shifts with stacked inverses, in the same blocks, and resolvent_apply
-applies them: to one right-hand side, or block by block to one per shift.
-The transfer functions solve through _resolvent_solve (a stack of shifts)
-and _solver (one shift at a time along a chain), the same checked path with
-one certificate: a shift whose matrix the logarithmic-norm bound proves well
-conditioned (_certified, from mu2(A) and ||A||_inf) is solved in A's
-eigenbasis where the system holds one (_modal_solve: x = V ((V^{-1} v) /
-(s - w)) and one step of iterative refinement), else by LU; every other
-shift takes resolvent_apply's inverse check. So there are three paths, and
-the shifts refused and the first of them are the same on all of them.
+Every resolvent solve, public resolvent_apply's and the transfer
+functions', goes through one path, _solver: over a sequence of shifts, it
+solves one position (along a chain) or a stack of them (one per shift, in
+blocks of the same size) in one of three ways. A shift whose matrix the
+logarithmic-norm bound proves well conditioned (_certified, from mu2(A) and
+||A||_inf) is solved in A's eigenbasis where the system holds one
+(_modal_solve: x = V ((V^{-1} v) / (s - w)) and one step of iterative
+refinement), else by LU; every other shift takes the checked inverse, which
+is all that resolvent_apply, with no certificate, takes. The shifts refused
+and the first of them are the same on all three.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "expm",
     "phi1_apply",
     "resolvent_apply",
-    "resolvents",
     "solve",
 ]
 
@@ -67,8 +65,8 @@ PIVOT_RTOL = 1e-12
 _CERTIFIED = 0.5
 _EPS = float(np.finfo(float).eps)
 
-# Doubles in one stacked array. expm, resolvents and resolvent_apply work on a
-# stack in blocks of at most STACK doubles per array (_block), so that a
+# Doubles in one stacked array. expm and the resolvent solves (_solver) work
+# on a stack in blocks of at most STACK doubles per array (_block), so that a
 # block's temporaries stay in cache: from n = 91 a block is one matrix, taken
 # by the same stacked code, since 32 Pade approximants in one block took 1.7x
 # as long per matrix at n = 100 (one BLAS thread), while at n = 4 to 20 larger
@@ -407,47 +405,6 @@ def solve(K, B) -> np.ndarray:
     return _inverses(M[None])[0] @ np.asarray(B)
 
 
-def _shifts(s) -> np.ndarray:
-    """s as one complex shift (0-d) or a 1-D array of them, all finite."""
-    ss = np.asarray(s, dtype=complex)
-    if ss.ndim > 1:
-        raise ValueError(f"shifts must be one value or a 1-D array, got shape {ss.shape}")
-    if not np.isfinite(ss).all():
-        raise ValueError("resolvent shift has non-finite components")
-    return ss
-
-
-def _checked_resolvents(K: np.ndarray, shifts) -> np.ndarray:
-    """Inverses of the stack K[i] = s_i I - A, each checked as solve checks a matrix.
-
-    Raises PoleHitError carrying the first refused s_i.
-    """
-    try:
-        return _inverses(K)
-    except SingularMatrixError as exc:
-        raise PoleHitError(complex(shifts[exc.index])) from exc
-
-
-def resolvents(A, s) -> np.ndarray:
-    """(s I - A)^{-1} for one shift s, or the (q, n, n) stack of them for q shifts.
-
-    The matrices s_i I - A are inverted by stacked LAPACK calls, in blocks
-    of at most STACK doubles (one matrix at a time from n = 91, where three
-    stacked inverses took 1.04-1.13x as long as three single ones), and each
-    is refused as solve refuses a matrix; PoleHitError carries the first
-    refused s_i.
-    """
-    Amat = _square_array(A, "resolvent matrix")
-    ss = _shifts(s)
-    shifts, n = ss.reshape(-1), Amat.shape[0]
-    step = _block(n)
-    out = np.empty((len(shifts), n, n), dtype=complex)
-    for i in range(0, len(shifts), step):
-        part = shifts[i:i + step]
-        out[i:i + step] = _checked_resolvents(part[:, None, None] * np.eye(n) - Amat, part)
-    return out.reshape(ss.shape + (n, n))
-
-
 def _logarithmic_norm(A) -> tuple[float, float]:
     """(mu2(A), ||A||_inf), the two numbers _certified needs.
 
@@ -494,78 +451,93 @@ def resolvent_apply(A, s, V) -> np.ndarray:
 
     s is one shift, with V of shape (n,) or (n, r), or a 1-D array of q
     shifts, with V stacked as (q, n) or (q, n, r): then X[i] solves
-    (s_i I - A) X[i] = V[i]. A stack's inverses are formed and applied in
-    resolvents' blocks, so that a long array of shifts never holds all its
-    inverses at once; PoleHitError carries the first refused shift. One
-    shift skips the stacking: through resolvents, a call took 1.21x as long
-    at n = 4 and 20 (one BLAS thread).
+    (s_i I - A) X[i] = V[i]. This is _solver with no certificate, so every
+    shift takes the checked inverse, formed and applied in blocks of at most
+    STACK doubles, and a long array of shifts never holds all its inverses
+    at once; PoleHitError carries the first refused shift.
     """
-    return _resolvent_solve(A, s, V)
-
-
-def _resolvent_solve(A, s, V, bound: tuple[float, float] | None = None,
-                     basis=None) -> np.ndarray:
-    """resolvent_apply, where the shifts that bound = _logarithmic_norm(A)
-    certifies (_certified) are solved in A's eigenbasis where basis, the
-    system's record of w, V and V^{-1} with A = V diag(w) V^{-1}, is given
-    (_modal_solve), else by LU, one stacked solve per block; every other
-    shift takes resolvent_apply's checked inverses. bound None certifies
-    none: that is resolvent_apply. One shift is solved by _solver's path.
-
-    At n = 100 an LU solve took 0.19 ms where the checked inverse took 0.77.
-    """
-    if np.ndim(s) == 0:
-        return _solver(A, [s], bound, basis)(0, V)
-    Amat = _square_array(A, "resolvent matrix")
-    X = np.asarray(V, dtype=complex)
-    n = Amat.shape[0]
-    ss = _shifts(s)
-    if X.ndim not in (2, 3) or len(X) != len(ss):
-        raise ValueError(f"V must be a stack (q, n) or (q, n, r) for q = {len(ss)} "
-                         f"shifts, got shape {X.shape}")
-    Y = X[:, :, None] if X.ndim == 2 else X
-    out = np.empty(Y.shape, dtype=complex)
-    sure = np.zeros(len(ss), dtype=bool) if bound is None else _certified(ss, n, bound)
-    if basis is not None and sure.any():
-        out[sure] = _modal_solve(Amat, Y[sure], ss[sure, None, None], basis)
-    step = _block(n)
-    # LU for the certified shifts where no basis took them, the inverse for the rest
-    for certified in (True, False) if basis is None else (False,):
-        todo = np.flatnonzero(sure == certified)
-        for i in range(0, len(todo), step):
-            # slices where one path takes every shift: indexing by position
-            # took 1.08x as long for tf_sym at n = 4
-            part = todo[i:i + step] if len(todo) < len(ss) else slice(i, i + step)
-            K = ss[part, None, None] * np.eye(n) - Amat
-            out[part] = (np.linalg.solve(K, Y[part]) if certified else
-                         _checked_resolvents(K, ss[part]) @ Y[part])
-    return out[:, :, 0] if X.ndim == 2 else out
+    return _solver(A, s)(0 if np.ndim(s) == 0 else slice(None), V)
 
 
 def _solver(A, shifts, bound: tuple[float, float] | None = None, basis=None):
-    """The function (i, v) -> (s_i I - A)^{-1} v over a sequence of shifts,
-    each solved when asked for, by the path _resolvent_solve takes for s_i
-    alone: in the eigenbasis or by LU where certified, else by the checked
-    inverse, which raises PoleHitError with s_i. A and the shifts are
-    checked, and the shifts certified, once for the sequence: at n = 4 that
-    work took about 9 us, as long as one modal solve.
+    """The function solve(i, V) -> (s_i I - A)^{-1} V over a sequence of
+    shifts: every resolvent solve goes through it.
+
+    i is a position, with V of shape (n,) or (n, r), or an index array or a
+    slice, with V stacked as (q, n) or (q, n, r). A and the shifts are
+    checked, and the shifts certified (_certified, from bound =
+    _logarithmic_norm(A); bound None certifies none), once for the
+    sequence: at n = 4 that work took about 9 us, as long as one modal
+    solve. A shift is solved in one of three ways:
+    - certified, where basis, the system's record of w, V and V^{-1} with
+      A = V diag(w) V^{-1}, is given: in the eigenbasis (_modal_solve), one
+      call for all such shifts of a call;
+    - certified, with no basis: by LU, one stacked solve per block;
+    - any other: by the checked inverse, one stacked inverse per block,
+      which raises PoleHitError with the first refused shift.
+    A certified shift passes the inverse check, so the shifts refused, and
+    the first of them, are the same whichever are certified. A position is
+    solved as a stack of one, bit-identical to its entry in a stack. At
+    n = 100 an LU solve took 0.19 ms where the checked inverse took 0.77.
     """
     Amat = _square_array(A, "resolvent matrix")
-    ss = _shifts(shifts)
+    ss = np.array(shifts, dtype=complex, ndmin=1)
+    if ss.ndim > 1:
+        raise ValueError(f"shifts must be one value or a 1-D array, got shape {ss.shape}")
+    if not np.isfinite(ss).all():
+        raise ValueError("resolvent shift has non-finite components")
     n = Amat.shape[0]
-    sure = [False] * len(ss) if bound is None else _certified(ss, n, bound).tolist()
+    sure = np.zeros(len(ss), dtype=bool) if bound is None else _certified(ss, n, bound)
+    flags = sure.tolist()
 
-    def solve(i: int, v) -> np.ndarray:
-        X = np.asarray(v, dtype=complex)
-        if not sure[i]:
-            return _checked_resolvents((ss[i] * np.eye(n) - Amat)[None], ss[i:i + 1])[0] @ X
-        if basis is None:
-            return np.linalg.solve(ss[i] * np.eye(n) - Amat, X)
-        # as a stack of one, so that it is bit-identical to its entry in a stack
-        x = _modal_solve(Amat, X.reshape(1, n, -1), ss[i:i + 1, None, None], basis)
-        return x.reshape(X.shape)
+    def solve(i, V) -> np.ndarray:
+        X = np.asarray(V, dtype=complex)
+        if isinstance(i, (int, np.integer)):  # a position, as a stack of one
+            if X.ndim not in (1, 2) or len(X) != n:
+                raise ValueError(f"V has shape {X.shape}; expected ({n},) or ({n}, r) "
+                                 "for one shift")
+            Y = _one_path(Amat, ss[i:i + 1], X.reshape(1, n, -1), flags[i], basis)
+            return Y.reshape(X.shape)
+        s, certified = ss[i], sure[i]
+        if X.ndim not in (2, 3) or X.shape[:2] != (len(s), n):
+            raise ValueError(f"V must be a stack ({len(s)}, {n}) or ({len(s)}, {n}, r) "
+                             f"for {len(s)} shifts, got shape {X.shape}")
+        Y = X[:, :, None] if X.ndim == 2 else X
+        count = int(np.count_nonzero(certified))
+        if not 0 < count < len(s):
+            return _one_path(Amat, s, Y, count > 0, basis).reshape(X.shape)
+        # the certified shifts first: only the others can be refused
+        out = np.empty(Y.shape, dtype=complex)
+        for flag, take in ((True, certified), (False, ~certified)):
+            out[take] = _one_path(Amat, s[take], Y[take], flag, basis)
+        return out.reshape(X.shape)
 
     return solve
+
+
+def _one_path(A: np.ndarray, s: np.ndarray, Y: np.ndarray, certified: bool,
+              basis) -> np.ndarray:
+    """(s_i I - A)^{-1} Y[i] for a stack Y (q, n, r) whose shifts s all take
+    one of _solver's paths: certified, in the eigenbasis where basis is given
+    (one call for the stack), else by LU; not certified, by the checked
+    inverse. LU and the inverse go one stacked LAPACK call per block.
+    """
+    if certified and basis is not None:
+        return _modal_solve(A, Y, s[:, None, None], basis)
+    n = A.shape[0]
+    step = _block(n)
+    if len(s) > step:
+        out = np.empty(Y.shape, dtype=complex)
+        for j in range(0, len(s), step):
+            out[j:j + step] = _one_path(A, s[j:j + step], Y[j:j + step], certified, basis)
+        return out
+    K = s[:, None, None] * np.eye(n) - A
+    if certified:
+        return np.linalg.solve(K, Y)
+    try:
+        return _inverses(K) @ Y
+    except SingularMatrixError as exc:
+        raise PoleHitError(complex(s[exc.index])) from exc
 
 
 def _modal_solve(A: np.ndarray, Y: np.ndarray, s: np.ndarray, basis) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Multidimensional transfer functions of bilinear systems.
 
-Regular transfer functions chain single-frequency resolvents and triangular
-ones chain resolvents at the partial sums s_1 + ... + s_i. The chain is
+Regular transfer functions chain resolvent solves at single frequencies and
+triangular ones at the partial sums s_1 + ... + s_i. The chain is
 system._chain, the product a kernel forms with e^{A tau_i} where these take
 (sigma_i I - A)^{-1}: the Laplace transform of a kernel is a transfer
 function. The symmetric one averages the triangular value over all argument
@@ -11,22 +11,21 @@ of arguments used so far, so one resolvent solve per nonempty subset
 (2^k - 1 in all) gives it, made as one stacked solve call per subset size
 (k in all).
 
-The solves take one of three paths behind one certificate, from the
-system's cached mu2(A) and ||A||_inf (linalg._certified):
+Every solve goes through one path, linalg._solver, built once per call
+over the call's shifts: the regular and triangular chains solve each
+position as they reach it, and the symmetric kind solves each subset size
+as one stack. A shift is solved in one of three ways behind one
+certificate, from the system's cached mu2(A) and ||A||_inf
+(linalg._certified):
 - a certified shift is solved in A's eigenbasis where the system holds one
   (kappa_2(V) <= 2): products by V^{-1} and V, a division by s - w, and one
   step of iterative refinement, which makes it as accurate as LU;
 - a certified shift of a system with no eigenbasis is solved by LU;
 - any other shift takes resolvent_apply's checked inverse, so a pole is
   refused, with the first shift that hits it, as resolvent_apply refuses it.
-The symmetric kind's stacked solves go through linalg._resolvent_solve. The
-regular and triangular chains solve each position as they reach it
-(linalg._solver) where the system has an eigenbasis, or from n = 91, where
-one matrix fills a stacking block; elsewhere they form all k resolvents
-first by stacked, checked inverses (linalg.resolvents). Where a system with
-an eigenbasis is evaluated at real frequencies, the value is returned exactly
-real, as the other paths return it. Frequency tuples are sequences of
-complex numbers; channels are 1-based.
+Where a system with an eigenbasis is evaluated at real frequencies, the
+value is returned exactly real, as the other paths return it. Frequency
+tuples are sequences of complex numbers; channels are 1-based.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _block, _resolvent_solve, _solver, resolvents
+from .linalg import _solver
 from .system import BilinearSystem, _chain, _channels_tuple, require_explicit
 
 __all__ = [
@@ -108,21 +107,14 @@ def _real_at_real_shifts(value: np.ndarray, shifts) -> np.ndarray:
 
 
 def _resolvent_chain(sys: BilinearSystem, chs: tuple[int, ...], sigmas) -> np.ndarray:
-    """The chain with X_i = (sigma_i I - A)^{-1}.
-
-    Where the system has an eigenbasis, or one matrix fills a stacking block
-    (n >= 91), each resolvent is solved when the chain reaches it
-    (linalg._solver): in the eigenbasis or by LU where the shift is
-    certified. Elsewhere all k are formed first by resolvents. Forming all k
-    first and then applying them took 1.15x as long at n = 100 and k = 3, as
-    the first ones leave the cache before the chain uses them.
+    """The chain with X_i = (sigma_i I - A)^{-1}, each solved when the chain
+    reaches it (linalg._solver). Forming all k first and then applying them
+    took 1.15x as long at n = 100 and k = 3, as the first ones leave the
+    cache before the chain uses them.
     """
     basis = sys._eigenbasis
-    if basis is not None or _block(sys.n) == 1:
-        value = _chain(sys, chs, _solver(sys.A, sigmas, sys._resolvent_bound, basis))
-        return value if basis is None else _real_at_real_shifts(value, sigmas)
-    inverses = resolvents(sys.A, sigmas)
-    return _chain(sys, chs, lambda i, v: inverses[i] @ v)
+    value = _chain(sys, chs, _solver(sys.A, sigmas, sys._resolvent_bound, basis))
+    return value if basis is None else _real_at_real_shifts(value, sigmas)
 
 
 def eval_tf_regular(sys: BilinearSystem, channels, s) -> TransferValue:
@@ -133,7 +125,7 @@ def eval_tf_regular(sys: BilinearSystem, channels, s) -> TransferValue:
 
 
 def eval_tf_triangular(sys: BilinearSystem, channels, s) -> TransferValue:
-    """Triangular transfer function: resolvents at the partial sums s_1+...+s_i."""
+    """Triangular transfer function: resolvent solves at the partial sums s_1+...+s_i."""
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
     return TransferValue(_resolvent_chain(sys, chs, _partial_sums(ss)), "triangular", chs)
@@ -148,27 +140,31 @@ def eval_tf_symmetric(sys: BilinearSystem, channels, s) -> TransferValue:
     F({i}) = R(s_i) b_{j_i}, R(z) = (z I - A)^{-1} and sigma_S the sum of the
     s_i in S; the value is C F(all) / k!. That is 2^k - 1 resolvent solves
     in place of k k! (the Held-Karp subset recursion). F(S) needs only the
-    sets one smaller, so the solves of all sets of one size are one
-    _resolvent_solve call: k calls in all. A pole at several subset sums is
-    reported at one of the smallest sets. Refuses k > 8.
+    sets one smaller, so the solves of all sets of one size are one call of
+    one solver over all 2^k - 1 subset sums: k calls in all. A pole at
+    several subset sums is reported at one of the smallest sets. Refuses
+    k > 8.
     """
     ss = _freq_tuple(s)
     chs = _channels_tuple(sys, channels, len(ss))
     k = len(ss)
     sums = _subset_sums(ss)
+    # the nonempty sets by size, so that the sets of one size are one slice
+    sets = sorted(range(1, len(sums)), key=lambda S: bin(S).count("1"))
+    solve = _solver(sys.A, [sums[S] for S in sets], sys._resolvent_bound, sys._eigenbasis)
     F = [None] * len(sums)
+    start = 0
     for size in range(1, k + 1):
-        sets = [S for S in range(1, len(sums)) if bin(S).count("1") == size]
+        part = slice(start, start + math.comb(k, size))
+        start = part.stop
         V = []
-        for S in sets:
+        for S in sets[part]:
             members = [i for i in range(k) if S >> i & 1]
             if size == 1:
                 V.append(sys.B[:, chs[members[0]] - 1])
             else:
                 V.append(sum(sys.N[chs[i] - 1] @ F[S ^ (1 << i)] for i in members))
-        X = _resolvent_solve(sys.A, [sums[S] for S in sets], np.stack(V),
-                             sys._resolvent_bound, sys._eigenbasis)
-        for S, x in zip(sets, X):
+        for S, x in zip(sets[part], solve(part, np.stack(V))):
             F[S] = x
     value = sys.C @ F[-1] / math.factorial(k)
     if sys._eigenbasis is not None:

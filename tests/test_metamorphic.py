@@ -15,9 +15,9 @@ itself takes the modal one, and so does the Laplace quadrature, whose axis
 sums are formed in the eigenbasis on the system and under an orthogonal T,
 and from dense exponentials at kappa(T) = 3 and 30. The core (n = 4) fills its forced stretches by
 the pairwise reduction of their step maps, while the padded system (n = 96)
-steps them (response._Stages); and the padded regular and triangular
-transfer functions solve each resolvent as its chain reaches it, where the
-core forms them all first (transfer._resolvent_chain at n >= 91). The
+steps them (response._Stages); and the padded symmetric transfer function
+solves its subset sums one matrix per LAPACK call, where the core stacks
+those of one subset size that take one path (linalg._block). The
 transfer functions of the normal core take all three resolvent paths: every
 shift is certified (linalg._certified) and solved in the eigenbasis under an
 orthogonal T, certified but solved by LU at kappa(T) = 3, past the
@@ -164,7 +164,7 @@ def solve_paths(monkeypatch, sys: BilinearSystem, name: str) -> set[str]:
         return counted
 
     for module, attr, path in ((linalg, "_modal_solve", "modal"), (np.linalg, "solve", "lu"),
-                               (linalg, "_checked_resolvents", "inverse")):
+                               (linalg, "_inverses", "inverse")):
         monkeypatch.setattr(module, attr, spy(path, getattr(module, attr)))
     QUANTITIES[name](sys)
     monkeypatch.undo()
@@ -198,18 +198,14 @@ def test_cases_cross_the_seams(monkeypatch):
         assert stepped(monkeypatch, padded(), name) == GRID.nodes - 1
     assert _block(CORE.n) > 1 and _block(padded().n) == 1
     # the 7 subset sums of k = 3: all certified on NORMAL, the reference,
-    # under an orthogonal T and at kappa(T) = 3; none at kappa(T) = 30. With
-    # no eigenbasis the n = 4 chains form checked inverses (linalg.resolvents)
+    # under an orthogonal T and at kappa(T) = 3; none at kappa(T) = 30
     paths = {}
-    for cond, every, chains, sym in ((None, True, {"modal"}, {"modal"}),
-                                     (1.0, True, {"modal"}, {"modal"}),
-                                     (3.0, True, {"inverse"}, {"lu"}),
-                                     (30.0, False, {"inverse"}, {"inverse"})):
+    for cond, every, taken in ((None, True, {"modal"}), (1.0, True, {"modal"}),
+                               (3.0, True, {"lu"}), (30.0, False, {"inverse"})):
         sys = NORMAL if cond is None else transformed(NORMAL, basis(cond))
         mask = certified(monkeypatch, sys, "tf_symmetric")
         assert len(mask) == 7 and (mask == every).all()
-        for name, taken in (("tf_regular", chains), ("tf_triangular", chains),
-                            ("tf_symmetric", sym)):
+        for name in ("tf_regular", "tf_triangular", "tf_symmetric"):
             paths[cond, name] = solve_paths(monkeypatch, sys, name)
             assert paths[cond, name] == taken
     # the padded chains solve through _certified too, and fall back

@@ -9,9 +9,9 @@ from bivolt import (BilinearSystem, PoleHitError, eval_tf_regular,
                     eval_tf_symmetric, eval_tf_triangular, output_transform,
                     resolvent_apply, roc_margin)
 from bivolt import linalg
-from bivolt.linalg import _block, _resolvent_solve
+from bivolt.linalg import _solver
 
-from conftest import make_stable_system, normal_system
+from conftest import make_stable_system, normal_system, transient_growth_system
 
 
 class TestRegularTF:
@@ -257,8 +257,9 @@ SYSTEMS = {"normal": lambda n: normal_system(n, m=2, p=2), "near_normal": near_n
 
 
 def certified_solve(sys):
-    """_resolvent_solve with the system's certificate and eigenbasis, as the evaluators take it."""
-    return lambda A, z, v: _resolvent_solve(A, z, v, sys._resolvent_bound, sys._eigenbasis)
+    """One shift's _solver with the system's certificate and eigenbasis, as
+    the evaluators take it."""
+    return lambda A, z, v: _solver(A, [z], sys._resolvent_bound, sys._eigenbasis)(0, v)
 
 
 def chain(solve, sys, chs, sigmas):
@@ -293,14 +294,11 @@ def close(got, want):
 class TestChainsOfScalarSolves:
     """Each evaluator equals, bit for bit, its chain of scalar solves.
 
-    On a system with no eigenbasis below n = 91 the regular and triangular
-    evaluators apply the checked inverses of linalg.resolvents, and their
-    chain is one of public resolvent_apply calls. Where the system has an
-    eigenbasis, or from n = 91, and for the symmetric kind always, they solve
-    through linalg._resolvent_solve with the system's certificate and basis,
-    which takes a modal solve (with a basis) or an LU solve (without) for a
-    certified shift, and their chain is one of that solve. Either way they
-    agree with the public chain, checked by the inverse, to 1e-13.
+    Every evaluator solves through linalg._solver with the system's
+    certificate and basis, which takes a modal solve (with a basis) or an LU
+    solve (without) for a certified shift and the checked inverse for any
+    other, and its chain is one of that solve, one shift at a time. It
+    agrees with the public chain, checked by the inverse, to 1e-13.
     """
 
     # "stable" has no eigenbasis: at n = 100 its triangular chain's last two
@@ -321,25 +319,18 @@ class TestChainsOfScalarSolves:
         s = rng.uniform(0.3, 1.5, 4) + 1j * rng.uniform(-2.0, 2.0, 4)
         return sys, [2, 1, 1, 2], s
 
-    @staticmethod
-    def solve(sys):
-        """The scalar solve that the regular and triangular chains take on sys."""
-        if sys._eigenbasis is None and _block(sys.n) > 1:
-            return resolvent_apply
-        return certified_solve(sys)
-
     def test_regular(self, case):
         sys, chs, s = case
         got = eval_tf_regular(sys, chs, s).value
         sigmas = [complex(z) for z in s]
-        assert np.array_equal(got, chain(self.solve(sys), sys, chs, sigmas))
+        assert np.array_equal(got, chain(certified_solve(sys), sys, chs, sigmas))
         assert close(got, chain(resolvent_apply, sys, chs, sigmas))
 
     def test_triangular(self, case):
         sys, chs, s = case
         got = eval_tf_triangular(sys, chs, s).value
         sums = list(itertools.accumulate(complex(z) for z in s))
-        assert np.array_equal(got, chain(self.solve(sys), sys, chs, sums))
+        assert np.array_equal(got, chain(certified_solve(sys), sys, chs, sums))
         assert close(got, chain(resolvent_apply, sys, chs, sums))
 
     def test_symmetric(self, case):
@@ -409,8 +400,8 @@ class TestModalSolves:
         def residual(X):
             return np.max(np.abs(V - (K @ X[:, :, None])[:, :, 0])) / np.max(np.abs(V))
 
-        modal = _resolvent_solve(sys.A, s, V, sys._resolvent_bound, sys._eigenbasis)
-        lu = _resolvent_solve(sys.A, s, V, sys._resolvent_bound)
+        modal = _solver(sys.A, s, sys._resolvent_bound, sys._eigenbasis)(slice(None), V)
+        lu = _solver(sys.A, s, sys._resolvent_bound)(slice(None), V)
         assert residual(modal) <= 1.5 * residual(lu)
 
     @pytest.mark.parametrize("n", [5, 100])
@@ -420,7 +411,7 @@ class TestModalSolves:
         z = mu2 - 0.01 + 2.0j  # right of every eigenvalue, left of mu2
         assert sys.spectral_abscissa < z.real <= mu2
         got = eval_tf_regular(sys, [1, 2], [1.0, z]).value
-        first = _resolvent_solve(sys.A, 1.0, sys.B[:, 0], sys._resolvent_bound, sys._eigenbasis)
+        first = certified_solve(sys)(sys.A, 1.0, sys.B[:, 0])
         want = sys.C @ resolvent_apply(sys.A, z, sys.N[1] @ first)
         assert np.array_equal(got, want)
         assert modal_calls == [1, 1]  # the first position, in the evaluator and here
@@ -452,3 +443,46 @@ class TestModalSolves:
         with pytest.raises(PoleHitError) as exc:
             eval_tf_symmetric(sys, chs, s)
         assert exc.value.s == dense.value.s == s[0] + s[2]
+
+
+class TestNoBasisChains:
+    """On a system with no eigenbasis below n = 91 the chains solve their
+    certified positions by LU and the others by the checked inverse, which
+    refuses a pole with the shift that resolvent_apply reports.
+
+    transient_growth_system has eigenvalues -1 and -1.5 and mu2(A) = 8.753,
+    so a shift far enough right of 8.753 is certified, and one at -1 is a
+    pole."""
+
+    @pytest.fixture
+    def sys(self):
+        sys = transient_growth_system(m=2)
+        assert sys._eigenbasis is None
+        assert 8.75 < sys._resolvent_bound[0] < 8.76
+        return sys
+
+    @pytest.mark.parametrize("evaluate, s", [(eval_tf_regular, (10.0, -1.0)),
+                                             (eval_tf_triangular, (10.0, -11.0)),
+                                             (eval_tf_symmetric, (10.0, -11.0))],
+                             ids=["regular", "triangular", "symmetric"])
+    def test_pole_after_a_certified_shift(self, sys, evaluate, s):
+        # 10 is certified and solved by LU; -1 (the second argument, partial
+        # sum or subset sum) is not, and the inverse check refuses it
+        assert list(linalg._certified(np.array([10.0, -1.0]), 2, sys._resolvent_bound)) == \
+            [True, False]
+        with pytest.raises(PoleHitError) as public:
+            resolvent_apply(sys.A, -1.0, sys.B[:, 1])
+        with pytest.raises(PoleHitError) as exc:
+            evaluate(sys, [1, 2], s)
+        assert exc.value.s == public.value.s == -1.0
+
+    def test_mixed_chain_matches_the_public_chain(self, sys, monkeypatch):
+        taken, lu, inverses = [], np.linalg.solve, linalg._inverses
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: taken.append("lu") or lu(*a))
+        monkeypatch.setattr(linalg, "_inverses", lambda K: taken.append("inverse") or inverses(K))
+        chs, s = [1, 2, 2], [10.0 + 1.0j, 0.5 - 2.0j, 20.0]
+        got = eval_tf_regular(sys, chs, s).value
+        assert taken == ["lu", "inverse", "lu"]
+        monkeypatch.undo()
+        assert np.array_equal(got, chain(certified_solve(sys), sys, chs, s))
+        assert close(got, chain(resolvent_apply, sys, chs, s))

@@ -20,11 +20,14 @@ Three suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
   stored, as every spectral request after the first finds it; and on a memo
   miss (`quad_miss`), on a fresh copy of the system, as the one call of each
   `bivolt verify laplace` process does; that copy also forms the eigenbasis
-  in which the quadrature sums its axes. At n = 100 both also run on the
-  system under a similarity x -> T x whose T has singular values from 1 down
-  to 1/30, as tests/test_metamorphic.py builds it (`quad_dense`,
-  `quad_dense_miss`): past the eigenbasis gate, it takes the dense path,
-  which forms the node exponentials with expm. The regular and symmetric
+  in which the quadrature sums its axes. Each system also runs under a
+  similarity x -> T x whose T has singular values from 1 down to 1/30, as
+  tests/test_metamorphic.py builds it: past the eigenbasis gate, and with
+  mu2(A) above every shift's real part, so that the three transfer-function
+  kinds (`tf_reg_dense`, `tf_tri_dense`, `tf_sym_dense`) take the checked
+  inverse for every shift, and at n = 100 the quadrature (`quad_dense`,
+  `quad_dense_miss`) takes the dense path, which forms the node exponentials
+  with expm. The regular and symmetric
   transfer functions also run on a fresh copy (`tf_reg_miss`, `tf_sym_miss`), which
   forms the system's mu2(A) and ||A||_inf that certify its shifts and the
   eigenbasis that solves the certified ones (one eig, cond and inv), as the
@@ -203,10 +206,14 @@ def spectral(bv, steps: int) -> tuple[dict, dict]:
                  f"tf_reg_miss/n={n}": on_copy(lambda copy: bv.eval_tf_regular(copy, chs, s)),
                  f"tf_sym_miss/n={n}": on_copy(
                      lambda copy: bv.eval_tf_symmetric(copy, chs_sym, s_sym))}
+        dense = _similar(made, DENSE_COND)
+        dense_sys = _rebuilt(bv, made, **dense)
+        assert dense_sys._eigenbasis is None
+        cases.update(_warm({
+            f"tf_reg_dense/n={n}": lambda: bv.eval_tf_regular(dense_sys, chs, s),
+            f"tf_tri_dense/n={n}": lambda: bv.eval_tf_triangular(dense_sys, chs, s),
+            f"tf_sym_dense/n={n}": lambda: bv.eval_tf_symmetric(dense_sys, chs_sym, s_sym)}))
         if n == 100:
-            dense = _similar(made, DENSE_COND)
-            dense_sys = _rebuilt(bv, made, **dense)
-            assert dense_sys._eigenbasis is None
             cases.update(_warm({f"quad_dense/n={n}": lambda: quad(dense_sys)}))
             cases[f"quad_dense_miss/n={n}"] = (lambda: warm_miss(**dense), quad)
         return cases
