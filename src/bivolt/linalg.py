@@ -9,8 +9,8 @@ squaring count per matrix from its own 1-norm, one stacked Pade evaluation
 and solve per block of at most STACK doubles (a block holds one matrix from
 n = 91), and squarings of only the entries that still need them, so each
 entry is bit-identical to the exponential of its matrix and time alone.
-The affine flow e^M x0 + phi1(M) b, for one M or a stack, is a Taylor
-series on vectors: ceil(||M||_1) substeps, each of degree m <= 18 chosen so
+The affine flow e^M x0 + phi1(M) b, for one matrix M, is a Taylor series
+on vectors: ceil(||M||_1) substeps, each of degree m <= 18 chosen so
 that the truncation stays below 2^-53, m products of [M/s, b/s] by a vector.
 Where that costs more, it is one exponential of [[M, b/beta], [0, 0]]
 applied to [x0; beta], with beta a power of two that keeps b from raising
@@ -131,17 +131,10 @@ def _squarings(nrm) -> int:
 
 
 def _overflow(what: str, t=None, index=None) -> FloatingPointError:
-    """expm's overflow error; index, the flat stack index or None, is kept on it."""
+    """expm's overflow error, naming the time t and the flat stack index where given."""
     where = " ".join(([] if t is None else [f"t = {t!r}"])
                      + ([] if index is None else [f"at stack index {index}"]))
-    err = FloatingPointError(f"expm overflow: {what}" + (f" ({where})" if where else ""))
-    err.index = index
-    return err
-
-
-def _flow_overflow(shape: tuple, index) -> FloatingPointError:
-    """The error of the index-th affine flow of a stack of shape, or of the one flow."""
-    return _overflow("e^M x0 + phi1(M) b is not finite", index=int(index) if shape else None)
+    return FloatingPointError(f"expm overflow: {what}" + (f" ({where})" if where else ""))
 
 
 def expm(M, t=1.0) -> np.ndarray:
@@ -163,13 +156,13 @@ def expm(M, t=1.0) -> np.ndarray:
     return _expm_one(A, t)
 
 
-def _expm_one(M: np.ndarray, t, index=None) -> np.ndarray:
-    """e^{M t} for one matrix; index, if given, is its place in a stack for errors."""
+def _expm_one(M: np.ndarray, t) -> np.ndarray:
+    """e^{M t} for one matrix."""
     with np.errstate(over="ignore", invalid="ignore"):
         A = M * t
         nrm = np.linalg.norm(A, 1) if A.size else 0.0
     if not math.isfinite(nrm):
-        raise _overflow("||M t||_1 is not finite", t, index)
+        raise _overflow("||M t||_1 is not finite", t)
     if nrm == 0.0:
         return np.eye(A.shape[0], dtype=A.dtype)
     squarings = _squarings(nrm)
@@ -183,7 +176,7 @@ def _expm_one(M: np.ndarray, t, index=None) -> np.ndarray:
                 R = R @ R
         if not np.isfinite(R).all():
             raise _overflow(f"e^(M t) with ||M t||_1 = {nrm:.3e} is not finite "
-                            f"after {squarings} squarings", t, index)
+                            f"after {squarings} squarings", t)
     return R
 
 
@@ -257,11 +250,8 @@ _CALL, _DENSE = 3500, 5
 
 
 def _taylor_plan(nrm: float, n: int):
-    """(s, m) for the Taylor path of a flow of an n x n matrix of 1-norm nrm:
-    s substeps of degree m. None where the dense path costs less or nrm is
-    not finite."""
-    if not nrm < math.inf:
-        return None
+    """(s, m) for the Taylor path of a flow of an n x n matrix of finite
+    1-norm nrm: s substeps of degree m. None where the dense path costs less."""
     s = max(math.ceil(nrm), 1)
     m = bisect.bisect_left(_TAYLOR_THETA, nrm / s)
     if s * m * (n * n + 3 * _CALL) < _DENSE * (n + 1) ** 3 + 60 * _CALL:
@@ -269,88 +259,58 @@ def _taylor_plan(nrm: float, n: int):
     return None
 
 
-def _affine_flow(M: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
-    """e^M x0 + phi1(M) b, valid for singular M.
+def _affine_flow(M: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """e^M x0 + phi1(M) b for one M (n, n) and b, x0 (n,), valid for singular M.
 
-    M may be a stack (..., n, n), with b and x0 broadcasting against (..., n).
-    Each flow takes the cheaper of two paths by its own 1-norm and n
-    (_taylor_plan), so a stack entry is bit-identical to its call alone:
+    The flow takes the cheaper of two paths by its 1-norm and n (_taylor_plan):
     - a Taylor series on vectors: s = ceil(||M||_1) substeps x <- e^(M/s) x
       + phi1(M/s) b/s, each sum_k (M/s)^k (x/k! + b/(s (k+1)!)) over k <= m
       by Horner's rule, m products of [M/s, b/s] by [z; 1];
     - one exponential of [[M, b/beta], [0, 0]] applied to [x0; beta], where
       beta, a power of two, brings ||b/beta||_inf to at most ||M||_1 when
       ||b||_inf exceeds it (else beta = 1), so that b adds no squarings.
-    Raises expm's FloatingPointError where a flow is not finite, naming its
-    flat index in a stack.
+    Raises expm's FloatingPointError where ||M||_1 or the flow is not finite.
     """
-    n = M.shape[-1]
-    shape = np.broadcast_shapes(M.shape[:-2], np.shape(b)[:-1], np.shape(x0)[:-1])
-    Ms, bs, xs = (_flat(v, shape, tail) for v, tail in ((M, (n, n)), (b, (n,)), (x0, (n,))))
-    q = len(Ms)
     with np.errstate(over="ignore", invalid="ignore"):
-        nrm = np.abs(Ms).sum(axis=1).max(axis=1, initial=0.0)
-        groups: dict = {}
-        for i, value in enumerate(nrm.tolist()):
-            groups.setdefault(_taylor_plan(value, n), []).append(i)
-        out = np.empty((q, n), dtype=np.result_type(M, b, x0, float))
-        for plan, part in groups.items():
-            part = part if len(part) < q else slice(None)
-            try:
-                out[part] = (_taylor(Ms[part], bs[part], xs[part], *plan) if plan else
-                             _dense(Ms[part], bs[part], xs[part], nrm[part]))
-            except FloatingPointError as exc:  # expm names no index for a part of one
-                raise _flow_overflow(shape, np.arange(q)[part][exc.index or 0]) from exc
+        nrm = float(np.abs(M).sum(axis=0).max(initial=0.0))
+        if not nrm < math.inf:
+            raise _overflow("||M||_1 is not finite")
+        plan = _taylor_plan(nrm, len(b))
+        out = _taylor(M, b, x0, *plan) if plan else _dense(M, b, x0, nrm)
     if not np.isfinite(out).all():
-        raise _flow_overflow(shape, np.argmin(np.isfinite(out).all(axis=1)))
-    return out.reshape(shape + (n,))
-
-
-def _flat(a, shape: tuple, tail: tuple) -> np.ndarray:
-    """a broadcast to shape + tail, as a stack (q,) + tail."""
-    a = np.asarray(a)
-    full = shape + tail
-    return (a if a.shape == full else np.broadcast_to(a, full)).reshape((-1,) + tail)
+        raise _overflow("e^M x0 + phi1(M) b is not finite")
+    return out
 
 
 def _taylor(M: np.ndarray, b: np.ndarray, x: np.ndarray, s: int, m: int) -> np.ndarray:
-    """e^M x + phi1(M) b for stacks M (q, n, n), b and x (q, n), each in s
-    substeps of degree m; overflow is left to the caller's check."""
-    q, n = b.shape
-    W = np.empty((q, n, n + 1), dtype=np.result_type(M, b, x, float))
-    W[:, :, :n], W[:, :, n] = (M, b) if s == 1 else (M / s, b / s)
-    c = W[:, :, n]
-    # [z; 1], applied as z1[:, :, None]: numpy takes another BLAS kernel for
-    # a lone contiguous (1, n + 1, 1), which would round a call differently
-    # from its stack entry.
-    z1 = np.ones((q, n + 1), dtype=W.dtype)
-    z, col = z1[:, :n], z1[:, :, None]
-    Wz = np.empty((q, n, 1), dtype=W.dtype)
-    y = Wz[:, :, 0]
+    """e^M x + phi1(M) b in s substeps of degree m; overflow is left to the caller's check."""
+    n = len(b)
+    W = np.empty((n, n + 1), dtype=np.result_type(M, b, x, float))
+    W[:, :n], W[:, n] = (M, b) if s == 1 else (M / s, b / s)
+    c = W[:, n]
+    z1 = np.ones(n + 1, dtype=W.dtype)  # [z; 1]
+    z, y = z1[:n], np.empty(n, dtype=W.dtype)
     for _ in range(s):
         np.add(x, c / (m + 1), out=z)
         for k in map(float, range(m, 0, -1)):
-            np.matmul(W, col, out=Wz)
+            np.matmul(W, z1, out=y)
             y /= k
             np.add(x, y, out=z)
         x = z.copy()
     return x
 
 
-def _dense(M: np.ndarray, b: np.ndarray, x: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-    """e^M x + phi1(M) b for stacks M (q, n, n), b and x (q, n) of 1-norms
-    nrm, by one stacked exponential of the balanced augmented matrices."""
-    q, n = b.shape
-    big = np.abs(b).max(axis=1, initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(big > nrm, np.exp2(np.minimum(np.ceil(np.log2(big / nrm)), 1023)), 1.0)
-    W = np.zeros((q, n + 1, n + 1), dtype=np.result_type(M, b, float))
-    W[:, :-1, :-1], W[:, :-1, -1] = M, b / beta[:, None]
-    xt = np.empty((q, n + 1), dtype=np.result_type(x, float))
-    xt[:, :-1], xt[:, -1] = x, beta
-    # one matrix through expm's own path: its stacked path took 1.9x as long at n = 4
-    E = expm(W[0])[None] if q == 1 else expm(W)
-    return (E @ xt[:, :, None])[:, :-1, 0]
+def _dense(M: np.ndarray, b: np.ndarray, x: np.ndarray, nrm: float) -> np.ndarray:
+    """e^M x + phi1(M) b, for M of 1-norm nrm, by one exponential of the
+    balanced augmented matrix."""
+    n = len(b)
+    big = np.abs(b).max(initial=0.0)
+    beta = np.exp2(min(np.ceil(np.log2(big / nrm)), 1023.0)) if big > nrm else 1.0
+    W = np.zeros((n + 1, n + 1), dtype=np.result_type(M, b, float))
+    W[:-1, :-1], W[:-1, -1] = M, b / beta
+    xt = np.empty(n + 1, dtype=np.result_type(x, float))
+    xt[:-1], xt[-1] = x, beta
+    return (expm(W) @ xt)[:-1]
 
 
 def phi1_apply(M, v) -> np.ndarray:

@@ -326,8 +326,11 @@ def nascent_response(sys: BilinearSystem, mu, eps: float, t: float) -> np.ndarra
 
 def _pulse_state(sys: BilinearSystem, eff, eps: float, tau: float) -> np.ndarray:
     """State at tau <= eps under the rectangle pulse mu/eps: the affine flow
-    of Ahat = A + Nhat/eps over tau, for eff = effective_matrices(sys, mu)."""
-    return _affine_flow((sys.A + eff.Nhat / eps) * tau, eff.bhat * (tau / eps), sys.x0)
+    of Ahat = A + Nhat/eps over tau, for eff = effective_matrices(sys, mu).
+    Where Ahat tau overflows, the flow raises expm's FloatingPointError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = (sys.A + eff.Nhat / eps) * tau
+    return _affine_flow(M, eff.bhat * (tau / eps), sys.x0)
 
 
 # State rows buffered, checked and projected through C at a time: BLOCK_ROWS

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bivolt import TimeGrid, impulse_response
-from bivolt.cli import (run_command, signal_from_spec, system_from_document,
+from bivolt.cli import (_emit_csv, run_command, signal_from_spec, system_from_document,
                         system_to_document)
 
 from conftest import normal_system, overflowing_chain
@@ -65,6 +65,30 @@ class TestDocuments:
         doc = {k: v for k, v in SCALAR_DOC.items() if k != "C"}
         with pytest.raises(ValueError, match="C"):
             system_from_document(doc)
+
+    @pytest.mark.parametrize("n, message", [
+        (0, "n must be >= 1"), (None, "missing key 'n'"), ("two", "n must be an integer")])
+    def test_bad_dimension_named(self, n, message):
+        doc = {k: v for k, v in SCALAR_DOC.items() if k != "n"}
+        with pytest.raises(ValueError, match=message):
+            system_from_document(doc if n is None else dict(doc, n=n))
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"n": 1, "m": ')
+        assert run_command(["validate", "--system", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not valid JSON" in captured.err
+
+    def test_csv_refuses_nan_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        rows = [[1e-2, 0.5], [5e-3, float("nan")]]
+        for out in (str(path), None):
+            with pytest.raises(FloatingPointError, match="non-finite value nan in column error"):
+                _emit_csv(out, ["eps", "error"], rows)
+        assert not path.exists()
+        assert capsys.readouterr().out == ""
 
     def test_signal_spec_kinds(self):
         grid = TimeGrid(0.0, 1.0, 1e-3)
@@ -374,6 +398,15 @@ class TestVerifyCommands:
         assert header == ["eps", "error", "ratio", "fitted_order"]
         assert float(rows[1][2]) == pytest.approx(2.0, abs=0.5)
 
+    def test_eps_sweep_overflowing_pulse_exits_1(self, scalar_doc_path, capsys):
+        # N / eps overflows at eps = 1e-310: a numerical failure, not a usage error
+        code = run_command(["verify", "eps-sweep", "--system", scalar_doc_path,
+                            "--mu", "1", "--eps", "1e-2,1e-310", "--times", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure: expm overflow: ||M||_1 is not finite" in captured.err
+
     def test_eps_sweep_on_zero_response_exits_2(self, scalar_doc_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -467,6 +500,9 @@ class TestArgumentParsing:
         (["verify", "bounds", "--samples", "0"], "--samples"),
         (["verify", "bounds", "--samples", "-5"], "--samples"),
         (["verify", "symmetry", "--k", "2", "--samples", "0"], "--samples"),
+        (["verify", "bounds", "--samples", "2.5"], "--samples"),
+        (["simulate", "--grid", "0:1"], "--grid"),
+        (["simulate", "--grid", "0:1:0.1:2"], "--grid"),
     ])
     def test_malformed_argument_exits_2(self, argv, option, scalar_doc_path, capsys):
         assert run_command(argv + ["--system", scalar_doc_path]) == 2

@@ -243,6 +243,12 @@ class TestEigenbasisPath:
         with pytest.raises(FloatingPointError, match="expm overflow"):
             call(sys)
 
+    def test_pulse_too_narrow_for_n_raises_overflow(self, scalar_system):
+        # N / eps overflows at eps = 1e-310: expm's overflow, with no
+        # RuntimeWarning on the way, not the usage error of a non-finite M
+        with pytest.raises(FloatingPointError, match=r"\|\|M\|\|_1 is not finite"):
+            nascent_response(scalar_system, [1.0], 1e-310, 1.0)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_or_eps_refused(self, bad):
         sys = normal_system(4, True)
@@ -488,6 +494,58 @@ class TestOdeDirect:
         monkeypatch.setattr(response, "_mapped",
                             lambda sys, U, *args: np.full(len(U) - 1, response.STEP))
         assert got == messages()
+
+    # Free runs of A = a I (n = 8, dt = 1e-3) whose projection is refused,
+    # each at another place: the run map F itself is not finite (a = 1e80), a
+    # power of it is not (a = 2000), the bound max |Y| grow 12 / h is not
+    # though the powers are (a = 1300), the projected powers C F^j are not
+    # (C = 1e300), and the last, partial chunk is refused after 17 full
+    # chunks of 512 steps (x0 = 1e100, 8904 steps). The run falls back to the
+    # state fill or to steps, so its outputs, or the step its overflow
+    # names, are those of a run forced to steps.
+    @pytest.mark.parametrize("a, c, x0, T", [
+        (1e80, 0.125, 1.0, 3.0), (2000.0, 0.125, 1e-300, 3.0), (1300.0, 0.125, 1.0, 3.0),
+        (50.0, 1e300, 1e-300, 3.0), (50.0, 0.125, 1e100, 8.904)])
+    def test_refused_projection_matches_stepped_run(self, a, c, x0, T, monkeypatch):
+        projection, project, refused = response._projection, response._project, []
+
+        def projection_spy(*args):
+            result = projection(*args)
+            refused.append(result is None)
+            return result
+
+        def project_spy(Y, out, *args):
+            done, Y = project(Y, out, *args)
+            refused.append(done < out.shape[1])
+            return done, Y
+
+        monkeypatch.setattr(response, "_projection", projection_spy)
+        monkeypatch.setattr(response, "_project", project_spy)
+        n = 8
+        sys = BilinearSystem(A=a * np.eye(n), N=np.zeros((1, n, n)), B=np.ones((n, 1)),
+                             C=np.full((1, n), c), x0=np.full(n, x0))
+        grid = TimeGrid(0.0, T, 1e-3)
+        u = zero_signal(grid)
+
+        def outcomes():
+            got = []
+            for run in (lambda: ode_direct(sys, u, grid).values,
+                        lambda: volterra_cascade(sys, u, 3, grid).per_order):
+                try:
+                    got.append(run())
+                except FloatingPointError as exc:
+                    got.append(str(exc))
+            return got
+
+        got = outcomes()
+        assert True in refused
+        monkeypatch.setattr(response, "_mapped",
+                            lambda sys, U, *args: np.full(len(U) - 1, response.STEP))
+        for g, w in zip(got, outcomes()):
+            if isinstance(w, str):
+                assert g == w
+            else:  # positive outputs, each step's rounding kept as they grow
+                assert_allclose(g, w, rtol=2e-16 * grid.nodes)
 
     @pytest.mark.parametrize("n, K", [(16, None), (8, 4)])
     def test_reduced_stretches_hold_bounded_stacks(self, n, K, monkeypatch):

@@ -490,3 +490,23 @@ def test_runs_found_on_every_channel(channel, K):
     assert np.array_equal(steady[0], level[:-1] == level[1:])
     assert 0 < steady[0].sum() < steady[0].size
     assert_close_per_order(got, want)
+
+
+@pytest.mark.parametrize("K", [None, 3])
+def test_signal_off_the_grid_is_interpolated(K):
+    # On any grid but its own, a signal is sampled by interpolation at the
+    # simulation grid's nodes and midpoints, as the reference loop samples
+    # it (u.at_many). The signal's grid (dt = 0.013) ends at t = 1.69, within
+    # the simulation's 4 s, so a free run of zero input follows it.
+    rng = np.random.default_rng([17, K or 0])
+    sys = make_stable_system(rng, n=4, m=2, p=2, with_x0=True)
+    grid = TimeGrid(0.0, 400 * DT, DT)
+    signal_grid = TimeGrid(0.0, 1.69, 0.013)
+    u = SampledSignal(signal_grid, rng.standard_normal((signal_grid.nodes, 2)))
+    assert u.grid != grid
+    if K is None:
+        got, want = [ode_direct(sys, u, grid).values], [reference_rk4(sys, u, grid)]
+    else:
+        got = volterra_cascade(sys, u, K, grid).per_order
+        want = reference_rk4(sys, u, grid, K).transpose(1, 0, 2)
+    assert_close_per_order(got, want)

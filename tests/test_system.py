@@ -67,6 +67,19 @@ class TestValidate:
         sys = BilinearSystem(A=[[np.inf]], N=[[[0.0]]], B=[[1.0]], C=[[1.0]])
         assert any("A" in v for v in validate(sys))
 
+    @pytest.mark.parametrize("blocks, messages", [
+        (dict(B=np.ones((3, 1))), ["B has shape (3, 1); expected (2, m)"]),
+        (dict(N=np.zeros((1, 3, 3))), ["N has shape (1, 3, 3); expected (m, 2, 2)"]),
+        (dict(N=np.zeros((2, 2, 2))), ["N holds 2 matrices; expected m = 1"]),
+        (dict(C=np.ones((1, 3))), ["C has shape (1, 3); expected (p, 2)"]),
+        (dict(x0=np.ones(3)), ["x0 has shape (3,); expected (2,)"]),
+        (dict(E=np.eye(3)), ["E has shape (3, 3); expected (2, 2)"]),
+        (dict(E=[[1.0, np.nan], [0.0, 1.0]]), ["E has non-finite entries"]),
+    ])
+    def test_each_shape_refusal_named(self, blocks, messages):
+        parts = dict(A=np.eye(2), N=np.zeros((1, 2, 2)), B=np.ones((2, 1)), C=np.ones((1, 2)))
+        assert validate(BilinearSystem(**{**parts, **blocks})) == messages
+
 
 class TestConstruction:
     def test_arrays_are_private_read_only_copies(self):

@@ -389,6 +389,11 @@ class TestEpsSweep:
         assert report.errors[0] > 0
         assert report.ratios[0] == pytest.approx(2.0, abs=0.2)
 
+    def test_overflowing_pulse_raises_overflow(self, scalar_system):
+        # N / eps overflows at eps = 1e-310, with no RuntimeWarning on the way
+        with pytest.raises(FloatingPointError, match=r"\|\|M\|\|_1 is not finite"):
+            eps_sweep(scalar_system, [1.0], [1e-2, 1e-310], [1.0])
+
     def test_single_eps_has_no_ratios(self, scalar_system):
         report = eps_sweep(scalar_system, [1.0], [1e-2], [1.0])
         assert report.ratios.size == 0

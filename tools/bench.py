@@ -41,7 +41,8 @@ Three suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
   as the one `bivolt impulse` process per system does. Also the two affine
   flows these take their states from, `linalg._affine_flow` alone: the
   impulse's, e^Nhat x0 + phi1(Nhat) bhat (`affine_flow_impulse`), and the
-  pulse's over eps (`affine_flow_pulse`). Default --repeats 51.
+  pulse's over eps (`affine_flow_pulse`). And, once, `phi1_bounds_probe`
+  over 1e4 samples of its default range (`phi1_probe`). Default --repeats 51.
 
 The systems and inputs come from perfbench/inputs.py and the quadrature's
 arguments from perfbench/workloads.py, so that directory must be on the
@@ -252,6 +253,7 @@ def closed(bv, steps: int) -> tuple[dict, dict]:
         cases.update(_warm({f"affine_flow_{key}/n={n}":
                             lambda M=M, b=b, x0=sys_.x0: bv.linalg._affine_flow(M, b, x0)
                             for key, (M, b) in flows.items()}))
+    cases.update(_warm({"phi1_probe": lambda: bv.phi1_bounds_probe(10 ** 4)}))
     return cases, {"seed": SEED, "mu": list(mu), "eps": eps, "t": t, "k": k,
                    "sweep": {"eps": list(sweep), "probes": list(probes)}}
 
