@@ -20,8 +20,9 @@ reaches 1/PIVOT_RTOL, so a frequency on the spectrum or a singular E is
 reported instead of surfacing as garbage downstream.
 Every resolvent solve, public resolvent_apply's and the transfer
 functions', goes through one path, _solver: over a sequence of shifts, it
-solves one position (along a chain) or a stack of them (one per shift, in
-blocks of the same size) in one of three ways. A shift whose matrix the
+solves one position (along a chain) on its (n, r) vectors, or a stack of
+them (one per shift, in blocks of the same size), by the same code in one
+of three ways. A shift whose matrix the
 logarithmic-norm bound proves well conditioned (_certified, from mu2(A) and
 ||A||_inf) is solved in A's eigenbasis where the system holds one
 (_modal_solve: x = V ((V^{-1} v) / (s - w)) and one step of iterative
@@ -107,8 +108,8 @@ def _square_array(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
     if A.size and not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
-    if not np.issubdtype(A.dtype, np.complexfloating):
-        A = A.astype(float)
+    if A.dtype.kind != "c":
+        A = A.astype(float, copy=False)  # no caller writes into it
     return A
 
 
@@ -324,7 +325,8 @@ def phi1_apply(M, v) -> np.ndarray:
 
 
 def _inverses(K: np.ndarray) -> np.ndarray:
-    """Inverses of a stack K (q, n, n) by one LAPACK call, each checked as solve checks K.
+    """Inverse of one matrix K (n, n), or of each in a stack (q, n, n), by one
+    LAPACK call, each checked as solve checks K.
 
     Raises SingularMatrixError whose ``index`` is the first refused matrix.
     """
@@ -332,20 +334,22 @@ def _inverses(K: np.ndarray) -> np.ndarray:
         inverse = np.linalg.inv(K)
     except np.linalg.LinAlgError as exc:
         # numpy refuses the whole stack; find the first matrix refused alone.
-        for i in range(len(K) if len(K) > 1 else 0):
+        for i in range(len(K) if K.ndim == 3 and len(K) > 1 else 0):
             try:
-                _inverses(K[i:i + 1])
+                _inverses(K[i])
             except SingularMatrixError as err:
                 err.index = i
                 raise
         raise SingularMatrixError("singular: exact zero pivot") from exc
-    # ||.||_inf of each matrix, as np.linalg.norm forms it
-    cond = np.abs(K).sum(axis=2).max(axis=1) * np.abs(inverse).sum(axis=2).max(axis=1)
+    # ||.||_inf of each matrix, as np.linalg.norm forms it. The ufuncs' own
+    # reductions, which .sum, .max and .all call, cost half as much on small K.
+    cond = (np.maximum.reduce(np.add.reduce(np.abs(K), -1), -1)
+            * np.maximum.reduce(np.add.reduce(np.abs(inverse), -1), -1))
     accepted = cond < 1.0 / PIVOT_RTOL
-    if not accepted.all():
+    if not np.logical_and.reduce(accepted, axis=None):
         i = int(np.argmin(accepted))
         err = SingularMatrixError(
-            f"singular: condition number {cond[i]:.3e} reaches {1.0 / PIVOT_RTOL:.0e}")
+            f"singular: condition number {np.ravel(cond)[i]:.3e} reaches {1.0 / PIVOT_RTOL:.0e}")
         err.index = i
         raise err
     return inverse
@@ -361,8 +365,7 @@ def solve(K, B) -> np.ndarray:
     x_i = 0 for i > j and U x = u_jj e_j has ||K x||_inf <= |u_jj|, since the
     multipliers are at most 1 in size, so ||K^{-1}||_inf >= 1/|u_jj|.
     """
-    M = _square_array(K, "solve argument")
-    return _inverses(M[None])[0] @ np.asarray(B)
+    return _inverses(_square_array(K, "solve argument")) @ np.asarray(B)
 
 
 def _logarithmic_norm(A) -> tuple[float, float]:
@@ -416,7 +419,8 @@ def resolvent_apply(A, s, V) -> np.ndarray:
     STACK doubles, and a long array of shifts never holds all its inverses
     at once; PoleHitError carries the first refused shift.
     """
-    return _solver(A, s)(0 if np.ndim(s) == 0 else slice(None), V)
+    ss = np.asarray(s, dtype=complex)
+    return _solver(A, ss)(slice(None) if ss.ndim else 0, V)
 
 
 def _solver(A, shifts, bound: tuple[float, float] | None = None, basis=None):
@@ -424,11 +428,12 @@ def _solver(A, shifts, bound: tuple[float, float] | None = None, basis=None):
     shifts: every resolvent solve goes through it.
 
     i is a position, with V of shape (n,) or (n, r), or an index array or a
-    slice, with V stacked as (q, n) or (q, n, r). A and the shifts are
-    checked, and the shifts certified (_certified, from bound =
-    _logarithmic_norm(A); bound None certifies none), once for the
-    sequence: at n = 4 that work took about 9 us, as long as one modal
-    solve. A shift is solved in one of three ways:
+    slice, with V stacked as (q, n) or (q, n, r). bound is the system's
+    _logarithmic_norm(A), which has already refused a non-finite A, so A is
+    checked here only where bound is None (resolvent_apply); the shifts are
+    checked, and certified (_certified; bound None certifies none), once for
+    the sequence: at n = 4 that takes about 6 us, half as long as a modal
+    position (one BLAS thread). A shift is solved in one of three ways:
     - certified, where basis, the system's record of w, V and V^{-1} with
       A = V diag(w) V^{-1}, is given: in the eigenbasis (_modal_solve), one
       call for all such shifts of a call;
@@ -437,71 +442,74 @@ def _solver(A, shifts, bound: tuple[float, float] | None = None, basis=None):
       which raises PoleHitError with the first refused shift.
     A certified shift passes the inverse check, so the shifts refused, and
     the first of them, are the same whichever are certified. A position is
-    solved as a stack of one, bit-identical to its entry in a stack. At
-    n = 100 an LU solve took 0.19 ms where the checked inverse took 0.77.
+    solved on its (n, r) vectors by the same code as a stack, whose products
+    are the same BLAS calls, one per entry, so it is bit-identical to its
+    entry in a stack. At n = 100 an LU solve took 0.19 ms where the checked
+    inverse took 0.77.
     """
-    Amat = _square_array(A, "resolvent matrix")
+    if bound is None:
+        A = _square_array(A, "resolvent matrix")
     ss = np.array(shifts, dtype=complex, ndmin=1)
     if ss.ndim > 1:
         raise ValueError(f"shifts must be one value or a 1-D array, got shape {ss.shape}")
-    if not np.isfinite(ss).all():
+    if not all(map(cmath.isfinite, ss.tolist())):
         raise ValueError("resolvent shift has non-finite components")
-    n = Amat.shape[0]
+    n = len(A)
     sure = np.zeros(len(ss), dtype=bool) if bound is None else _certified(ss, n, bound)
     flags = sure.tolist()
 
     def solve(i, V) -> np.ndarray:
         X = np.asarray(V, dtype=complex)
-        if isinstance(i, (int, np.integer)):  # a position, as a stack of one
+        if isinstance(i, (int, np.integer)):
             if X.ndim not in (1, 2) or len(X) != n:
                 raise ValueError(f"V has shape {X.shape}; expected ({n},) or ({n}, r) "
                                  "for one shift")
-            Y = _one_path(Amat, ss[i:i + 1], X.reshape(1, n, -1), flags[i], basis)
-            return Y.reshape(X.shape)
+            return _one_path(A, ss[i], X.reshape(n, -1), flags[i], basis).reshape(X.shape)
         s, certified = ss[i], sure[i]
         if X.ndim not in (2, 3) or X.shape[:2] != (len(s), n):
             raise ValueError(f"V must be a stack ({len(s)}, {n}) or ({len(s)}, {n}, r) "
                              f"for {len(s)} shifts, got shape {X.shape}")
         Y = X[:, :, None] if X.ndim == 2 else X
+        s = s[:, None, None]
         count = int(np.count_nonzero(certified))
         if not 0 < count < len(s):
-            return _one_path(Amat, s, Y, count > 0, basis).reshape(X.shape)
+            return _one_path(A, s, Y, count > 0, basis).reshape(X.shape)
         # the certified shifts first: only the others can be refused
         out = np.empty(Y.shape, dtype=complex)
         for flag, take in ((True, certified), (False, ~certified)):
-            out[take] = _one_path(Amat, s[take], Y[take], flag, basis)
+            out[take] = _one_path(A, s[take], Y[take], flag, basis)
         return out.reshape(X.shape)
 
     return solve
 
 
-def _one_path(A: np.ndarray, s: np.ndarray, Y: np.ndarray, certified: bool,
-              basis) -> np.ndarray:
-    """(s_i I - A)^{-1} Y[i] for a stack Y (q, n, r) whose shifts s all take
+def _one_path(A: np.ndarray, s, Y: np.ndarray, certified: bool, basis) -> np.ndarray:
+    """(s I - A)^{-1} Y for one shift s and Y (n, r), or (s_i I - A)^{-1} Y[i]
+    for shifts s (q, 1, 1) and a stack Y (q, n, r), where every shift takes
     one of _solver's paths: certified, in the eigenbasis where basis is given
     (one call for the stack), else by LU; not certified, by the checked
     inverse. LU and the inverse go one stacked LAPACK call per block.
     """
     if certified and basis is not None:
-        return _modal_solve(A, Y, s[:, None, None], basis)
-    n = A.shape[0]
-    step = _block(n)
-    if len(s) > step:
+        return _modal_solve(A, Y, s, basis)
+    n = len(A)
+    if Y.ndim == 3 and len(Y) > (step := _block(n)):
         out = np.empty(Y.shape, dtype=complex)
-        for j in range(0, len(s), step):
+        for j in range(0, len(Y), step):
             out[j:j + step] = _one_path(A, s[j:j + step], Y[j:j + step], certified, basis)
         return out
-    K = s[:, None, None] * np.eye(n) - A
+    K = s * np.eye(n) - A
     if certified:
         return np.linalg.solve(K, Y)
     try:
         return _inverses(K) @ Y
     except SingularMatrixError as exc:
-        raise PoleHitError(complex(s[exc.index])) from exc
+        raise PoleHitError(complex(np.ravel(s)[exc.index])) from exc
 
 
-def _modal_solve(A: np.ndarray, Y: np.ndarray, s: np.ndarray, basis) -> np.ndarray:
-    """(s_i I - A)^{-1} Y[i] for Y (q, n, r) and shifts s (q, 1, 1), in A's eigenbasis.
+def _modal_solve(A: np.ndarray, Y: np.ndarray, s, basis) -> np.ndarray:
+    """(s I - A)^{-1} Y in A's eigenbasis, for one shift s and Y (n, r), or
+    for shifts s (q, 1, 1) and a stack Y (q, n, r).
 
     x = V ((V^{-1} v) / (s - w)), then one step of fixed-precision iterative
     refinement, x += V ((V^{-1} r) / (s - w)) with r = v - (s x - A x). The

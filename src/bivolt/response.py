@@ -37,8 +37,9 @@ for every j of a chunk of c steps. The first state of each chunk is one
 product by F^c from the one before, and the outputs of a group of chunks
 are one batched product of their first states by that array, written
 straight into the output array. The projection pays where p is small
-against n, and takes a chunk only where an a-priori bound on its states is
-finite, so that an overflowing state is still formed and named. Other
+against n, and takes a chunk only where an a-priori bound on its states and
+outputs is finite, so that an overflowing state or output is still formed
+and named. Other
 steps are forced: a forced stretch within a block, cut so that one stack
 holds at most STACK doubles of maps, can form all its maps as one stack and
 fill its states by pairwise reduction. Neighbouring maps are composed, the
@@ -50,8 +51,9 @@ outputs and the reduction, counted in multiply-adds plus a fixed cost per
 numpy call (_mapped): stepping costs calls and the reduction flops, so with
 m = 2 the reduction takes n up to about 13 for the full system and 6 for a
 K = 4 cascade. Formed states go through a fixed block buffer that
-is checked for overflow and projected through C, so memory does not grow
-with the grid beyond the outputs themselves.
+is checked for overflow and projected through C, and the outputs are checked
+in turn, so memory does not grow with the grid beyond the outputs
+themselves.
 """
 
 from __future__ import annotations
@@ -541,7 +543,7 @@ def _norm1(T: np.ndarray, r) -> float:
 
 def _projection(powers: list, CT: np.ndarray, steps: int):
     """The outputs of F, F^2, ..., F^steps of one run map, for any state:
-    (Z, rho, grow) with Z (b, n, steps p) and rho (rows, steps p) or None,
+    (Z, rho, grow, reach) with Z (b, n, steps p) and rho (rows, steps p) or None,
     so that the outputs from the state rows Y are Y Z + rho, band by band
     (_band_apply), step j in columns [j p, (j + 1) p).
 
@@ -550,8 +552,9 @@ def _projection(powers: list, CT: np.ndarray, steps: int):
     powers go up to F^P for the largest P <= steps, which maps a state over
     a whole chunk. grow, the 1-norm (_norm1) of F times those of all these
     powers, bounds max |y| over the chunk from Y, and the state after it, by
-    max(max |Y|, 1) grow. Returns None where a power or a projection is not
-    finite.
+    max(max |Y|, 1) grow. reach, n max |Z| + max |rho|, bounds the outputs
+    from Y by max(max |Y|, 1) reach before rounding. Returns None where a
+    power, a projection or reach is not finite.
     """
     if not _square_to(powers, steps.bit_length()):
         return None
@@ -567,10 +570,14 @@ def _projection(powers: list, CT: np.ndarray, steps: int):
         if r is not None:
             _band_apply(ri[:, 0], Z[..., :Q], rho[:, :Q], out=rho[:, P:P + Q])
         _band_apply(Ti, Z[..., :Q], out=Z[..., P:P + Q])
-    if not _finite(Z, rho):
+    # max and min carry NaN, so NaN or inf anywhere in Z or rho makes reach so
+    reach = Z.shape[1] * max(Z.max(), -Z.min())
+    if r is not None:
+        reach += max(rho.max(), -rho.min())
+    if not reach < math.inf:
         return None
     grow = _norm1(T, r) * math.prod(_norm1(*F) for F in powers[:steps.bit_length()])
-    return Z, rho, grow
+    return Z, rho, grow, reach
 
 
 _HUGE = np.finfo(float).max
@@ -599,15 +606,17 @@ def _project(Y: np.ndarray, out: np.ndarray, powers: list, projection, h: float)
 
     Returns the steps written and the state after them. A chunk is written
     only where the bound max(max |Y|, 1) grow 12 / h on its states and stage
-    sums (see _check) is finite, for Y its first state, so that a state that
-    would overflow is formed by the caller and named by its check.
+    sums (see _check) is finite, and twice max(max |Y|, 1) reach on its
+    outputs, which covers their rounding, for Y its first state, so that a
+    state or an output that would overflow is formed by the caller and named
+    by its check.
     """
-    Z, rho, grow = projection
+    Z, rho, grow, reach = projection
     rows, L, p = out.shape
     n, c = Y.shape[1], Z.shape[-1] // p
     flat = out.reshape(rows, L * p)  # a view: a slice of steps keeps (L, p) contiguous
-    # the bound is finite while max |Y| <= limit, and limit >= 1
-    limit = _HUGE / (grow * (12.0 / h))
+    # the bounds are finite while max |Y| <= limit, and limit >= 1
+    limit = _HUGE / max(grow * (12.0 / h), 2.0 * reach)
     if not limit >= 1.0:
         return 0, Y
     done = 0
@@ -869,26 +878,34 @@ def _steady(U: np.ndarray, Um: np.ndarray) -> np.ndarray:
     return functools.reduce(np.logical_and, ((U[:-1] == Um) & (Um == U[1:])).T)
 
 
-def _check(states: np.ndarray, prev: np.ndarray, first: int, grid: TimeGrid) -> None:
+def _check(states: np.ndarray, outputs: np.ndarray, prev: np.ndarray, first: int,
+           grid: TimeGrid, c_norm: float) -> None:
     """Raise at the first of the steps first + 1, ... whose state in states
     (rows, L, n), from prev (rows, n), is not finite or has a stage sum that is
-    not.
+    not, or whose outputs in outputs (rows, L, p) are not; a state is named
+    before the outputs of its own step.
 
     A step stands while its state and its stage sum k1 + 2 k2 + 2 k3 + k4 =
     6 (y_k - y_{k-1}) / h are finite: a forced step forms that sum, and mapped
     steps are held to the same test. It is bounded by 12 / h times the
-    largest entry, so the per-step test runs only where that bound overflows.
+    largest entry, and the outputs by c_norm = ||C||_inf times it before
+    rounding, so each per-step test runs only where its bound, the outputs'
+    doubled for their rounding, overflows.
     """
     h = grid.dt
-    size = np.maximum(states.max(), -states.min())
-    if not np.isfinite(size * (12.0 / h)):
+    size = max(states.max(), -states.min())
+    finite = {}
+    if not size * (12.0 / h) < math.inf:
         path = np.concatenate([prev[:, None], states], axis=1)
-        finite = np.isfinite(np.diff(path, axis=1) * (6.0 / h)).all(axis=(0, 2))
-        if not finite.all():
-            node = first + 1 + int(np.argmin(finite))
-            raise FloatingPointError(
-                f"RK4 state became non-finite at step {node} "
-                f"(t = {grid.t0 + h * node:.6g}, dt = {h:.6g})")
+        finite["state"] = np.isfinite(np.diff(path, axis=1) * (6.0 / h)).all(axis=(0, 2))
+    if not size * c_norm <= _HUGE / 2.0:
+        finite["output"] = np.isfinite(outputs).all(axis=(0, 2))
+    steps = {what: int(np.argmin(ok)) for what, ok in finite.items() if not ok.all()}
+    if steps:
+        what = min(steps, key=steps.get)
+        node = first + 1 + steps[what]
+        raise FloatingPointError(f"RK4 {what} became non-finite at step {node} "
+                                 f"(t = {grid.t0 + h * node:.6g}, dt = {h:.6g})")
 
 
 def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
@@ -905,11 +922,12 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     run needs no buffer, so it goes on across blocks to its end, and the
     next block starts there. The fills fall back to steps where a map or a
     product is not finite, and the projection to the state fill where its
-    bound on the states is not. The powers and the projection are formed
-    once and held for the current run's u. A reduced stretch also ends at
-    each multiple of span, which bounds its stack of maps (STACK). Formed
-    states are checked (_check) and projected through C once per stretch of
-    them between projected runs.
+    bound on the states or the outputs is not. The powers and the projection
+    are formed once and held for the current run's u. A reduced stretch also
+    ends at each multiple of span, which bounds its stack of maps (STACK).
+    Formed states are projected through C once per stretch of them between
+    projected runs, and they and their outputs are checked (_check), as the
+    initial state is.
     """
     require_explicit(sys)
     if u.m != sys.m:
@@ -945,19 +963,22 @@ def _rk4(sys: BilinearSystem, u: SampledSignal, grid: TimeGrid,
     begins[::span] |= via[::span] == REDUCE
     edges = np.flatnonzero(begins)
     CT = sys.C.T
+    c_norm = float(np.abs(sys.C).sum(axis=1).max())
     out = np.empty((rows, grid.nodes, sys.p))
-    out[:, 0] = Y0 @ CT
     buf = np.empty((rows, block, n))
     Y, u_run, powers, projection, stages = Y0, None, None, None, None
 
     def settle(first, last, prev):
-        # check and project the states of steps first + 1 .. last, from prev
+        # project the states of steps first + 1 .. last, from prev, and check
+        # them and their outputs
         states = buf[:, first - start:last - start]
-        _check(states, prev, first, grid)
         out[:, first + 1:last + 1] = states @ CT
+        _check(states, out[:, first + 1:last + 1], prev, first, grid, c_norm)
 
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        out[:, 0] = Y0 @ CT
+        _check(Y0[:, None], out[:, :1], Y0, -1, grid, c_norm)
         while start < grid.nodes - 1:
             stop = min(start + block, grid.nodes - 1)
             cuts = edges[np.searchsorted(edges, start, "right"):

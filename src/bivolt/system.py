@@ -157,12 +157,13 @@ class EffectiveExcitation:
 def _channels_tuple(sys: BilinearSystem, channels, k: int) -> tuple[int, ...]:
     """Check an explicit sys and an order-k tuple of 1-based channels against sys.m."""
     require_explicit(sys)
-    chs = tuple(int(j) for j in np.atleast_1d(channels))
+    chs = tuple(map(int, np.array(channels, ndmin=1).tolist()))
     if len(chs) != k:
         raise ValueError(f"channel tuple has length {len(chs)}; expected k = {k}")
+    m = sys.m
     for j in chs:
-        if not 1 <= j <= sys.m:
-            raise ValueError(f"channel index {j} outside 1..{sys.m}")
+        if not 1 <= j <= m:
+            raise ValueError(f"channel index {j} outside 1..{m}")
     return chs
 
 

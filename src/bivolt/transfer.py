@@ -55,7 +55,7 @@ __all__ = [
 MAX_PERMUTATION_ORDER = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferValue:
     """Transfer-function value: complex p-vector plus the kind and channels used."""
 
@@ -65,12 +65,11 @@ class TransferValue:
 
 
 def _freq_tuple(s) -> tuple[complex, ...]:
-    ss = tuple(complex(z) for z in np.atleast_1d(np.asarray(s, dtype=complex)))
+    ss = tuple(np.array(s, dtype=complex, ndmin=1).tolist())
     if not ss:
         raise ValueError("frequency tuple must have order k >= 1")
-    for z in ss:
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError("frequency tuple has non-finite components")
+    if not all(map(cmath.isfinite, ss)):
+        raise ValueError("frequency tuple has non-finite components")
     return ss
 
 

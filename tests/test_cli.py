@@ -306,6 +306,20 @@ class TestSimulateCommand:
         assert "numerical failure" in captured.err
         assert "non-finite at step" in captured.err
 
+    def test_output_overflow_exits_1(self, tmp_path, capsys):
+        # the state e^{50 t} stays finite; C x passes the largest double at t = 0.339
+        path = tmp_path / "loud.json"
+        path.write_text(json.dumps(dict(SCALAR_DOC, A=[50.0], C=[1e300], x0=[8.0])))
+        signal = tmp_path / "zero.json"
+        signal.write_text(json.dumps({"kind": "zero"}))
+        code = run_command(["simulate", "--system", str(path),
+                            "--signal", str(signal), "--grid", "0:1:0.001"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: RK4 output became non-finite "
+                                "at step 339 (t = 0.339, dt = 0.001)\n")
+
     def test_out_file(self, scalar_doc_path, tmp_path):
         signal = tmp_path / "zero.json"
         signal.write_text(json.dumps({"kind": "zero"}))

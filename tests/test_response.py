@@ -495,6 +495,43 @@ class TestOdeDirect:
                             lambda sys, U, *args: np.full(len(U) - 1, response.STEP))
         assert got == messages()
 
+    # Free runs of A = 50 I (n = 8, dt = 1e-3) whose outputs C x overflow
+    # while their states and stage sums stay finite: at t = 0 (x0 = 1e10,
+    # C = 1e300); from step 339, where the projected powers C F^j are not
+    # finite, so the run is filled over its states (C = 1e300); and from step
+    # 13878, where chunks are projected until the bound on their outputs
+    # hands the run to the state fill (C = 1e6, twelve 1024-step chunks).
+    # The step named is the one stepping names, on both engines.
+    @pytest.mark.parametrize("c, x0, T, step, projected", [
+        (1e300, 1e10, 1.0, 0, False), (1e300, 1.0, 3.0, 339, False),
+        (1e6, 1.0, 15.0, 13878, True)])
+    def test_non_finite_output_raises(self, c, x0, T, step, projected, monkeypatch):
+        project, written = response._project, []
+
+        def spy(*args):
+            done, Y = project(*args)
+            written.append(done)
+            return done, Y
+
+        monkeypatch.setattr(response, "_project", spy)
+        n = 8
+        sys = BilinearSystem(A=50.0 * np.eye(n), N=np.zeros((1, n, n)), B=np.ones((n, 1)),
+                             C=np.full((1, n), c), x0=np.full(n, x0))
+        grid = TimeGrid(0.0, T, 1e-3)
+        u = zero_signal(grid)
+        pattern = (rf"^RK4 output became non-finite at step {step} "
+                   rf"\(t = {step / 1000:g}, dt = 0\.001\)$")
+        for forced in (False, True):
+            if forced:
+                monkeypatch.setattr(response, "_mapped",
+                                    lambda sys, U, *args: np.full(len(U) - 1, response.STEP))
+            with pytest.raises(FloatingPointError, match=pattern):
+                ode_direct(sys, u, grid)
+            with pytest.raises(FloatingPointError, match=pattern):
+                volterra_cascade(sys, u, 3, grid)
+            if not forced:
+                assert (max(written, default=0) > 0) == projected
+
     # Free runs of A = a I (n = 8, dt = 1e-3) whose projection is refused,
     # each at another place: the run map F itself is not finite (a = 1e80), a
     # power of it is not (a = 2000), the bound max |Y| grow 12 / h is not

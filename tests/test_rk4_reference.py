@@ -446,10 +446,11 @@ def test_project_refuses_at_the_first_chunk_past_its_bound(rows, group, j, monke
     # a limit between the admitted sizes and chunk j's, through grow
     limit = 0.5 * (sizes[:j].max() + sizes[j])
     assert sizes[:j].max() < limit < sizes[j] and limit >= 1.0
-    Z, rho, _ = projection
+    Z, rho, _, reach = projection
     grow = np.finfo(float).max / (limit * 12.0 / DT)
+    assert 2.0 * reach < 12.0 / DT * grow  # the states' bound is the tighter
     out = np.full((rows, L, sys.p), np.nan)
-    done, start = response._project(Y, out, powers, (Z, rho, grow), DT)
+    done, start = response._project(Y, out, powers, (Z, rho, grow, reach), DT)
     assert done == j * c
     assert_close_per_order(out[:, :done], want[:, :done])
     assert np.isnan(out[:, done:]).all()

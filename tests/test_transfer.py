@@ -10,8 +10,10 @@ from bivolt import (BilinearSystem, PoleHitError, eval_tf_regular,
                     resolvent_apply, roc_margin)
 from bivolt import linalg
 from bivolt.linalg import _solver
+from bivolt.transfer import _subset_sums
 
 from conftest import make_stable_system, normal_system, transient_growth_system
+from test_metamorphic import NORMAL, basis, transformed
 
 
 class TestRegularTF:
@@ -238,6 +240,60 @@ class TestPolesOfCertifiedSolves:
             eval_tf_symmetric(sys, [1], [1.0])
 
 
+# Every evaluation that solves resolvents, as f(sys, channels, s).
+SOLVING = {
+    "regular": lambda sys, chs, s: eval_tf_regular(sys, chs, s),
+    "triangular": lambda sys, chs, s: eval_tf_triangular(sys, chs, s),
+    "symmetric": lambda sys, chs, s: eval_tf_symmetric(sys, chs, s),
+    **{f"output_{kind}": lambda sys, chs, s, kind=kind: output_transform(
+        sys, chs, s, kind, lambda z: 1.0) for kind in ("regular", "triangular", "symmetric")},
+    "resolvent_apply": lambda sys, chs, s: [resolvent_apply(sys.A, z, sys.B[:, 0]) for z in s],
+}
+
+
+class TestRefusalsKeepTheirPlace:
+    """A system's A is checked once, where its certificate is formed, and a
+    call's shifts once per call; each refusal is still made, with the same
+    text, and a pole reports the same shift, by every evaluation."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", SOLVING)
+    def test_non_finite_matrix(self, name, bad):
+        sys = BilinearSystem(A=[[-1.0, bad], [0.0, -2.0]], N=np.eye(2), B=np.eye(2),
+                             C=[[1.0, 1.0]])
+        for _ in range(2):  # and again, after the system's cached state was asked for
+            with pytest.raises(ValueError, match=r"^resolvent matrix has non-finite entries$"):
+                SOLVING[name](sys, [1, 2], [1.0, 2.0])
+
+    @pytest.mark.parametrize("name", SOLVING)
+    def test_non_finite_shift(self, name):
+        sys = normal_system(4, m=2)
+        text = ("resolvent shift" if name == "resolvent_apply" else "frequency tuple")
+        for bad in (math.inf, math.nan, complex(1.0, -math.inf)):
+            with pytest.raises(ValueError, match=rf"^{text} has non-finite components$"):
+                SOLVING[name](sys, [1, 2], [1.0, bad])
+        if "regular" not in name and name != "resolvent_apply":
+            # finite arguments whose sum overflows
+            with pytest.raises(ValueError,
+                               match=r"^resolvent shift has non-finite components$"):
+                SOLVING[name](sys, [1, 2], [1e308, 1e308])
+
+    @pytest.mark.parametrize("name", SOLVING)
+    @pytest.mark.parametrize("system, lam", [(lambda: normal_system(4, m=2), -0.5 + 0.25j),
+                                             (lambda: transient_growth_system(m=2), -1.0)],
+                             ids=["eigenbasis", "no_eigenbasis"])
+    def test_pole(self, name, system, lam):
+        # the pole is the first shift of every kind: the first argument, the
+        # first partial sum and the first of the singletons
+        sys = system()
+        assert (sys._eigenbasis is None) == (lam == -1.0)
+        with pytest.raises(PoleHitError) as public:
+            resolvent_apply(sys.A, lam, sys.B[:, 0])
+        with pytest.raises(PoleHitError) as exc:
+            SOLVING[name](sys, [1, 2], [lam, 2.0])
+        assert exc.value.s == public.value.s == lam
+
+
 def near_normal_system(n: int, cond: float = 1.5) -> BilinearSystem:
     """normal_system(n, m=2, p=2) in a basis T with singular values from 1
     down to 1 / cond: kappa_2 of A's eigenvectors is about cond, and mu2(A)
@@ -254,6 +310,11 @@ def near_normal_system(n: int, cond: float = 1.5) -> BilinearSystem:
 
 # systems with an eigenbasis, kappa_2(V) = 1 and about 1.5
 SYSTEMS = {"normal": lambda n: normal_system(n, m=2, p=2), "near_normal": near_normal_system}
+# tests/test_metamorphic.py's 4-state core with a normal A, which has an
+# eigenbasis, and that core under its kappa(T) = 3 and 30 similarities, which
+# have none
+CORES = {"core": lambda: NORMAL,
+         **{f"core_kappa{c}": lambda c=c: transformed(NORMAL, basis(float(c))) for c in (3, 30)}}
 
 
 def certified_solve(sys):
@@ -304,9 +365,14 @@ class TestChainsOfScalarSolves:
     # "stable" has no eigenbasis: at n = 100 its triangular chain's last two
     # partial sums and three of the 15 subset sums are certified, at n = 5
     # all. The SYSTEMS have one, and every shift here is certified: they
-    # take the modal path.
+    # take the modal path. At n = 4, where a solve costs least beside its
+    # set-up, tests/test_metamorphic.py's NORMAL core takes the modal path
+    # too, and its similarities with no eigenbasis the other two: at
+    # kappa(T) = 3 every shift is certified (LU), at kappa(T) = 30 none
+    # (the checked inverse), test_cores_take_the_dense_paths.
     @pytest.fixture(params=[("stable", n) for n in (5, 100)]
-                    + [(kind, n) for kind in SYSTEMS for n in (5, 100)],
+                    + [(kind, n) for kind in SYSTEMS for n in (5, 100)]
+                    + [(kind, 4) for kind in CORES],
                     ids=lambda p: str(p[1]) if p[0] == "stable" else f"{p[0]}-{p[1]}")
     def case(self, request):
         kind, n = request.param
@@ -314,8 +380,8 @@ class TestChainsOfScalarSolves:
         if kind == "stable":
             sys = make_stable_system(rng, n=n, m=2, p=2)
         else:
-            sys = SYSTEMS[kind](n)
-        assert (sys._eigenbasis is None) == (kind == "stable")
+            sys = CORES[kind]() if kind in CORES else SYSTEMS[kind](n)
+        assert (sys._eigenbasis is None) == (kind in ("stable", "core_kappa3", "core_kappa30"))
         s = rng.uniform(0.3, 1.5, 4) + 1j * rng.uniform(-2.0, 2.0, 4)
         return sys, [2, 1, 1, 2], s
 
@@ -339,6 +405,14 @@ class TestChainsOfScalarSolves:
         assert np.array_equal(got, symmetric(certified_solve(sys), sys, chs, s))
         assert close(got, symmetric(resolvent_apply, sys, chs, s))
 
+    def test_cores_take_the_dense_paths(self):
+        rng = np.random.default_rng(45)
+        s = tuple(rng.uniform(0.3, 1.5, 4) + 1j * rng.uniform(-2.0, 2.0, 4))
+        shifts = np.array(s + tuple(itertools.accumulate(s)) + tuple(_subset_sums(s)[1:]))
+        for kind, every in (("core_kappa3", True), ("core_kappa30", False)):
+            sys = CORES[kind]()
+            assert (linalg._certified(shifts, 4, sys._resolvent_bound) == every).all()
+
 
 class TestModalSolves:
     """Where the system has an eigenbasis, a certified shift is solved in it
@@ -347,11 +421,12 @@ class TestModalSolves:
 
     @pytest.fixture
     def modal_calls(self, monkeypatch):
-        """The shift counts of the modal solves made, one entry per call."""
+        """The shift counts of the modal solves made, one entry per call: a
+        position's Y is (n, r), a stack's (q, n, r)."""
         seen, modal = [], linalg._modal_solve
 
         def spy(A, Y, *args):
-            seen.append(len(Y))
+            seen.append(len(Y) if Y.ndim == 3 else 1)
             return modal(A, Y, *args)
 
         monkeypatch.setattr(linalg, "_modal_solve", spy)

@@ -13,7 +13,9 @@ Three suites, each run at n = 4, 20 and 100 on perfbench's systems (seed 1):
   per-case ratios (--against) of 0.71 to 1.24, and at 21, 26 of 28 cases
   read inside [0.95, 1.05].
 - spectral: scalar `expm` and `resolvent_apply`, the three transfer-function
-  kinds (order 3, symmetric order 4), the three kernel kinds (order 4) and
+  kinds (order 3, symmetric order 4), the regular and triangular kinds also
+  at order 1 (`tf_reg_k1`, `tf_tri_k1`), where a call's fixed cost shows
+  apart from its cost per chain position, the three kernel kinds (order 4) and
   the Laplace quadrature as the spectral workload calls it, on spectral's
   systems. The quadrature runs on a memo hit, regular (`quad`) and
   triangular (`quad_tri`), where the system's transient growth is already
@@ -177,6 +179,8 @@ def spectral(bv, steps: int) -> tuple[dict, dict]:
             "resolvent_apply": lambda: bv.resolvent_apply(sys_.A, s[0], sys_.B[:, 0]),
             "tf_reg": lambda: bv.eval_tf_regular(sys_, chs, s),
             "tf_tri": lambda: bv.eval_tf_triangular(sys_, chs, s),
+            "tf_reg_k1": lambda: bv.eval_tf_regular(sys_, chs[:1], s[:1]),
+            "tf_tri_k1": lambda: bv.eval_tf_triangular(sys_, chs[:1], s[:1]),
             "tf_sym": lambda: bv.eval_tf_symmetric(sys_, chs_sym, s_sym),
             "kern_tri": lambda: bv.eval_triangular(sys_, k_chs, t_tri),
             "kern_reg": lambda: bv.eval_regular(sys_, k_chs, t_reg),
